@@ -11,6 +11,7 @@
 #include "algebra/operators.h"
 #include "engine/executor.h"
 #include "io/serialize.h"
+#include "reference/aggregate_reference.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -116,7 +117,7 @@ BENCHMARK(BM_AggregateTwoDimensions)->Arg(100)->Arg(400);
 // (one product per purchase: the Section 3.4 preconditions hold, so the
 // partition/merge path is legal). args: (purchases, threads). Before
 // timing, each configuration verifies once that its parallel result
-// serializes to exactly the sequential bytes.
+// serializes to exactly the reference formation's bytes.
 void BM_AggregateParallelThreads(benchmark::State& state) {
   RetailWorkloadParams params;
   params.num_purchases = static_cast<std::size_t>(state.range(0));
@@ -136,7 +137,7 @@ void BM_AggregateParallelThreads(benchmark::State& state) {
 
   {
     // Bit-identity check, once per configuration.
-    auto sequential = AggregateFormation(retail.mo, spec);
+    auto sequential = reference::AggregateFormation(retail.mo, spec);
     ExecContext check_ctx(threads, /*min_facts=*/1);
     auto parallel = AggregateFormation(retail.mo, spec, &check_ctx);
     if (!sequential.ok() || !parallel.ok() ||

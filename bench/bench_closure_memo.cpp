@@ -2,10 +2,13 @@
 // implementation using special-purpose algorithms and data structures":
 // aggregate formation with
 //
-//   raw   — containment recomputed per query (memoization disabled),
-//   memo  — the dimension's memoized reachability closure, and
-//   index — the compiled rollup snapshot (engine/rollup_index.h), which
-//           falls back to the memo when the strictness gate fails;
+//   raw   — the reference formation (tests/reference/) walking
+//           containment recomputed per query (memoization disabled),
+//   memo  — the reference over the dimension's memoized reachability
+//           closure, and
+//   index — the production group-by scan over the compiled rollup
+//           snapshot (engine/rollup_index.h), which falls back to the
+//           memo when the strictness gate fails;
 //
 // over a strict workload (retail: the flat table engages) and a
 // non-strict temporal one (clinical: the gate fails, proving fallback
@@ -24,6 +27,7 @@
 #include "engine/executor.h"
 #include "io/serialize.h"
 #include "peak_rss.h"
+#include "reference/aggregate_reference.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -132,9 +136,9 @@ int main() {
   std::printf("%20s %6s %10s %9s %6s %10s %6s\n", "workload", "mode",
               "wall_ms", "speedup", "hits", "fallbacks", "ident");
   for (Case& c : BuildCases()) {
-    // Ground truth once per workload: the memoized sequential engine.
+    // Ground truth once per workload: the memoized reference.
     ConfigureMemo(c.mo, true);
-    auto reference = AggregateFormation(c.mo, c.spec);
+    auto reference = reference::AggregateFormation(c.mo, c.spec);
     if (!reference.ok()) {
       std::fprintf(stderr, "aggregate failed: %s\n",
                    reference.status().ToString().c_str());
@@ -151,12 +155,15 @@ int main() {
       row.workload = c.workload;
       row.mode = mode;
       ExecContext ctx(1, /*min_facts=*/1);
-      ExecContext* exec = mode == "index" ? &ctx : nullptr;
+      auto run = [&] {
+        return mode == "index" ? AggregateFormation(c.mo, c.spec, &ctx)
+                               : reference::AggregateFormation(c.mo, c.spec);
+      };
       ConfigureMemo(c.mo, mode != "raw");
 
       // Bit-identity, once per mode, before any timing.
       {
-        auto result = AggregateFormation(c.mo, c.spec, exec);
+        auto result = run();
         row.bit_identical =
             result.ok() && std::move(io::WriteMo(*result)).ValueOrDie() ==
                                reference_bytes;
@@ -172,7 +179,7 @@ int main() {
         // Raw must not profit from warmth left by a previous iteration.
         if (mode == "raw") ConfigureMemo(c.mo, false);
         auto start = std::chrono::steady_clock::now();
-        auto result = AggregateFormation(c.mo, c.spec, exec);
+        auto result = run();
         auto stop = std::chrono::steady_clock::now();
         if (!result.ok()) {
           std::fprintf(stderr, "aggregate failed: %s\n",

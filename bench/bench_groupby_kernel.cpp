@@ -1,7 +1,8 @@
 // Group-by kernel sweep: group count x fact count x threads, the
-// dense-slot and flat-hash kernels (docs/groupby_kernel.md) against the
-// ordered-map baseline they replace, with a one-time bit-identity check
-// per configuration before any timing counts. Results go to stdout as a
+// dense-slot and flat-hash engines of the group-by scan
+// (docs/groupby_kernel.md) against the ordered-map reference formation
+// (tests/reference/), with a one-time bit-identity check per
+// configuration before any timing counts. Results go to stdout as a
 // table and to BENCH_groupby.json as machine-readable records.
 //
 //   $ ./bench/bench_groupby_kernel
@@ -27,6 +28,7 @@
 #include "engine/executor.h"
 #include "io/serialize.h"
 #include "peak_rss.h"
+#include "reference/aggregate_reference.h"
 
 namespace {
 
@@ -102,18 +104,17 @@ struct SweepRow {
   bool bit_identical = false;
 };
 
+/// Best-of wall time of one formation; threads == 0 times the reference.
 double TimeAggregateMs(const MdObject& mo, const AggregateSpec& spec,
                        std::size_t threads, bool force_flat,
                        int iterations) {
   double best = 1e300;
   for (int i = 0; i < iterations; ++i) {
-    std::unique_ptr<ExecContext> ctx;
-    if (threads > 0) {
-      ctx = std::make_unique<ExecContext>(threads, /*min_facts=*/1);
-      if (force_flat) ctx->max_dense_groupby_slots = 0;
-    }
+    ExecContext ctx(threads, /*min_facts=*/1);
+    if (force_flat) ctx.max_dense_groupby_slots = 0;
     auto start = std::chrono::steady_clock::now();
-    auto result = AggregateFormation(mo, spec, ctx.get());
+    auto result = threads == 0 ? reference::AggregateFormation(mo, spec)
+                               : AggregateFormation(mo, spec, &ctx);
     auto stop = std::chrono::steady_clock::now();
     if (!result.ok()) {
       std::fprintf(stderr, "aggregate failed: %s\n",
@@ -178,9 +179,9 @@ int main() {
       const int iterations = facts >= 1000000 ? 3 : 5;
 
       // Bit-identity, once per configuration, before any timing: the
-      // ordered-map baseline against the dense kernel (1 and 8 threads)
-      // and the forced flat-hash kernel.
-      auto baseline = AggregateFormation(workload.mo, spec);
+      // reference against the dense engine (1 and 8 threads) and the
+      // forced flat-hash engine.
+      auto baseline = reference::AggregateFormation(workload.mo, spec);
       if (!baseline.ok()) {
         std::fprintf(stderr, "baseline aggregate failed: %s\n",
                      baseline.status().ToString().c_str());

@@ -1,7 +1,7 @@
 // Memory-layout sweep (docs/memory_layout.md): the aggregate-formation
 // pipeline on the flat layout — shared interners, flat-hash indexes, CSR
-// by-fact spans and query-lifetime arenas — against the context-free
-// ordered-map/heap baseline it replaced, across fact counts. Per
+// by-fact spans and query-lifetime arenas — against the ordered-map/heap
+// reference formation (tests/reference/), across fact counts. Per
 // configuration, one bit-identity check (serialized result bytes) runs
 // before any timing counts; timings then report the single-thread
 // speedup, the heap-allocation count per steady-state query on both
@@ -28,6 +28,7 @@
 #include "engine/executor.h"
 #include "io/serialize.h"
 #include "peak_rss.h"
+#include "reference/aggregate_reference.h"
 
 // Allocation counter: the same replacement-operator harness as
 // tests/alloc_count_test.cc, counting every heap allocation so the sweep
@@ -114,7 +115,7 @@ Workload MakeWorkload(std::size_t num_facts) {
 
 struct SweepRow {
   std::size_t facts = 0;
-  double old_ms = 0.0;   // context-free ordered-map/heap baseline
+  double old_ms = 0.0;   // ordered-map/heap reference formation
   double new_ms = 0.0;   // flat layout, 1 thread
   double new8_ms = 0.0;  // flat layout, 8 threads
   double speedup = 1.0;  // old / new (single thread)
@@ -129,7 +130,8 @@ struct TimedRun {
 };
 
 /// Best-of-N wall time plus the allocation count of the *last* run —
-/// steady state, since the context's arenas are warm by then.
+/// steady state, since the context's arenas are warm by then. A null
+/// `exec` times the reference formation.
 TimedRun TimeAggregate(const MdObject& mo, const AggregateSpec& spec,
                        ExecContext* exec, int iterations) {
   TimedRun run;
@@ -138,7 +140,8 @@ TimedRun TimeAggregate(const MdObject& mo, const AggregateSpec& spec,
     const std::size_t allocs_before =
         g_alloc_count.load(std::memory_order_relaxed);
     auto start = std::chrono::steady_clock::now();
-    auto result = AggregateFormation(mo, spec, exec);
+    auto result = exec == nullptr ? reference::AggregateFormation(mo, spec)
+                                  : AggregateFormation(mo, spec, exec);
     auto stop = std::chrono::steady_clock::now();
     if (!result.ok()) {
       std::fprintf(stderr, "aggregate failed: %s\n",
@@ -208,8 +211,8 @@ int main() {
     const int iterations = facts >= 1000000 ? 3 : 5;
 
     // Bit-identity before any timing: the flat layout must reproduce the
-    // ordered-map baseline byte for byte at 1 and 8 threads.
-    auto baseline = AggregateFormation(workload.mo, spec);
+    // reference byte for byte at 1 and 8 threads.
+    auto baseline = reference::AggregateFormation(workload.mo, spec);
     if (!baseline.ok()) {
       std::fprintf(stderr, "baseline aggregate failed: %s\n",
                    baseline.status().ToString().c_str());

@@ -1,7 +1,8 @@
 // Compiled-rollup-index sweep: fan-out x depth x fact count, the
-// flat-table aggregate path (engine/rollup_index.h) against the memoized
-// closure traversal it replaces, with a one-time bit-identity check per
-// configuration before any timing counts. Results go to stdout as a
+// flat-table aggregate path (engine/rollup_index.h) against the reference
+// formation's memoized closure traversal (tests/reference/), with a
+// one-time bit-identity check per configuration before any timing
+// counts. Results go to stdout as a
 // table and to BENCH_rollup.json as machine-readable records.
 //
 //   $ ./bench/bench_rollup_index
@@ -25,6 +26,7 @@
 #include "engine/rollup_index.h"
 #include "io/serialize.h"
 #include "peak_rss.h"
+#include "reference/aggregate_reference.h"
 
 namespace {
 
@@ -100,12 +102,14 @@ struct SweepRow {
   bool bit_identical = false;
 };
 
+/// Best-of wall time of one formation; a null `exec` times the reference.
 double TimeAggregateMs(const MdObject& mo, const AggregateSpec& spec,
                        ExecContext* exec, int iterations) {
   double best = 1e300;
   for (int i = 0; i < iterations; ++i) {
     auto start = std::chrono::steady_clock::now();
-    auto result = AggregateFormation(mo, spec, exec);
+    auto result = exec == nullptr ? reference::AggregateFormation(mo, spec)
+                                  : AggregateFormation(mo, spec, exec);
     auto stop = std::chrono::steady_clock::now();
     if (!result.ok()) {
       std::fprintf(stderr, "aggregate failed: %s\n",
@@ -181,7 +185,7 @@ int main() {
         row.depth = depth;
         row.facts = facts;
 
-        auto memoized = AggregateFormation(mo, spec);
+        auto memoized = reference::AggregateFormation(mo, spec);
         if (!memoized.ok()) {
           std::fprintf(stderr, "memoized aggregate failed: %s\n",
                        memoized.status().ToString().c_str());

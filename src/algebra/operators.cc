@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "common/strings.h"
@@ -42,10 +43,9 @@ std::size_t HashUint64(std::uint64_t raw) {
   return static_cast<std::size_t>(h);
 }
 
-/// Query-lifetime scratch container (docs/memory_layout.md): with a null
-/// arena this is exactly std::vector, so the context-free baseline and
-/// the arena-backed execution path share one code path — byte-identity
-/// by construction, not by parallel maintenance.
+/// Query-lifetime scratch container (docs/memory_layout.md): bumps the
+/// context's arena, and is exactly std::vector under a null arena (a Join
+/// called without a context).
 template <typename T>
 using ArenaVec = std::vector<T, ArenaAllocator<T>>;
 
@@ -53,10 +53,8 @@ using ArenaVec = std::vector<T, ArenaAllocator<T>>;
 /// everything arena-backed is operator-local scratch, so reclaiming here
 /// keeps repeated queries on one context at a flat memory footprint.
 struct ArenaResetGuard {
-  ExecContext* exec;
-  ~ArenaResetGuard() {
-    if (exec != nullptr) exec->ResetQueryArenas();
-  }
+  ExecContext& exec;
+  ~ArenaResetGuard() { exec.ResetQueryArenas(); }
 };
 
 }  // namespace
@@ -297,7 +295,8 @@ Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
   //    Lists live in the context's bump arenas (each list in the arena of
   //    the partition that fills it, so workers never share an arena);
   //    without a context they fall back to the heap unchanged.
-  ArenaResetGuard arena_guard{exec};
+  std::optional<ArenaResetGuard> arena_guard;
+  if (exec != nullptr) arena_guard.emplace(*exec);
   const std::size_t num_partitions = parallel ? exec->num_threads : 1;
   if (parallel) exec->EnsureWorkerArenas(num_partitions);
   std::vector<ArenaVec<FactId>> matches;
@@ -449,18 +448,19 @@ AggregationType ResultBottomAggType(const MdObject& mo,
   return agg_type;
 }
 
-/// Per fact and dimension: the grouping-category values characterizing
-/// the fact, with lifespans and probabilities. `dense` is the value's
-/// dense id in the dimension's rollup snapshot, set on the indexed path
-/// only — the dense group-by kernel turns it into a slot digit with one
-/// array read.
+// ---- The group-by scan ----------------------------------------------------
+
+/// Per fact and live dimension: a grouping-category value characterizing
+/// the fact, with lifespan and probability. `dense` is the value's dense
+/// id in the dimension's rollup snapshot, set on the indexed path only —
+/// the dense-slot engine turns it into a slot digit with one array read.
 struct Coordinate {
   ValueId value;
   /// nullopt means AlwaysSpan — the attachment of nontemporal data. The
-  /// accumulate loops intersect group time with coordinate time per fact
-  /// per dimension; spelling Always as nullopt makes the dominant
-  /// snapshot case allocation-free (a materialized Lifespan copies two
-  /// interval vectors) and lets those loops skip the identity Intersect.
+  /// scan intersects group time with coordinate time per incidence;
+  /// spelling Always as nullopt makes the dominant snapshot case
+  /// allocation-free (a materialized Lifespan copies two interval
+  /// vectors) and lets the scan skip the identity Intersect.
   std::optional<Lifespan> life;
   double prob;
   std::uint32_t dense = RollupIndex::kNone;
@@ -473,107 +473,63 @@ std::optional<Lifespan> OptLife(const Lifespan& life) {
   return life;
 }
 
-/// The fact's coordinates in every grouping category, or nullopt when
-/// some dimension has none (the fact then joins no group). Read-only on
-/// the MO (given warmed closure memos), so facts fan out in parallel.
-///
-/// `indexes` (empty, or one slot per dimension) carries compiled rollup
-/// snapshots whose flat table replaces the full characterization scan:
-/// per relation entry, the unique ancestor at the grouping category is
-/// one array lookup. Under the snapshot's gate every closure lifespan is
-/// Always, so the coordinate lifespan is the entry lifespan and the
-/// probability the entry probability times the closure probability —
-/// accumulated per coordinate value in entry order with the same
-/// union/noisy-or CharacterizedBy applies, and emitted in ascending
-/// ValueId order like the filtered characterization list. The two paths
-/// are therefore bit-identical; dimensions without a usable snapshot
-/// take the memoized path.
-/// Per-dimension entry spans aligned to the MO's sorted fact vector:
-/// `[i][f]` is relation i's entry-index run for facts[f] (empty when the
-/// fact has no pairs there). Built once per run by sweeping each
-/// relation's CSR by-fact view (FactDimRelation::FactSpans) in lockstep
-/// with the fact list — a pointer sweep over two sorted flat arrays, no
-/// per-fact lookups at all.
+/// Per-dimension entry spans aligned to the visited facts: `[i][f]` is
+/// relation i's entry-index run for facts[f] (empty when the fact has no
+/// pairs there). Built once per scan by sweeping each relation's CSR
+/// by-fact view (FactDimRelation::FactSpans) in lockstep with the
+/// ascending fact list, starting at the first visited fact — a fold over
+/// an appended tail sweeps only the tail's spans.
 using FactEntryLists = std::vector<std::vector<FactDimRelation::EntrySpan>>;
 
-/// Builds the per-fact entry lists for the `wanted` dimensions: one
-/// lockstep walk of each relation's by-fact tree against the MO's sorted
-/// fact vector replaces one tree lookup per (fact, dimension) in the hot
-/// loops. Shared by AggregateFormation and AggregateStream.
 FactEntryLists BuildFactEntryLists(const MdObject& mo,
+                                   std::span<const FactId> facts,
                                    const std::vector<bool>& wanted) {
-  const std::vector<FactId>& facts = mo.facts();  // sorted by id
   FactEntryLists fact_entries(mo.dimension_count());
   for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    if (!wanted[i]) continue;
+    if (!wanted[i] || facts.empty()) continue;
     fact_entries[i].assign(facts.size(), FactDimRelation::EntrySpan{});
     const FactDimRelation& relation = mo.relation(i);
     const std::vector<FactDimRelation::FactSpan>& spans =
         relation.FactSpans();
     const std::size_t* base = relation.SpanEntryIndexes().data();
+    auto span = std::lower_bound(spans.begin(), spans.end(), facts.front(),
+                                 [](const FactDimRelation::FactSpan& s,
+                                    FactId f) { return s.fact < f; });
     std::size_t f = 0;
-    for (const FactDimRelation::FactSpan& span : spans) {
-      while (f < facts.size() && facts[f] < span.fact) ++f;
+    for (; span != spans.end(); ++span) {
+      while (f < facts.size() && facts[f] < span->fact) ++f;
       if (f == facts.size()) break;
-      if (facts[f] == span.fact) {
+      if (facts[f] == span->fact) {
         fact_entries[i][f] = FactDimRelation::EntrySpan{
-            base + span.begin, span.end - span.begin};
+            base + span->begin, span->end - span->begin};
       }
     }
   }
   return fact_entries;
 }
 
-/// A fact's per-dimension coordinate lists, arena-backed on the
-/// execution path (a query's dominant allocation source is exactly these
-/// little per-fact vectors) and plain heap vectors for the baseline.
+/// A fact's per-live-dimension coordinate lists, bump-allocated in the
+/// context's arenas (a scan's dominant allocation source is exactly these
+/// little per-fact vectors).
 using CoordList = ArenaVec<Coordinate>;
 using CoordLists = ArenaVec<CoordList>;
 
-/// The shared per-dimension coordinate body of GroupingCoordinates and
-/// the streaming scan: appends `fact`'s coordinates in `category` of
-/// dimension `i` to `list`. With a compiled `index` the list is
-/// accumulated per value in entry order and kept sorted by ValueId (a
-/// linear insertion — coordinate lists are tiny), so emission matches the
-/// ordered map this replaced without its node churn; without one the
-/// memoized characterization scan runs unchanged. `span`, when non-null,
-/// is the fact's precomputed CSR entry run (indexed path only).
+/// Appends `fact`'s coordinates in `category` of dimension `i` to `list`.
+/// With a compiled `index` the fact's CSR entry run `span` is resolved
+/// through the flat table — per relation entry the unique ancestor at the
+/// grouping category is one array lookup; under the snapshot's gate every
+/// closure lifespan is Always, so the coordinate lifespan is the entry
+/// lifespan and the probability the entry probability times the closure
+/// probability, accumulated per value in entry order with the
+/// union/noisy-or CharacterizedBy applies and kept sorted by ValueId like
+/// the filtered characterization list. Without one the memoized
+/// characterization walk runs. The two are bit-identical.
 void AppendDimCoordinates(const MdObject& mo, std::size_t i,
                           CategoryTypeIndex category, Chronon prob_at,
                           const RollupIndex* index, FactId fact,
-                          const FactDimRelation::EntrySpan* span,
-                          CoordList& list) {
-  const Dimension& dimension = mo.dimension(i);
-  if (index != nullptr) {
-    const FactDimRelation& relation = mo.relation(i);
-    const FactDimRelation::EntrySpan entry_list =
-        span == nullptr ? FactDimRelation::EntrySpan::Of(
-                              relation.EntryIndexesForFact(fact))
-                        : *span;
-    for (std::size_t e : entry_list) {
-      const FactDimRelation::Entry& entry = relation.entries()[e];
-      const std::uint32_t dense = index->DenseOf(entry.value);
-      if (dense == RollupIndex::kNone) continue;
-      const std::uint32_t ancestor = index->AncestorAt(dense, category);
-      if (ancestor == RollupIndex::kNone) continue;
-      const double prob =
-          entry.prob * index->AncestorProbAt(dense, category);
-      const ValueId value = index->ValueOf(ancestor);
-      auto it = std::lower_bound(
-          list.begin(), list.end(), value,
-          [](const Coordinate& c, ValueId v) { return c.value < v; });
-      if (it != list.end() && it->value == value) {
-        // Always (nullopt) is absorbing under component-wise Union.
-        if (it->life.has_value()) {
-          it->life = OptLife(it->life->Union(entry.life));
-        }
-        it->prob = 1.0 - (1.0 - it->prob) * (1.0 - prob);
-      } else {
-        list.insert(it,
-                    Coordinate{value, OptLife(entry.life), prob, ancestor});
-      }
-    }
-  } else {
+                          FactDimRelation::EntrySpan span, CoordList& list) {
+  if (index == nullptr) {
+    const Dimension& dimension = mo.dimension(i);
     for (const MdObject::Characterization& c :
          mo.CharacterizedBy(fact, i, prob_at)) {
       auto value_category = dimension.CategoryOf(c.value);
@@ -581,170 +537,56 @@ void AppendDimCoordinates(const MdObject& mo, std::size_t i,
         list.push_back(Coordinate{c.value, OptLife(c.life), c.prob});
       }
     }
+    return;
   }
-}
-
-std::optional<CoordLists> GroupingCoordinates(
-    const MdObject& mo, const AggregateSpec& spec, FactId fact,
-    const std::vector<std::shared_ptr<const RollupIndex>>& indexes,
-    Arena* arena, const FactEntryLists* fact_entries = nullptr,
-    std::size_t fact_ordinal = 0) {
-  const std::size_t n = mo.dimension_count();
-  CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
-  per_dim.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    per_dim.emplace_back(ArenaAllocator<Coordinate>(arena));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const Dimension& dimension = mo.dimension(i);
-    if (spec.grouping[i] == dimension.type().top()) {
-      per_dim[i].push_back(
-          Coordinate{dimension.top_value(), std::nullopt, 1.0});
-      continue;
+  const FactDimRelation& relation = mo.relation(i);
+  for (std::size_t e : span) {
+    const FactDimRelation::Entry& entry = relation.entries()[e];
+    const std::uint32_t dense = index->DenseOf(entry.value);
+    if (dense == RollupIndex::kNone) continue;
+    const std::uint32_t ancestor = index->AncestorAt(dense, category);
+    if (ancestor == RollupIndex::kNone) continue;
+    const double prob = entry.prob * index->AncestorProbAt(dense, category);
+    const ValueId value = index->ValueOf(ancestor);
+    auto it = std::lower_bound(
+        list.begin(), list.end(), value,
+        [](const Coordinate& c, ValueId v) { return c.value < v; });
+    if (it != list.end() && it->value == value) {
+      // Always (nullopt) is absorbing under component-wise Union.
+      if (it->life.has_value()) {
+        it->life = OptLife(it->life->Union(entry.life));
+      }
+      it->prob = 1.0 - (1.0 - it->prob) * (1.0 - prob);
+    } else {
+      list.insert(it, Coordinate{value, OptLife(entry.life), prob, ancestor});
     }
-    const RollupIndex* index =
-        i < indexes.size() ? indexes[i].get() : nullptr;
-    const FactDimRelation::EntrySpan* span =
-        (index != nullptr && fact_entries != nullptr)
-            ? &(*fact_entries)[i][fact_ordinal]
-            : nullptr;
-    AppendDimCoordinates(mo, i, spec.grouping[i], spec.prob_at, index, fact,
-                         span, per_dim[i]);
-    if (per_dim[i].empty()) return std::nullopt;
   }
-  return per_dim;
 }
 
-/// One group under construction. The group's time per dimension is the
-/// intersection over members of their characterization spans;
-/// probabilities multiply over members.
-struct GroupAccum {
-  GroupAccum() = default;
-  /// Kernel-path construction: the growable per-member lists live in the
-  /// owning partition's arena (the default heap vectors remain for the
-  /// ordered-map baseline).
-  explicit GroupAccum(Arena* arena)
-      : members(ArenaAllocator<FactId>(arena)),
-        member_probs(ArenaAllocator<double>(arena)) {}
-
-  ArenaVec<FactId> members;
-  std::vector<Lifespan> life_per_dim;
-  std::vector<double> prob_per_dim;
-  /// Per member: probability that the member belongs to this group
-  /// (product of its characterization probabilities across dimensions);
-  /// feeds expected counts.
-  ArenaVec<double> member_probs;
+/// An accumulator class: functions sharing an argument dimension and
+/// pair-vs-value reading share one contribution pass, one accumulator per
+/// group, one sticky error and one result lifespan — the Accumulator
+/// keeps count/sum/min/max regardless of which Finish will read it, so
+/// the shared state is exactly what each function alone would build.
+struct AccumClass {
+  std::size_t dim = 0;
+  bool counts = false;   // COUNT reads pairs; SUM/AVG/MIN/MAX read values
+  bool bad_dim = false;  // dim >= dimension_count: an error iff groups exist
 };
 
-using GroupKey = std::vector<ValueId>;
-using GroupMap = std::map<GroupKey, GroupAccum>;
-
-/// Folds one fact's coordinate cross product into `groups` — the
-/// ordered-map baseline engine, kept byte-for-byte as the no-context
-/// ground truth the kernels are differentially tested against. Per-group
-/// accumulation order is facts ascending, the order the kernels follow
-/// too.
-void AccumulateFact(std::size_t n, FactId fact, const CoordLists& per_dim,
-                    GroupMap& groups) {
-  // Enumerate the cross product of this fact's coordinate lists.
-  std::vector<std::size_t> cursor(n, 0);
-  while (true) {
-    GroupKey key(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      key[i] = per_dim[i][cursor[i]].value;
-    }
-    auto [it, inserted] = groups.try_emplace(std::move(key));
-    GroupAccum& group = it->second;
-    if (inserted) {
-      group.life_per_dim.assign(n, Lifespan::AlwaysSpan());
-      group.prob_per_dim.assign(n, 1.0);
-    }
-    group.members.push_back(fact);
-    double member_prob = 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Coordinate& c = per_dim[i][cursor[i]];
-      if (c.life.has_value()) {
-        group.life_per_dim[i] = group.life_per_dim[i].Intersect(*c.life);
-      }
-      group.prob_per_dim[i] *= c.prob;
-      member_prob *= c.prob;
-    }
-    group.member_probs.push_back(member_prob);
-    // Advance the cross-product cursor.
-    std::size_t i = 0;
-    while (i < n && ++cursor[i] == per_dim[i].size()) {
-      cursor[i] = 0;
-      ++i;
-    }
-    if (i == n) break;
-  }
+/// The class `function` folds into; nullopt for SetCount, which reads
+/// only the member set.
+std::optional<AccumClass> ClassOf(const MdObject& mo,
+                                  const AggFunction& function) {
+  if (function.args().empty()) return std::nullopt;
+  const std::size_t dim = function.args().front();
+  return AccumClass{dim, function.kind() == AggregateFunctionKind::kCount,
+                    dim >= mo.dimension_count()};
 }
 
-/// Per-group evaluation shared by both paths: canonical member order,
-/// expected count, g(group), and the Section 4.2 result lifespan.
-/// Mutates only the group itself (sorting its members), so distinct
-/// groups evaluate concurrently.
-struct GroupEval {
-  double value = 0.0;
-  Lifespan result_life;
-};
-
-Result<GroupEval> EvaluateGroup(const MdObject& mo, const AggregateSpec& spec,
-                                GroupAccum& group) {
-  GroupEval eval;
-  // member_probs was built in member order; capture the expectation
-  // before members are sorted for canonical set identity.
-  double expected = 0.0;
-  for (double p : group.member_probs) expected += p;
-  std::sort(group.members.begin(), group.members.end());
-  if (spec.expected_counts &&
-      spec.function.kind() == AggregateFunctionKind::kSetCount) {
-    eval.value = expected;
-  } else {
-    MDDC_ASSIGN_OR_RETURN(
-        eval.value, spec.function.Evaluate(mo, group.members, spec.prob_at));
-  }
-
-  // Result-dimension time: per the Section 4.2 rule, the intersection
-  // over the group's members and g's argument dimensions of the times
-  // the member was related to its data (Always for argument-less
-  // functions such as set-count).
-  const std::size_t n = mo.dimension_count();
-  Lifespan result_life = Lifespan::AlwaysSpan();
-  for (std::size_t dim : spec.function.args()) {
-    if (dim >= n) continue;
-    const FactDimRelation& relation = mo.relation(dim);
-    for (FactId member : group.members) {
-      TemporalElement member_valid;
-      TemporalElement member_transaction;
-      for (std::size_t e : relation.EntryIndexesForFact(member)) {
-        const FactDimRelation::Entry& entry = relation.entries()[e];
-        member_valid = member_valid.Union(entry.life.valid);
-        member_transaction =
-            member_transaction.Union(entry.life.transaction);
-      }
-      result_life =
-          result_life.Intersect(Lifespan{member_valid, member_transaction});
-    }
-  }
-  eval.result_life = result_life;
-  return eval;
-}
-
-// ---- Group-by kernels ------------------------------------------------------
-
-/// Which engine builds the groups (docs/groupby_kernel.md). Callers
-/// without an execution context keep the ordered-map engine as the
-/// differential baseline; a context engages the dense-slot kernel when
-/// every grouping dimension is covered by a flat rollup table (or grouped
-/// at top) and the slot cross-product fits the context's threshold, and
-/// the open-addressing flat-hash kernel otherwise.
-enum class GroupEngine { kOrderedMap, kDenseSlots, kFlatHash };
-
-/// Per-fact aggregate input on the kernel paths, computed once per fact
-/// (riding the coordinate pass's fan-out) and folded into every group the
-/// fact joins, in member order — the same per-member entry scan
-/// AggFunction::Evaluate and EvaluateGroup perform per group.
+/// One visited fact's input to a class, computed once per fact and folded
+/// into every group the fact joins, in member order — the per-member
+/// entry scan AggFunction::Evaluate performs.
 struct FactContribution {
   FactContribution() = default;
   explicit FactContribution(Arena* arena)
@@ -759,76 +601,58 @@ struct FactContribution {
   /// it exactly as Evaluate would.
   Status error;
   bool failed = false;
-  /// Section 4.2 member time: intersection over g's argument dimensions
-  /// of the union of the member's entry spans. nullopt means AlwaysSpan,
-  /// so nontemporal facts carry no interval vectors at all.
+  /// Section 4.2 member time: the union of the member's entry spans in
+  /// the argument dimension. nullopt means AlwaysSpan, so nontemporal
+  /// facts carry no interval vectors at all.
   std::optional<Lifespan> arg_life;
 };
 
-/// Numeric values memoized per distinct argument ValueId (the outcome of
-/// NumericValueOf is a function of the value id alone for a fixed
-/// prob_at), so the per-fact contribution pass does array walks instead
-/// of representation lookups and strtod per entry.
+/// Numeric values memoized per distinct argument ValueId (NumericValueOf
+/// is a function of the value id alone for a fixed prob_at), so the
+/// contribution pass does array walks instead of representation lookups
+/// and strtod per entry.
 using NumericValueCache = std::unordered_map<std::uint64_t, Result<double>>;
 
-FactContribution ContributionOf(const MdObject& mo, const AggregateSpec& spec,
-                                FactId fact,
-                                const FactEntryLists* fact_entries,
-                                std::size_t fact_ordinal,
-                                const NumericValueCache* numeric_values,
+FactContribution ContributionOf(const MdObject& mo, const AccumClass& cls,
+                                Chronon prob_at,
+                                FactDimRelation::EntrySpan entries,
+                                const NumericValueCache& numeric_values,
                                 Arena* arena) {
   FactContribution c(arena);
-  const AggregateFunctionKind kind = spec.function.kind();
-  const auto entry_list = [&](std::size_t dim) -> FactDimRelation::EntrySpan {
-    if (fact_entries == nullptr) {
-      return FactDimRelation::EntrySpan::Of(
-          mo.relation(dim).EntryIndexesForFact(fact));
+  const FactDimRelation& relation = mo.relation(cls.dim);
+  // Fast path for nontemporal data: a nonempty union of Always spans is
+  // Always, and intersecting with Always is the identity.
+  bool all_always = !entries.empty();
+  for (std::size_t e : entries) {
+    if (!relation.entries()[e].life.IsAlways()) {
+      all_always = false;
+      break;
     }
-    return (*fact_entries)[dim][fact_ordinal];
-  };
-  for (std::size_t dim : spec.function.args()) {
-    if (dim >= mo.dimension_count()) continue;
-    const FactDimRelation& relation = mo.relation(dim);
-    const FactDimRelation::EntrySpan list = entry_list(dim);
-    // Fast path for nontemporal data: a nonempty union of Always spans is
-    // Always, and intersecting with Always is the identity.
-    bool all_always = !list.empty();
-    for (std::size_t e : list) {
-      if (!relation.entries()[e].life.IsAlways()) {
-        all_always = false;
-        break;
-      }
-    }
-    if (all_always) continue;
+  }
+  if (!all_always) {
     TemporalElement member_valid;
     TemporalElement member_transaction;
-    for (std::size_t e : list) {
+    for (std::size_t e : entries) {
       const FactDimRelation::Entry& entry = relation.entries()[e];
       member_valid = member_valid.Union(entry.life.valid);
       member_transaction = member_transaction.Union(entry.life.transaction);
     }
-    Lifespan member{std::move(member_valid), std::move(member_transaction)};
-    c.arg_life = c.arg_life.has_value() ? c.arg_life->Intersect(member)
-                                        : std::move(member);
+    c.arg_life =
+        Lifespan{std::move(member_valid), std::move(member_transaction)};
   }
-  if (spec.function.args().empty()) return c;
-  const std::size_t dim = spec.function.args().front();
-  const Dimension& dimension = mo.dimension(dim);
-  const FactDimRelation& relation = mo.relation(dim);
-  for (std::size_t e : entry_list(dim)) {
+  const Dimension& dimension = mo.dimension(cls.dim);
+  for (std::size_t e : entries) {
     const FactDimRelation::Entry& entry = relation.entries()[e];
     if (entry.value == dimension.top_value()) continue;  // unknown
-    if (kind == AggregateFunctionKind::kCount) {
+    if (cls.counts) {
       ++c.counted;
       continue;
     }
-    Result<double> value = [&]() -> Result<double> {
-      if (numeric_values != nullptr) {
-        auto it = numeric_values->find(entry.value.raw());
-        if (it != numeric_values->end()) return it->second;
-      }
-      return dimension.NumericValueOf(entry.value, spec.prob_at);
-    }();
+    auto cached = numeric_values.find(entry.value.raw());
+    const Result<double> value =
+        cached != numeric_values.end()
+            ? cached->second
+            : dimension.NumericValueOf(entry.value, prob_at);
     if (!value.ok()) {
       c.failed = true;
       c.error = value.status();
@@ -839,129 +663,311 @@ FactContribution ContributionOf(const MdObject& mo, const AggregateSpec& spec,
   return c;
 }
 
-/// One group under construction on a kernel path: the baseline
-/// accumulator plus the streaming aggregate state EvaluateGroup would
-/// otherwise recompute from the member list.
-struct KernelGroup {
-  KernelGroup() = default;
-  explicit KernelGroup(Arena* arena) : base(arena) {}
-
-  GroupAccum base;
-  AggFunction::Accumulator agg;
+/// One group of the scan. Everything a result MO needs is here: the
+/// fused read path uses only the key, the members and the accumulators.
+struct ScanGroup {
+  /// The grouping values of the live (non-top-grouped) dimensions, in
+  /// ascending dimension-index order.
+  std::vector<ValueId> key;
+  /// Distinct member facts, ascending (each fact joins a key at most once).
+  std::vector<FactId> members;
+  /// Per accumulator class: the raw left-fold over the members' values,
+  /// and the first contribution error (OK when none).
+  std::vector<AggFunction::Accumulator> accums;
+  std::vector<Status> errors;
+  /// Per live dimension: the intersection of the members' coordinate
+  /// lifespans (nullopt = AlwaysSpan, untouched) and the product of their
+  /// coordinate probabilities.
+  std::vector<std::optional<Lifespan>> life;
+  std::vector<double> prob;
+  /// Sum over members of the product of their coordinate probabilities —
+  /// the expected group size.
   double expected = 0.0;
-  Lifespan result_life = Lifespan::AlwaysSpan();
-  Status error;
-  bool failed = false;
+  /// Per accumulator class: the Section 4.2 result lifespan, the
+  /// intersection of the members' argument lifespans (nullopt = Always).
+  std::vector<std::optional<Lifespan>> result_life;
 };
 
-/// Per-worker state of a kernel run. The dense engine owns a contiguous
-/// slot range: group_of_slot is the range-local slot -> group indirection
-/// (4 bytes per owned slot, not a per-slot accumulator, so untouched
-/// slots cost only the sentinel), groups fill in touch order and sort by
-/// slot at the merge. The flat-hash engine interns keys into one
-/// fixed-stride buffer probed through the open-addressing index.
-struct KernelPartition {
-  /// All growable partition state bumps the partition's own arena (each
-  /// partition is scanned by exactly one task, so arenas never race);
-  /// only the open-addressing index keeps heap storage, whose rehashes
-  /// are logarithmic in the group count.
-  explicit KernelPartition(Arena* a)
-      : arena(a),
+/// What one scan visits and folds.
+struct ScanRequest {
+  /// The facts to visit, ascending: all of mo.facts(), or a fold's delta.
+  std::span<const FactId> facts;
+  /// Optional mask aligned with `facts`; false entries are skipped.
+  const std::vector<bool>* keep = nullptr;
+  const std::vector<CategoryTypeIndex>* grouping = nullptr;
+  Chronon prob_at = kNowChronon;
+  std::vector<AccumClass> classes;
+  /// Take the partitioned path; the caller has applied the Section 3.4
+  /// summarizability gate.
+  bool parallel = false;
+  /// Groups to resume (unique keys, members below every visited fact);
+  /// the scan moves their member lists into its output.
+  std::vector<ScanGroup> seeds;
+};
+
+/// Per-partition scan state. The dense engine owns a contiguous slot
+/// range: group_of_slot is the range-local slot -> group indirection (4
+/// bytes per owned slot, so untouched slots cost only the sentinel);
+/// the flat-hash engine interns keys into one fixed-stride buffer probed
+/// through the open-addressing index. Per-group state lives in strided
+/// arrays, all bump-allocated in the partition's own arena (each
+/// partition is scanned by exactly one task, so arenas never race).
+struct ScanPartition {
+  ScanPartition(Arena* a, std::size_t live_dims, std::size_t class_count)
+      : nl(live_dims),
+        nclasses(class_count),
         group_of_slot(ArenaAllocator<std::uint32_t>(a)),
         slot_of_group(ArenaAllocator<std::uint64_t>(a)),
         key_storage(ArenaAllocator<ValueId>(a)),
-        groups(ArenaAllocator<KernelGroup>(a)) {}
+        seed_of_group(ArenaAllocator<std::uint32_t>(a)),
+        hits(ArenaAllocator<std::size_t>(a)),
+        accums(ArenaAllocator<AggFunction::Accumulator>(a)),
+        result_life(ArenaAllocator<std::optional<Lifespan>>(a)),
+        life(ArenaAllocator<std::optional<Lifespan>>(a)),
+        prob(ArenaAllocator<double>(a)),
+        expected(ArenaAllocator<double>(a)),
+        inc_group(ArenaAllocator<std::uint32_t>(a)),
+        inc_fact(ArenaAllocator<FactId>(a)) {}
 
+  /// Appends a group, fresh or resuming `seeds[seed]`; returns its ordinal.
+  std::uint32_t AddGroup(const std::vector<ScanGroup>& seeds,
+                         std::uint32_t seed) {
+    const auto g = static_cast<std::uint32_t>(expected.size());
+    seed_of_group.push_back(seed);
+    hits.push_back(0);
+    if (seed == FlatHashGroupIndex::kNoGroup) {
+      accums.insert(accums.end(), nclasses, AggFunction::Accumulator{});
+      errors.resize(errors.size() + nclasses);
+      result_life.resize(result_life.size() + nclasses);
+      life.resize(life.size() + nl);
+      prob.insert(prob.end(), nl, 1.0);
+      expected.push_back(0.0);
+    } else {
+      const ScanGroup& s = seeds[seed];
+      accums.insert(accums.end(), s.accums.begin(), s.accums.end());
+      errors.insert(errors.end(), s.errors.begin(), s.errors.end());
+      result_life.insert(result_life.end(), s.result_life.begin(),
+                         s.result_life.end());
+      life.insert(life.end(), s.life.begin(), s.life.end());
+      prob.insert(prob.end(), s.prob.begin(), s.prob.end());
+      expected.push_back(s.expected);
+    }
+    return g;
+  }
+
+  std::size_t nl;
+  std::size_t nclasses;
   std::uint64_t slot_begin = 0;
   std::uint64_t slot_end = 0;
-  Arena* arena = nullptr;
   ArenaVec<std::uint32_t> group_of_slot;
   ArenaVec<std::uint64_t> slot_of_group;
   FlatHashGroupIndex index;
-  ArenaVec<ValueId> key_storage;  // stride n
-  ArenaVec<KernelGroup> groups;
+  ArenaVec<ValueId> key_storage;     // stride nl
+  ArenaVec<std::uint32_t> seed_of_group;
+  ArenaVec<std::size_t> hits;        // incidences scanned per group
+  ArenaVec<AggFunction::Accumulator> accums;         // stride nclasses
+  std::vector<Status> errors;                        // stride nclasses
+  ArenaVec<std::optional<Lifespan>> result_life;     // stride nclasses
+  ArenaVec<std::optional<Lifespan>> life;            // stride nl
+  ArenaVec<double> prob;                             // stride nl
+  ArenaVec<double> expected;
+  /// Membership incidences in scan order (ascending fact within each
+  /// group, since the scan walks facts ascending), scattered into
+  /// per-group member lists at emission.
+  ArenaVec<std::uint32_t> inc_group;
+  ArenaVec<FactId> inc_fact;
 };
 
-/// The dense-slot and flat-hash group-by engines. Both accumulate group
-/// state per fact — members ascending, the same order the baseline builds
-/// groups in — and emit groups in canonical lexicographic key order
-/// (ascending slots ARE that order; flat-hash keys get one final sort),
-/// so the output bytes match the ordered map at any thread count. On the
-/// parallel path the dense engine partitions the slot space into
-/// contiguous ranges and the flat-hash engine partitions keys by hash;
-/// either way every worker scans all facts and accumulates only the
-/// groups it owns, so each group is built whole by one worker.
-Status RunGroupByKernel(
-    const MdObject& mo, const AggregateSpec& spec, GroupEngine engine,
-    const DenseSlotSpace& space,
-    const std::vector<std::optional<CoordLists>>& coords,
-    const FactEntryLists* fact_entries, bool parallel, ExecContext* exec,
-    std::vector<GroupKey>& keys, std::vector<GroupAccum>& accums,
-    std::vector<GroupEval>& evals) {
-  const std::vector<FactId>& facts = mo.facts();  // sorted by id
-  const std::size_t n = mo.dimension_count();
-  const AggregateFunctionKind kind = spec.function.kind();
-  const bool needs_data = !spec.function.args().empty();
-  const bool bad_dim = needs_data && spec.function.args().front() >= n;
+/// Intersects `life` (nullopt = an untouched AlwaysSpan) with `with`,
+/// replaying exactly the AlwaysSpan().Intersect(...) chain a
+/// materialized accumulator would run.
+void IntersectInto(std::optional<Lifespan>& life, const Lifespan& with) {
+  life = life.has_value() ? life->Intersect(with)
+                          : Lifespan::AlwaysSpan().Intersect(with);
+}
 
-  // Per-fact aggregate inputs, computed once up front (pure reads on the
-  // MO, so they fan out like the coordinate pass). Numeric parsing is
-  // hoisted into a per-distinct-value cache first — sequentially, since
-  // NumericValueOf reads lazily memoized dimension state.
-  NumericValueCache numeric_values;
-  const NumericValueCache* numeric_values_ptr = nullptr;
-  if (needs_data && !bad_dim && kind != AggregateFunctionKind::kCount) {
-    const std::size_t dim = spec.function.args().front();
-    const Dimension& dimension = mo.dimension(dim);
-    for (const FactDimRelation::Entry& entry : mo.relation(dim).entries()) {
-      if (entry.value == dimension.top_value()) continue;
-      const std::uint64_t raw = entry.value.raw();
-      if (numeric_values.find(raw) != numeric_values.end()) continue;
-      numeric_values.emplace(raw,
-                             dimension.NumericValueOf(entry.value,
-                                                      spec.prob_at));
-    }
-    numeric_values_ptr = &numeric_values;
+/// The one group-by scan behind AggregateFormation, FoldAggregateAppend
+/// and AggregateStream (docs/groupby_kernel.md). Groups come back in
+/// canonical lexicographic key order with members accumulated in
+/// ascending fact order, so a result assembled from them is identical
+/// for either engine and any thread count:
+///   - dense slots: every live dimension has a flat rollup table and the
+///     slot cross-product fits exec.max_dense_groupby_slots; ascending
+///     slots ARE canonical order;
+///   - flat hash otherwise, with one final key sort.
+/// On the parallel path the dense engine partitions the slot space into
+/// contiguous ranges and the flat-hash engine partitions keys by hash;
+/// every worker scans all visited facts and accumulates only the groups
+/// it owns, so each group is built whole by one worker.
+Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
+                                           ScanRequest& request,
+                                           ExecContext& exec) {
+  const std::span<const FactId> facts = request.facts;
+  const std::vector<CategoryTypeIndex>& grouping = *request.grouping;
+  const std::vector<AccumClass>& classes = request.classes;
+  const std::size_t n = mo.dimension_count();
+  const std::size_t nclasses = classes.size();
+  const bool parallel = request.parallel;
+
+  // Dead-dimension pruning: a top-grouped dimension contributes one fixed
+  // coordinate (top value, Always, probability 1) to every fact, so the
+  // scan drops it and keys carry only the live axes.
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (grouping[i] != mo.dimension(i).type().top()) live.push_back(i);
   }
-  std::vector<FactContribution> contributions;
-  if (needs_data && !bad_dim) {
-    contributions.resize(facts.size());
-    auto fill_chunk = [&](std::size_t begin, std::size_t end, Arena* arena) {
-      for (std::size_t f = begin; f < end; ++f) {
-        if (coords[f].has_value()) {
-          contributions[f] = ContributionOf(mo, spec, facts[f], fact_entries,
-                                            f, numeric_values_ptr, arena);
+  const std::size_t nl = live.size();
+
+  // 0. Compiled rollup snapshots for the live dimensions. A dimension
+  //    whose snapshot fails the strictness/non-temporal gate takes the
+  //    memoized characterization walk instead.
+  std::vector<std::shared_ptr<const RollupIndex>> indexes(n);
+  for (std::size_t i : live) {
+    std::shared_ptr<const RollupIndex> index =
+        RollupIndex::For(mo.dimension(i), &exec.stats);
+    if (index->has_flat_table()) {
+      indexes[i] = std::move(index);
+      ++exec.stats.index_hits;
+    } else {
+      ++exec.stats.index_fallbacks;
+    }
+  }
+  std::vector<bool> wanted(n, false);
+  for (std::size_t i : live) wanted[i] = indexes[i] != nullptr;
+  for (const AccumClass& cls : classes) {
+    if (!cls.bad_dim) wanted[cls.dim] = true;
+  }
+  const FactEntryLists fact_entries =
+      BuildFactEntryLists(mo, facts, wanted);
+
+  // Per-fact passes fan out over fact chunks, each chunk bumping its own
+  // worker arena.
+  auto for_fact_chunks = [&](const auto& fill) {
+    if (!parallel) {
+      fill(std::size_t{0}, facts.size(), &exec.arena);
+      return;
+    }
+    const std::size_t chunks = std::min(facts.size(), exec.num_threads * 4);
+    exec.EnsureWorkerArenas(chunks);
+    exec.pool().ParallelFor(chunks, [&](std::size_t chunk) {
+      fill(chunk * facts.size() / chunks, (chunk + 1) * facts.size() / chunks,
+           &exec.worker_arena(chunk));
+    });
+    exec.stats.tasks += chunks;
+  };
+
+  // 1. Live coordinates per visited fact. A fact with an empty list in
+  //    some live dimension joins no group; a false keep entry is skipped
+  //    outright (selection pushdown without materializing the Select).
+  if (parallel) {
+    // The fan-out only ever reads the dimensions.
+    for (std::size_t i : live) mo.dimension(i).WarmClosureMemo();
+  }
+  std::vector<std::optional<CoordLists>> coords(facts.size());
+  for_fact_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
+    for (std::size_t f = begin; f < end; ++f) {
+      if (request.keep != nullptr && !(*request.keep)[f]) continue;
+      CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
+      per_dim.reserve(nl);
+      bool joins = true;
+      for (std::size_t j = 0; j < nl && joins; ++j) {
+        const std::size_t i = live[j];
+        per_dim.emplace_back(ArenaAllocator<Coordinate>(arena));
+        AppendDimCoordinates(
+            mo, i, grouping[i], request.prob_at, indexes[i].get(), facts[f],
+            indexes[i] != nullptr ? fact_entries[i][f]
+                                  : FactDimRelation::EntrySpan{},
+            per_dim[j]);
+        joins = !per_dim[j].empty();
+      }
+      if (joins) coords[f] = std::move(per_dim);
+    }
+  });
+
+  // 2. Per-class contributions of the joining facts. Numeric parsing is
+  //    hoisted into a per-distinct-value cache over exactly the entry runs
+  //    the pass reads — sequentially, since NumericValueOf reads lazily
+  //    memoized dimension state.
+  std::vector<std::vector<FactContribution>> contribs(nclasses);
+  std::vector<NumericValueCache> caches(nclasses);
+  for (std::size_t c = 0; c < nclasses; ++c) {
+    const AccumClass& cls = classes[c];
+    if (cls.bad_dim) continue;
+    const std::vector<FactDimRelation::EntrySpan>& runs =
+        fact_entries[cls.dim];
+    if (!cls.counts) {
+      const Dimension& dimension = mo.dimension(cls.dim);
+      const std::vector<FactDimRelation::Entry>& entries =
+          mo.relation(cls.dim).entries();
+      for (std::size_t f = 0; f < facts.size(); ++f) {
+        if (!coords[f].has_value()) continue;
+        for (std::size_t e : runs[f]) {
+          const ValueId value = entries[e].value;
+          if (value == dimension.top_value() ||
+              caches[c].find(value.raw()) != caches[c].end()) {
+            continue;
+          }
+          caches[c].emplace(value.raw(),
+                            dimension.NumericValueOf(value, request.prob_at));
         }
       }
-    };
-    if (parallel) {
-      const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-      exec->EnsureWorkerArenas(chunks);
-      exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-        fill_chunk(chunk * facts.size() / chunks,
-                   (chunk + 1) * facts.size() / chunks,
-                   &exec->worker_arena(chunk));
-      });
-      exec->stats.tasks += chunks;
-    } else {
-      fill_chunk(0, facts.size(), &exec->arena);
     }
+    contribs[c].resize(facts.size());
+    for_fact_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
+      for (std::size_t f = begin; f < end; ++f) {
+        if (coords[f].has_value()) {
+          contribs[c][f] = ContributionOf(mo, cls, request.prob_at, runs[f],
+                                          caches[c], arena);
+        }
+      }
+    });
   }
 
-  const std::size_t num_partitions = parallel ? exec->num_threads : 1;
-  if (parallel) exec->EnsureWorkerArenas(num_partitions);
-  std::vector<KernelPartition> parts;
+  // 3. Engine selection over the live axes (dead dimensions never widen
+  //    the slot product).
+  bool dense = false;
+  DenseSlotSpace space;
+  {
+    std::vector<DenseSlotSpace::GroupingDim> dims;
+    bool all_indexed = true;
+    for (std::size_t i : live) {
+      if (indexes[i] == nullptr) {
+        all_indexed = false;
+        break;
+      }
+      dims.push_back({indexes[i].get(), grouping[i]});
+    }
+    if (all_indexed) {
+      switch (DenseSlotSpace::Build(dims, exec.max_dense_groupby_slots,
+                                    &space)) {
+        case DenseSlotSpace::Plan::kDense:
+          dense = true;
+          break;
+        case DenseSlotSpace::Plan::kTooManySlots:
+          ++exec.stats.dense_slot_fallbacks;
+          break;
+        case DenseSlotSpace::Plan::kNotIndexed:
+          break;
+      }
+    }
+  }
+  ++(dense ? exec.stats.dense_groupby_runs : exec.stats.flat_hash_runs);
+
+  // 4. Partitions: contiguous dense-slot ranges, or keys by hash.
+  const std::size_t num_partitions = parallel ? exec.num_threads : 1;
+  if (parallel) exec.EnsureWorkerArenas(num_partitions);
+  std::vector<ScanPartition> parts;
   parts.reserve(num_partitions);
   for (std::size_t p = 0; p < num_partitions; ++p) {
-    parts.emplace_back(parallel ? &exec->worker_arena(p) : &exec->arena);
+    parts.emplace_back(parallel ? &exec.worker_arena(p) : &exec.arena, nl,
+                       nclasses);
   }
-  if (engine == GroupEngine::kDenseSlots) {
+  if (dense) {
     const std::uint64_t slots = space.slot_count();
-    const std::uint64_t base = slots / num_partitions;
-    const std::uint64_t extra = slots % num_partitions;
     std::uint64_t begin = 0;
     for (std::size_t p = 0; p < num_partitions; ++p) {
-      const std::uint64_t width = base + (p < extra ? 1 : 0);
+      const std::uint64_t width =
+          slots / num_partitions + (p < slots % num_partitions ? 1 : 0);
       parts[p].slot_begin = begin;
       parts[p].slot_end = begin + width;
       begin += width;
@@ -970,221 +976,274 @@ Status RunGroupByKernel(
     }
   }
 
+  // The group owning `slot` (dense) or the key in `scratch` with `hash`
+  // (flat hash) in partition p, created on first touch — resuming
+  // `seed` if given; kNoGroup when another partition owns it.
+  auto group_in = [&](std::size_t p, std::uint64_t slot,
+                      const std::vector<ValueId>& scratch, std::uint64_t hash,
+                      std::uint32_t seed, bool* inserted) -> std::uint32_t {
+    ScanPartition& part = parts[p];
+    *inserted = false;
+    if (dense) {
+      if (slot < part.slot_begin || slot >= part.slot_end) {
+        return FlatHashGroupIndex::kNoGroup;
+      }
+      std::uint32_t& mapped = part.group_of_slot[static_cast<std::size_t>(
+          slot - part.slot_begin)];
+      if (mapped == FlatHashGroupIndex::kNoGroup) {
+        mapped = part.AddGroup(request.seeds, seed);
+        part.slot_of_group.push_back(slot);
+        *inserted = true;
+      }
+      return mapped;
+    }
+    if (num_partitions > 1 && hash % num_partitions != p) {
+      return FlatHashGroupIndex::kNoGroup;
+    }
+    const std::uint32_t g = part.index.FindOrInsert(
+        hash, static_cast<std::uint32_t>(part.expected.size()),
+        [&](std::uint32_t ordinal) {
+          return std::equal(
+              scratch.begin(), scratch.end(),
+              part.key_storage.begin() +
+                  static_cast<std::ptrdiff_t>(ordinal * nl));
+        },
+        inserted);
+    if (*inserted) {
+      part.key_storage.insert(part.key_storage.end(), scratch.begin(),
+                              scratch.end());
+      part.AddGroup(request.seeds, seed);
+    }
+    return g;
+  };
+
+  // 5. Seed groups (a fold's captured state) enter their owning partition
+  //    before the scan, so the scan resumes each exactly where the
+  //    captured run stopped.
+  for (std::size_t s = 0; s < request.seeds.size(); ++s) {
+    const std::vector<ValueId>& key = request.seeds[s].key;
+    std::uint64_t slot = 0;
+    if (dense) {
+      for (std::size_t j = 0; j < nl; ++j) {
+        const std::uint32_t value_dense = indexes[live[j]]->DenseOf(key[j]);
+        const std::uint32_t ordinal = value_dense == RollupIndex::kNone
+                                          ? RollupIndex::kNone
+                                          : space.OrdinalOf(j, value_dense);
+        if (ordinal == RollupIndex::kNone) {
+          return Status::InvalidArgument(
+              "seed group key lies outside the grouping categories");
+        }
+        slot = slot * space.cardinality(j) + ordinal;
+      }
+    }
+    const std::uint64_t hash = dense ? 0 : HashValueIds(key.data(), nl);
+    bool inserted = false;
+    for (std::size_t p = 0; p < num_partitions; ++p) {
+      if (group_in(p, slot, key, hash, static_cast<std::uint32_t>(s),
+                   &inserted) != FlatHashGroupIndex::kNoGroup) {
+        break;
+      }
+    }
+    if (!inserted) {
+      return Status::InvalidArgument("seed groups have duplicate keys");
+    }
+  }
+
+  // 6. The partitioned scan.
   auto scan_partition = [&](std::size_t p) {
-    KernelPartition& part = parts[p];
-    std::vector<std::size_t> cursor(n);
-    std::vector<ValueId> scratch(n);
+    ScanPartition& part = parts[p];
+    std::vector<std::size_t> cursor(nl);
+    std::vector<ValueId> scratch(nl);
     for (std::size_t f = 0; f < facts.size(); ++f) {
       if (!coords[f].has_value()) continue;
       const CoordLists& per_dim = *coords[f];
       std::fill(cursor.begin(), cursor.end(), 0);
-      // Enumerate the cross product of the fact's coordinate lists.
+      // Enumerate the cross product of the fact's live coordinate lists
+      // (one iteration — the single global group — when nl == 0).
       while (true) {
-        KernelGroup* group = nullptr;
-        bool inserted = false;
-        if (engine == GroupEngine::kDenseSlots) {
-          // Row-major slot: dimension 0 is the most significant digit and
-          // each digit is the coordinate's rank in its grouping category,
-          // so ascending slots reproduce the map's lexicographic order.
-          std::uint64_t slot = 0;
-          for (std::size_t i = 0; i < n; ++i) {
-            slot = slot * space.cardinality(i) +
-                   (space.fixed(i)
-                        ? 0
-                        : space.OrdinalOf(i, per_dim[i][cursor[i]].dense));
-          }
-          if (slot >= part.slot_begin && slot < part.slot_end) {
-            std::uint32_t& g = part.group_of_slot[static_cast<std::size_t>(
-                slot - part.slot_begin)];
-            if (g == FlatHashGroupIndex::kNoGroup) {
-              g = static_cast<std::uint32_t>(part.groups.size());
-              part.groups.emplace_back(part.arena);
-              part.slot_of_group.push_back(slot);
-              inserted = true;
-            }
-            group = &part.groups[g];
+        // Row-major slot, lowest dimension index most significant; each
+        // digit is the coordinate's rank in its grouping category.
+        std::uint64_t slot = 0;
+        std::uint64_t hash = 0;
+        if (dense) {
+          for (std::size_t j = 0; j < nl; ++j) {
+            slot = slot * space.cardinality(j) +
+                   space.OrdinalOf(j, per_dim[j][cursor[j]].dense);
           }
         } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            scratch[i] = per_dim[i][cursor[i]].value;
+          for (std::size_t j = 0; j < nl; ++j) {
+            scratch[j] = per_dim[j][cursor[j]].value;
           }
-          const std::uint64_t hash = HashValueIds(scratch.data(), n);
-          if (num_partitions == 1 || hash % num_partitions == p) {
-            const std::uint32_t g = part.index.FindOrInsert(
-                hash, static_cast<std::uint32_t>(part.groups.size()),
-                [&](std::uint32_t ordinal) {
-                  return std::equal(scratch.begin(), scratch.end(),
-                                    part.key_storage.begin() +
-                                        static_cast<std::ptrdiff_t>(
-                                            ordinal * n));
-                },
-                &inserted);
-            if (inserted) {
-              part.key_storage.insert(part.key_storage.end(), scratch.begin(),
-                                      scratch.end());
-              part.groups.emplace_back(part.arena);
-            }
-            group = &part.groups[g];
-          }
+          hash = HashValueIds(scratch.data(), nl);
         }
-        if (group != nullptr) {
-          if (inserted) {
-            group->base.life_per_dim.assign(n, Lifespan::AlwaysSpan());
-            group->base.prob_per_dim.assign(n, 1.0);
-          }
-          group->base.members.push_back(facts[f]);
+        bool inserted = false;
+        const std::uint32_t g = group_in(p, slot, scratch, hash,
+                                         FlatHashGroupIndex::kNoGroup,
+                                         &inserted);
+        if (g != FlatHashGroupIndex::kNoGroup) {
+          ++part.hits[g];
+          part.inc_group.push_back(g);
+          part.inc_fact.push_back(facts[f]);
           double member_prob = 1.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            const Coordinate& c = per_dim[i][cursor[i]];
+          for (std::size_t j = 0; j < nl; ++j) {
+            const Coordinate& c = per_dim[j][cursor[j]];
             if (c.life.has_value()) {
-              group->base.life_per_dim[i] =
-                  group->base.life_per_dim[i].Intersect(*c.life);
+              IntersectInto(part.life[g * nl + j], *c.life);
             }
-            group->base.prob_per_dim[i] *= c.prob;
+            part.prob[g * nl + j] *= c.prob;
             member_prob *= c.prob;
           }
-          group->expected += member_prob;
-          if (needs_data && !bad_dim) {
-            const FactContribution& c = contributions[f];
-            if (c.arg_life.has_value()) {
-              group->result_life = group->result_life.Intersect(*c.arg_life);
+          part.expected[g] += member_prob;
+          for (std::size_t c = 0; c < nclasses; ++c) {
+            if (classes[c].bad_dim) continue;
+            const FactContribution& fc = contribs[c][f];
+            const std::size_t slot_c = g * nclasses + c;
+            if (fc.arg_life.has_value()) {
+              IntersectInto(part.result_life[slot_c], *fc.arg_life);
             }
-            if (c.failed) {
-              if (!group->failed) {
-                group->failed = true;
-                group->error = c.error;
-              }
-            } else if (!group->failed) {
-              if (kind == AggregateFunctionKind::kCount) {
-                group->agg.AddCounted(c.counted);
-              } else {
-                for (double value : c.values) group->agg.Add(value);
-              }
+            if (!part.errors[slot_c].ok()) continue;
+            if (fc.failed) {
+              part.errors[slot_c] = fc.error;
+            } else if (classes[c].counts) {
+              part.accums[slot_c].AddCounted(fc.counted);
+            } else {
+              for (double value : fc.values) part.accums[slot_c].Add(value);
             }
           }
         }
         // Advance the cross-product cursor.
-        std::size_t i = 0;
-        while (i < n && ++cursor[i] == per_dim[i].size()) {
-          cursor[i] = 0;
-          ++i;
+        std::size_t j = 0;
+        while (j < nl && ++cursor[j] == per_dim[j].size()) {
+          cursor[j] = 0;
+          ++j;
         }
-        if (i == n) break;
+        if (j == nl) break;
       }
     }
   };
   if (parallel) {
-    exec->pool().ParallelFor(num_partitions, scan_partition);
-    exec->stats.tasks += num_partitions;
-    exec->stats.partitions += num_partitions;
-    ++exec->stats.parallel_runs;
+    exec.pool().ParallelFor(num_partitions, scan_partition);
+    exec.stats.tasks += num_partitions;
+    exec.stats.partitions += num_partitions;
+    ++exec.stats.parallel_runs;
   } else {
     scan_partition(0);
   }
 
-  // Canonical group order: ascending slot for the dense engine (the
-  // partitions own ascending disjoint ranges), one lexicographic key sort
-  // for the flat-hash engine — both exactly the ordered map's iteration
-  // order.
+  // 7. Canonical group order: ascending slot for the dense engine (the
+  //    partitions own ascending disjoint ranges), one lexicographic key
+  //    sort for the flat-hash engine.
   struct GroupRef {
     std::uint32_t partition;
     std::uint32_t ordinal;
   };
-  std::size_t total = 0;
-  for (const KernelPartition& part : parts) total += part.groups.size();
   std::vector<GroupRef> order;
-  order.reserve(total);
-  const auto merge_start = std::chrono::steady_clock::now();
-  if (engine == GroupEngine::kDenseSlots) {
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      KernelPartition& part = parts[p];
-      std::vector<std::uint32_t> by_slot(part.groups.size());
-      for (std::uint32_t g = 0; g < by_slot.size(); ++g) by_slot[g] = g;
-      std::sort(by_slot.begin(), by_slot.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return part.slot_of_group[a] < part.slot_of_group[b];
-                });
-      for (std::uint32_t g : by_slot) {
-        order.push_back({static_cast<std::uint32_t>(p), g});
-      }
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (std::uint32_t g = 0; g < parts[p].expected.size(); ++g) {
+      order.push_back({static_cast<std::uint32_t>(p), g});
     }
-  } else {
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      for (std::uint32_t g = 0; g < parts[p].groups.size(); ++g) {
-        order.push_back({static_cast<std::uint32_t>(p), g});
-      }
-    }
-    std::sort(order.begin(), order.end(),
-              [&](const GroupRef& a, const GroupRef& b) {
-                const ValueId* ka =
-                    parts[a.partition].key_storage.data() + a.ordinal * n;
-                const ValueId* kb =
-                    parts[b.partition].key_storage.data() + b.ordinal * n;
-                return std::lexicographical_compare(ka, ka + n, kb, kb + n);
-              });
   }
+  const auto merge_start = std::chrono::steady_clock::now();
+  std::sort(order.begin(), order.end(),
+            [&](const GroupRef& a, const GroupRef& b) {
+              if (dense) {
+                return parts[a.partition].slot_of_group[a.ordinal] <
+                       parts[b.partition].slot_of_group[b.ordinal];
+              }
+              const ValueId* ka =
+                  parts[a.partition].key_storage.data() + a.ordinal * nl;
+              const ValueId* kb =
+                  parts[b.partition].key_storage.data() + b.ordinal * nl;
+              return std::lexicographical_compare(ka, ka + nl, kb, kb + nl);
+            });
   if (parallel) {
-    exec->stats.merge_nanos += static_cast<std::uint64_t>(
+    exec.stats.merge_nanos += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - merge_start)
             .count());
   }
 
-  if (bad_dim && total > 0) {
-    // Every group's Evaluate would fail identically; surface it exactly
-    // as the baseline does for its first group.
-    return Status::InvalidArgument(
-        StrCat(spec.function.name(), " references dimension ",
-               spec.function.args().front(), " of a ", n,
-               "-dimensional MO"));
+  // 8. Emission. A group's members are its seed's members followed by
+  //    the scanned incidences — every visited fact follows every seed
+  //    member, and each worker walked the facts ascending.
+  std::vector<ScanGroup> out(order.size());
+  std::vector<std::vector<std::uint32_t>> out_of(parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    out_of[p].resize(parts[p].expected.size());
   }
-  keys.reserve(total);
-  accums.reserve(total);
-  evals.reserve(total);
-  GroupKey key(n);
-  for (const GroupRef& ref : order) {
-    KernelPartition& part = parts[ref.partition];
-    KernelGroup& group = part.groups[ref.ordinal];
-    if (group.failed) return group.error;
-    if (engine == GroupEngine::kDenseSlots) {
-      space.KeyOf(part.slot_of_group[ref.ordinal], key);
+  for (std::size_t t = 0; t < order.size(); ++t) {
+    const auto [p, g] = order[t];
+    const ScanPartition& part = parts[p];
+    ScanGroup& group = out[t];
+    out_of[p][g] = static_cast<std::uint32_t>(t);
+    if (dense) {
+      space.KeyOf(part.slot_of_group[g], group.key);
     } else {
-      const auto begin = part.key_storage.begin() +
-                         static_cast<std::ptrdiff_t>(ref.ordinal * n);
-      key.assign(begin, begin + static_cast<std::ptrdiff_t>(n));
+      const ValueId* key = part.key_storage.data() + g * nl;
+      group.key.assign(key, key + nl);
     }
-    // Members were appended in ascending fact order and each fact joins a
-    // given key at most once, so the list is already the canonical sorted
-    // set EvaluateGroup produces.
-    GroupEval eval;
-    if (kind == AggregateFunctionKind::kSetCount) {
-      eval.value = spec.expected_counts
-                       ? group.expected
-                       : static_cast<double>(group.base.members.size());
-    } else {
-      MDDC_ASSIGN_OR_RETURN(eval.value, spec.function.Finish(group.agg));
+    if (part.seed_of_group[g] != FlatHashGroupIndex::kNoGroup) {
+      group.members = std::move(request.seeds[part.seed_of_group[g]].members);
     }
-    eval.result_life = group.result_life;
-    keys.push_back(key);
-    accums.push_back(std::move(group.base));
-    evals.push_back(eval);
+    group.members.reserve(group.members.size() + part.hits[g]);
+    const auto row = [g](const auto& strided, std::size_t stride) {
+      return std::span(strided.data() + g * stride, stride);
+    };
+    const auto accums = row(part.accums, nclasses);
+    const auto errors = row(part.errors, nclasses);
+    const auto result_life = row(part.result_life, nclasses);
+    const auto life = row(part.life, nl);
+    const auto prob = row(part.prob, nl);
+    group.accums.assign(accums.begin(), accums.end());
+    group.errors.assign(errors.begin(), errors.end());
+    group.result_life.assign(result_life.begin(), result_life.end());
+    group.life.assign(life.begin(), life.end());
+    group.prob.assign(prob.begin(), prob.end());
+    group.expected = part.expected[g];
   }
-  return Status::OK();
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const ScanPartition& part = parts[p];
+    for (std::size_t e = 0; e < part.inc_group.size(); ++e) {
+      out[out_of[p][part.inc_group[e]]].members.push_back(part.inc_fact[e]);
+    }
+  }
+  return out;
 }
 
-/// Steps 4-6 of aggregate formation, shared with FoldAggregateAppend:
-/// restrict the argument dimensions, build the result dimension under the
-/// Section 4.1 typing rule, and populate facts/relations from the
-/// evaluated groups in canonical order. When spec.capture is set, the raw
-/// (pre-presentation) per-group state is recorded here — this is the only
-/// place every engine funnels through with both the accumulators and the
-/// evaluations in hand.
+/// Steps 4-6 of aggregate formation, shared by AggregateFormation and
+/// FoldAggregateAppend: settle g per group in canonical order (the first
+/// error surfaces exactly as evaluating group by group would), restrict
+/// the argument dimensions, build the result dimension under the Section
+/// 4.1 typing rule, and populate facts and relations. Each top-grouped
+/// dimension is re-expanded as (top value, Always, probability 1), which
+/// is exact: x 1.0 and intersection with Always are identities of the
+/// scan's folds. Under spec.capture the raw per-group state is recorded
+/// so FoldAggregateAppend can resume it.
 Result<MdObject> AssembleAggregateResult(
     const MdObject& mo, const AggregateSpec& spec,
     const SummarizabilityReport& summarizability,
-    const std::vector<GroupKey>& keys, std::vector<GroupAccum>& accums,
-    const std::vector<GroupEval>& evals) {
+    std::vector<ScanGroup>& groups) {
   const std::size_t n = mo.dimension_count();
+  const AggFunction& function = spec.function;
+  const bool has_class = !function.args().empty();
+  if (has_class && function.args().front() >= n && !groups.empty()) {
+    return Status::InvalidArgument(
+        StrCat(function.name(), " references dimension ",
+               function.args().front(), " of a ", n, "-dimensional MO"));
+  }
+  std::vector<double> values;
+  values.reserve(groups.size());
+  for (const ScanGroup& group : groups) {
+    if (!has_class) {
+      values.push_back(spec.expected_counts
+                           ? group.expected
+                           : static_cast<double>(group.members.size()));
+      continue;
+    }
+    if (!group.errors.front().ok()) return group.errors.front();
+    MDDC_ASSIGN_OR_RETURN(double value, function.Finish(group.accums.front()));
+    values.push_back(value);
+  }
 
   // 4. Argument dimensions restricted to the categories at or above the
   //    grouping categories.
@@ -1251,7 +1310,7 @@ Result<MdObject> AssembleAggregateResult(
   AggregateFoldState* capture = spec.capture;
   if (capture != nullptr) {
     capture->groups.clear();
-    capture->groups.reserve(keys.size());
+    capture->groups.reserve(groups.size());
     capture->summarizability = summarizability;
     capture->dim_versions.clear();
     capture->dim_structural_versions.clear();
@@ -1265,55 +1324,58 @@ Result<MdObject> AssembleAggregateResult(
     capture->valid = spec.result.is_auto();
   }
 
-  // 5. Populate facts and relations from the step-3 evaluations, in
-  //    canonical group order (members already canonically sorted) —
-  //    g(group) and the result lifespan are not recomputed here.
+  // 6. Populate facts and relations in canonical group order.
   FactRegistry& registry = *mo.registry();
   Dimension& out_result_dim = result.dimension_mutable(n);
   // Result values are interned by the double's bit pattern, not its
-  //    formatted text: FormatDouble is injective for finite doubles but
-  //    collapses NaN payloads, and two distinct results must never share
-  //    a result value. The formatted text is display-only.
+  // formatted text: FormatDouble is injective for finite doubles but
+  // collapses NaN payloads, and two distinct results must never share a
+  // result value. The formatted text is display-only.
   std::map<std::uint64_t, ValueId> auto_values;
-  for (std::size_t g = 0; g < keys.size(); ++g) {
-    const GroupKey& key = keys[g];
-    GroupAccum& group = accums[g];
-    const GroupEval& eval = evals[g];
-    FactId group_fact = registry.Set(
-        std::vector<FactId>(group.members.begin(), group.members.end()));
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    ScanGroup& group = groups[g];
+    const std::size_t member_count = group.members.size();
+    const FactId group_fact = registry.Set(std::move(group.members));
     MDDC_RETURN_NOT_OK(result.AddFact(group_fact));
-    const double value = eval.value;
+    const double value = values[g];
 
-    if (capture != nullptr && capture->valid) {
-      AggregateFoldState::Group snapshot;
-      snapshot.key = key;
-      snapshot.group_fact = group_fact;
-      snapshot.member_count = group.members.size();
-      snapshot.life_per_dim.assign(group.life_per_dim.begin(),
-                                   group.life_per_dim.end());
-      snapshot.prob_per_dim.assign(group.prob_per_dim.begin(),
-                                   group.prob_per_dim.end());
-      snapshot.result_life = eval.result_life;
-      snapshot.value = value;
-      capture->groups.push_back(std::move(snapshot));
+    // Re-expand the live-dimension state over all n dimensions.
+    AggregateFoldState::Group state;
+    state.key.reserve(n);
+    state.life_per_dim.reserve(n);
+    state.prob_per_dim.reserve(n);
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (spec.grouping[i] == mo.dimension(i).type().top()) {
+        state.key.push_back(mo.dimension(i).top_value());
+        state.life_per_dim.push_back(Lifespan::AlwaysSpan());
+        state.prob_per_dim.push_back(1.0);
+        continue;
+      }
+      state.key.push_back(group.key[j]);
+      state.life_per_dim.push_back(
+          group.life[j].value_or(Lifespan::AlwaysSpan()));
+      state.prob_per_dim.push_back(group.prob[j]);
+      ++j;
     }
+    state.result_life = has_class ? group.result_life.front().value_or(
+                                        Lifespan::AlwaysSpan())
+                                  : Lifespan::AlwaysSpan();
 
     // Argument-dimension relations: group fact -> grouping value.
     for (std::size_t i = 0; i < n; ++i) {
-      Lifespan life = group.life_per_dim[i];
-      if (life.Empty()) {
-        // The members' spans do not overlap; the grouping still holds
-        // atemporally (each member was characterized at its own time), so
-        // record the link with the union-of-members semantics instead.
-        life = Lifespan::AlwaysSpan();
-      }
+      // Members whose spans do not overlap still group atemporally (each
+      // was characterized at its own time): record the link with the
+      // union-of-members semantics instead.
+      const Lifespan& life = state.life_per_dim[i];
       MDDC_RETURN_NOT_OK(result.relation_mutable(i).Add(
-          group_fact, key[i], life, group.prob_per_dim[i]));
+          group_fact, state.key[i],
+          life.Empty() ? Lifespan::AlwaysSpan() : life,
+          state.prob_per_dim[i]));
     }
 
     // Result-dimension relation: group fact -> g(group), at the Section
-    // 4.2 result lifespan EvaluateGroup computed.
-    Lifespan result_life = eval.result_life;
+    // 4.2 result lifespan.
     ValueId result_value;
     if (spec.result.is_auto()) {
       const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
@@ -1336,13 +1398,54 @@ Result<MdObject> AssembleAggregateResult(
                    " not present in the result dimension prototype"));
       }
     }
-    if (result_life.Empty()) result_life = Lifespan::AlwaysSpan();
     MDDC_RETURN_NOT_OK(result.relation_mutable(n).Add(
-        group_fact, result_value, result_life));
+        group_fact, result_value,
+        state.result_life.Empty() ? Lifespan::AlwaysSpan()
+                                  : state.result_life));
+
+    if (capture != nullptr && capture->valid) {
+      state.group_fact = group_fact;
+      state.member_count = member_count;
+      if (has_class) state.accumulator = group.accums.front();
+      state.expected = group.expected;
+      capture->groups.push_back(std::move(state));
+    }
   }
 
   MDDC_RETURN_NOT_OK(result.Validate());
   return result;
+}
+
+/// Grouping arity and category range, with AggregateStream's and
+/// AggregateFormation's shared messages.
+Status CheckGrouping(const MdObject& mo,
+                     const std::vector<CategoryTypeIndex>& grouping,
+                     const char* op) {
+  if (grouping.size() != mo.dimension_count()) {
+    return Status::InvalidArgument(
+        StrCat(op, " got ", grouping.size(), " grouping categories for a ",
+               mo.dimension_count(), "-dimensional MO"));
+  }
+  for (std::size_t i = 0; i < grouping.size(); ++i) {
+    if (grouping[i] >= mo.dimension(i).type().category_count()) {
+      return Status::InvalidArgument(
+          StrCat("grouping category ", grouping[i],
+                 " out of range for dimension '", mo.dimension(i).name(),
+                 "'"));
+    }
+  }
+  return Status::OK();
+}
+
+/// The parallel path's safety gate: per-worker partial groups combine
+/// exactly when the Section 3.4 preconditions hold (the rule under which
+/// PreAggregateCache reuses materialized partials); a context that
+/// wants parallelism but fails the gate counts a sequential_fallback.
+bool ParallelGate(ExecContext& exec, std::size_t input_size,
+                  bool summarizable) {
+  if (!exec.WantsParallel(input_size)) return false;
+  if (!summarizable) ++exec.stats.sequential_fallbacks;
+  return summarizable;
 }
 
 }  // namespace
@@ -1350,194 +1453,29 @@ Result<MdObject> AssembleAggregateResult(
 Result<MdObject> AggregateFormation(const MdObject& mo,
                                     const AggregateSpec& spec,
                                     ExecContext* exec) {
-  if (spec.grouping.size() != mo.dimension_count()) {
-    return Status::InvalidArgument(
-        StrCat("aggregate formation got ", spec.grouping.size(),
-               " grouping categories for a ", mo.dimension_count(),
-               "-dimensional MO"));
-  }
-  for (std::size_t i = 0; i < spec.grouping.size(); ++i) {
-    if (spec.grouping[i] >= mo.dimension(i).type().category_count()) {
-      return Status::InvalidArgument(
-          StrCat("grouping category ", spec.grouping[i],
-                 " out of range for dimension '", mo.dimension(i).name(),
-                 "'"));
-    }
-  }
+  ExecContext sequential;
+  if (exec == nullptr) exec = &sequential;
+  MDDC_RETURN_NOT_OK(CheckGrouping(mo, spec.grouping, "aggregate formation"));
   if (spec.enforce_aggregation_types) {
     MDDC_RETURN_NOT_OK(spec.function.CheckApplicable(mo));
   }
-
   // The grouping collects characterizations across all time, so the
   // strictness/partitioning conditions are checked atemporally. The
-  // report drives both the Section 4.1 typing rule and the parallel
-  // path's safety gate.
+  // report drives both the Section 4.1 typing rule and the parallel gate.
   const SummarizabilityReport summarizability =
       CheckSummarizability(mo, spec.function.kind(), spec.grouping);
 
-  const std::vector<FactId>& facts = mo.facts();  // sorted by id
-  const std::size_t n = mo.dimension_count();
-
-  // Everything arena-backed below (coordinates, contributions, kernel
-  // partition state) is scratch of this one formation; the guard rewinds
-  // the context's arenas on every exit path.
-  ArenaResetGuard arena_guard{exec};
-
-  bool parallel = exec != nullptr && exec->WantsParallel(facts.size());
-  if (parallel && !summarizability.summarizable) {
-    // Per-worker partial groups are safely combinable exactly when the
-    // function is distributive and the paths strict and the hierarchies
-    // partitioning (Section 3.4) — the same rule under which
-    // PreAggregateCache reuses materialized partials. Anything else
-    // (non-strict groupings, AVG, ...) conservatively runs sequentially.
-    ++exec->stats.sequential_fallbacks;
-    parallel = false;
-  }
-
-  // 0. Compiled rollup snapshots for the grouping dimensions. Any caller
-  //    with an execution context gets the indexed path (one thread
-  //    included); callers without one keep the untouched memoized engine
-  //    as ground truth. A dimension whose snapshot fails the
-  //    strictness/non-temporal gate falls back to traversal — results
-  //    are bit-identical either way, only the walk differs.
-  std::vector<std::shared_ptr<const RollupIndex>> indexes;
-  if (exec != nullptr) {
-    indexes.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spec.grouping[i] == mo.dimension(i).type().top()) continue;
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(mo.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
-    }
-  }
-
-  // 0b. Per-fact entry lists for the dimensions the hot loops touch
-  //     (indexed grouping dimensions and the aggregate's argument
-  //     dimensions): one lockstep walk of each relation's by-fact tree
-  //     against the sorted fact vector replaces one tree lookup per
-  //     (fact, dimension) below.
-  FactEntryLists fact_entries;
-  const FactEntryLists* fact_entries_ptr = nullptr;
-  if (exec != nullptr) {
-    std::vector<bool> wanted(n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (indexes[i] != nullptr) wanted[i] = true;
-    }
-    for (std::size_t dim : spec.function.args()) {
-      if (dim < n) wanted[dim] = true;
-    }
-    fact_entries = BuildFactEntryLists(mo, wanted);
-    fact_entries_ptr = &fact_entries;
-  }
-
-  // 1. Grouping coordinates per fact, in fact order. Coordinate lists
-  //    bump the context's arenas — per parallel chunk its own arena, so
-  //    workers never contend — and fall back to plain heap vectors for
-  //    context-free callers.
-  std::vector<std::optional<CoordLists>> coords(facts.size());
-  if (parallel) {
-    // Warm the lazily written closure memos so the fan-out below only
-    // ever reads the dimensions.
-    for (std::size_t i = 0; i < n; ++i) mo.dimension(i).WarmClosureMemo();
-    const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-    exec->EnsureWorkerArenas(chunks);
-    exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-      const std::size_t begin = chunk * facts.size() / chunks;
-      const std::size_t end = (chunk + 1) * facts.size() / chunks;
-      Arena* arena = &exec->worker_arena(chunk);
-      for (std::size_t f = begin; f < end; ++f) {
-        coords[f] = GroupingCoordinates(mo, spec, facts[f], indexes, arena,
-                                        fact_entries_ptr, f);
-      }
-    });
-    exec->stats.tasks += chunks;
-  } else {
-    Arena* arena = exec != nullptr ? &exec->arena : nullptr;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      coords[f] = GroupingCoordinates(mo, spec, facts[f], indexes, arena,
-                                      fact_entries_ptr, f);
-    }
-  }
-
-  // 2. Engine selection (docs/groupby_kernel.md). Any caller with an
-  //    execution context gets a kernel: dense slots when every grouping
-  //    dimension is either grouped at top or covered by a flat rollup
-  //    table AND the slot cross-product fits the context's threshold;
-  //    the flat-hash kernel otherwise. Context-free callers keep the
-  //    ordered-map baseline as differential ground truth.
-  GroupEngine engine = GroupEngine::kOrderedMap;
-  DenseSlotSpace space;
-  if (exec != nullptr) {
-    engine = GroupEngine::kFlatHash;
-    bool all_indexed = true;
-    std::vector<DenseSlotSpace::GroupingDim> grouping_dims(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spec.grouping[i] == mo.dimension(i).type().top()) {
-        grouping_dims[i] = {nullptr, 0, mo.dimension(i).top_value()};
-      } else if (indexes[i] != nullptr) {
-        grouping_dims[i] = {indexes[i].get(), spec.grouping[i], ValueId{}};
-      } else {
-        all_indexed = false;
-        break;
-      }
-    }
-    if (all_indexed) {
-      switch (DenseSlotSpace::Build(grouping_dims,
-                                    exec->max_dense_groupby_slots, &space)) {
-        case DenseSlotSpace::Plan::kDense:
-          engine = GroupEngine::kDenseSlots;
-          break;
-        case DenseSlotSpace::Plan::kTooManySlots:
-          ++exec->stats.dense_slot_fallbacks;
-          break;
-        case DenseSlotSpace::Plan::kNotIndexed:
-          break;
-      }
-    }
-  }
-
-  // 3. Build and evaluate groups. Either engine yields groups in
-  //    canonical lexicographic key order with members in ascending fact
-  //    order, so the assembled result is byte-identical across engines
-  //    and thread counts.
-  std::vector<GroupKey> keys;
-  std::vector<GroupAccum> accums;
-  std::vector<GroupEval> evals;
-  if (engine == GroupEngine::kOrderedMap) {
-    GroupMap groups;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (!coords[f].has_value()) continue;
-      AccumulateFact(n, facts[f], *coords[f], groups);
-    }
-    keys.reserve(groups.size());
-    accums.reserve(groups.size());
-    evals.reserve(groups.size());
-    for (auto& [key, group] : groups) {
-      MDDC_ASSIGN_OR_RETURN(GroupEval eval, EvaluateGroup(mo, spec, group));
-      keys.push_back(key);
-      evals.push_back(eval);
-      accums.push_back(std::move(group));
-    }
-  } else {
-    if (engine == GroupEngine::kDenseSlots) {
-      ++exec->stats.dense_groupby_runs;
-    } else {
-      ++exec->stats.flat_hash_runs;
-    }
-    MDDC_RETURN_NOT_OK(RunGroupByKernel(mo, spec, engine, space, coords,
-                                        fact_entries_ptr, parallel, exec, keys,
-                                        accums, evals));
-  }
-
-  // 4-6. Assemble the result (and, under spec.capture, record the raw
-  //      fold state) — shared with FoldAggregateAppend.
-  return AssembleAggregateResult(mo, spec, summarizability, keys, accums,
-                                 evals);
+  ArenaResetGuard arena_guard{*exec};
+  ScanRequest request;
+  request.facts = mo.facts();
+  request.grouping = &spec.grouping;
+  request.prob_at = spec.prob_at;
+  if (auto cls = ClassOf(mo, spec.function)) request.classes.push_back(*cls);
+  request.parallel = ParallelGate(*exec, mo.facts().size(),
+                                  summarizability.summarizable);
+  MDDC_ASSIGN_OR_RETURN(std::vector<ScanGroup> groups,
+                        GroupByScan(mo, request, *exec));
+  return AssembleAggregateResult(mo, spec, summarizability, groups);
 }
 
 Result<MdObject> FoldAggregateAppend(const MdObject& mo,
@@ -1545,6 +1483,8 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
                                      const AggregateFoldState& state,
                                      const std::vector<FactId>& delta_facts,
                                      ExecContext* exec) {
+  ExecContext sequential;
+  if (exec == nullptr) exec = &sequential;
   const std::size_t n = mo.dimension_count();
   if (!state.valid) {
     return Status::InvalidArgument("fold state is not resumable");
@@ -1560,19 +1500,6 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
   if (!spec.result.is_auto()) {
     return Status::InvalidArgument(
         "fold supports auto result dimensions only");
-  }
-  const AggregateFunctionKind kind = spec.function.kind();
-  const bool foldable =
-      kind == AggregateFunctionKind::kSum ||
-      kind == AggregateFunctionKind::kCount ||
-      kind == AggregateFunctionKind::kMin ||
-      kind == AggregateFunctionKind::kMax ||
-      (kind == AggregateFunctionKind::kSetCount && !spec.expected_counts);
-  if (!foldable) {
-    return Status::InvalidArgument(
-        StrCat(spec.function.name(),
-               " is not incrementally foldable (AVG re-divides and expected"
-               " counts re-weigh every member)"));
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (mo.dimension(i).structural_version() !=
@@ -1593,7 +1520,7 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
   // Partitioning is dimension-local and CAN flip under a value/edge
   // append, so it is recomputed whenever the dimension's version moved.
   SummarizabilityReport summarizability;
-  summarizability.distributive = IsDistributive(kind);
+  summarizability.distributive = IsDistributive(spec.function.kind());
   summarizability.summarizable = summarizability.distributive;
   for (std::size_t i = 0; i < n; ++i) {
     if (spec.grouping[i] == mo.dimension(i).type().top()) {
@@ -1614,23 +1541,18 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
         summarizability.summarizable && strict && partitioning;
   }
 
-  ArenaResetGuard arena_guard{exec};
-
-  // Seed one merged ordered map from the captured groups — std::map's
-  // iteration order IS the canonical lexicographic emission order — then
-  // resume the exact member-order left-folds over the delta facts. The
-  // registry read-back recovers each group's canonical member list (set
-  // terms stay resolvable through fork chains).
-  struct FoldGroup {
-    GroupAccum accum;
-    std::ptrdiff_t old_index = -1;
-    std::size_t old_members = 0;
-  };
-  std::map<GroupKey, FoldGroup> groups;
+  // Seed the scan with the captured groups: raw accumulators, lifespans,
+  // probabilities and expected counts resume exactly where the captured
+  // run stopped, so folding the delta replays the floating-point and
+  // temporal operation sequence a full old-then-new run performs. Member
+  // lists are read back through the registry (set terms stay resolvable
+  // through fork chains).
+  const bool has_class = !spec.function.args().empty();
   const FactRegistry& registry = *mo.registry();
+  std::vector<ScanGroup> seeds;
+  seeds.reserve(state.groups.size());
   FactId max_old_member;  // invalid = no captured members at all
-  for (std::size_t g = 0; g < state.groups.size(); ++g) {
-    const AggregateFoldState::Group& old_group = state.groups[g];
+  for (const AggregateFoldState::Group& old_group : state.groups) {
     if (old_group.key.size() != n || old_group.life_per_dim.size() != n ||
         old_group.prob_per_dim.size() != n) {
       return Status::InvalidArgument("fold state group shape mismatch");
@@ -1640,22 +1562,25 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
         term.members.size() != old_group.member_count) {
       return Status::InvalidArgument("fold state group members drifted");
     }
-    FoldGroup seeded;
-    seeded.old_index = static_cast<std::ptrdiff_t>(g);
-    seeded.old_members = term.members.size();
-    seeded.accum.members.assign(term.members.begin(), term.members.end());
-    seeded.accum.life_per_dim = old_group.life_per_dim;
-    seeded.accum.prob_per_dim = old_group.prob_per_dim;
+    ScanGroup seed;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (spec.grouping[i] == mo.dimension(i).type().top()) continue;
+      seed.key.push_back(old_group.key[i]);
+      seed.life.emplace_back(old_group.life_per_dim[i]);
+      seed.prob.push_back(old_group.prob_per_dim[i]);
+    }
     if (!term.members.empty() &&
         (!max_old_member.valid() || max_old_member < term.members.back())) {
       max_old_member = term.members.back();
     }
-    auto [it, inserted] =
-        groups.emplace(old_group.key, std::move(seeded));
-    if (!inserted) {
-      return Status::InvalidArgument("fold state has duplicate group keys");
+    seed.members = std::move(term.members);
+    if (has_class) {
+      seed.accums.push_back(old_group.accumulator);
+      seed.errors.emplace_back();
+      seed.result_life.emplace_back(old_group.result_life);
     }
-    (void)it;
+    seed.expected = old_group.expected;
+    seeds.push_back(std::move(seed));
   }
   // The byte-identity argument needs every delta fact to sort after every
   // captured member and the delta itself to ascend — the natural shape of
@@ -1670,228 +1595,25 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
     }
   }
 
-  // Rollup snapshots for the delta coordinate scan, exactly as the
-  // formation's step 0 (the snapshots themselves patch incrementally on
-  // appends — see RollupIndex::For).
-  std::vector<std::shared_ptr<const RollupIndex>> indexes;
-  if (exec != nullptr) {
-    indexes.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spec.grouping[i] == mo.dimension(i).type().top()) continue;
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(mo.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
-    }
-  }
-
-  // Delta accumulation: the AccumulateFact cross product, resumed on the
-  // seeded accumulators. The delta is small by construction, so the scan
-  // stays sequential.
-  Arena* arena = exec != nullptr ? &exec->arena : nullptr;
-  for (FactId fact : delta_facts) {
-    std::optional<CoordLists> coords =
-        GroupingCoordinates(mo, spec, fact, indexes, arena);
-    if (!coords.has_value()) continue;
-    std::vector<std::size_t> cursor(n, 0);
-    while (true) {
-      GroupKey key(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        key[i] = (*coords)[i][cursor[i]].value;
-      }
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      GroupAccum& group = it->second.accum;
-      if (inserted) {
-        group.life_per_dim.assign(n, Lifespan::AlwaysSpan());
-        group.prob_per_dim.assign(n, 1.0);
-      }
-      group.members.push_back(fact);
-      double member_prob = 1.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Coordinate& c = (*coords)[i][cursor[i]];
-        if (c.life.has_value()) {
-          group.life_per_dim[i] = group.life_per_dim[i].Intersect(*c.life);
-        }
-        group.prob_per_dim[i] *= c.prob;
-        member_prob *= c.prob;
-      }
-      group.member_probs.push_back(member_prob);
-      std::size_t i = 0;
-      while (i < n && ++cursor[i] == (*coords)[i].size()) {
-        cursor[i] = 0;
-        ++i;
-      }
-      if (i == n) break;
-    }
-  }
-
-  // Evaluate merged groups in canonical order: untouched groups replay
-  // their captured value verbatim, fresh groups evaluate from scratch
-  // (exactly what the full run would do for a group of only-new members),
-  // and mixed groups resume the accumulator from the captured value so
-  // the floating-point operation sequence matches a full old-then-new
-  // fold bit for bit.
-  std::vector<GroupKey> keys;
-  std::vector<GroupAccum> accums;
-  std::vector<GroupEval> evals;
-  keys.reserve(groups.size());
-  accums.reserve(groups.size());
-  evals.reserve(groups.size());
-  for (auto& [key, fold_group] : groups) {
-    GroupAccum& group = fold_group.accum;
-    GroupEval eval;
-    if (fold_group.old_index < 0) {
-      MDDC_ASSIGN_OR_RETURN(eval, EvaluateGroup(mo, spec, group));
-    } else {
-      const AggregateFoldState::Group& old_group =
-          state.groups[static_cast<std::size_t>(fold_group.old_index)];
-      const std::size_t fresh_count =
-          group.members.size() - fold_group.old_members;
-      if (fresh_count == 0) {
-        eval.value = old_group.value;
-        eval.result_life = old_group.result_life;
-      } else {
-        const std::span<const FactId> fresh(
-            group.members.data() + fold_group.old_members, fresh_count);
-        if (kind == AggregateFunctionKind::kSetCount) {
-          eval.value = static_cast<double>(group.members.size());
-        } else {
-          // Resume Evaluate's fold where the capture left off: the
-          // captured value IS the accumulator's settled statistic, and
-          // count only matters to Finish's empty-group error, which the
-          // capture already cleared.
-          AggFunction::Accumulator acc;
-          acc.count = 1;
-          switch (kind) {
-            case AggregateFunctionKind::kSum:
-              acc.sum = old_group.value;
-              break;
-            case AggregateFunctionKind::kCount:
-              acc.count = static_cast<std::size_t>(old_group.value);
-              break;
-            case AggregateFunctionKind::kMin:
-              acc.min_value = old_group.value;
-              break;
-            case AggregateFunctionKind::kMax:
-              acc.max_value = old_group.value;
-              break;
-            default:
-              return Status::InvalidArgument("unexpected fold kind");
-          }
-          const std::size_t dim = spec.function.args().front();
-          if (dim >= n) {
-            return Status::InvalidArgument(
-                StrCat(spec.function.name(), " references dimension ", dim,
-                       " of a ", n, "-dimensional MO"));
-          }
-          const Dimension& dimension = mo.dimension(dim);
-          for (FactId member : fresh) {
-            for (const FactDimRelation::Entry* entry :
-                 mo.relation(dim).ForFact(member)) {
-              if (entry->value == dimension.top_value()) continue;
-              if (kind == AggregateFunctionKind::kCount) {
-                acc.AddCounted(1);
-                continue;
-              }
-              MDDC_ASSIGN_OR_RETURN(
-                  double value,
-                  dimension.NumericValueOf(entry->value, spec.prob_at));
-              acc.Add(value);
-            }
-          }
-          MDDC_ASSIGN_OR_RETURN(eval.value, spec.function.Finish(acc));
-        }
-        // Resume the Section 4.2 result-lifespan fold over the fresh
-        // members (old members contributed first in the full run, and
-        // the capture holds exactly that prefix).
-        Lifespan result_life = old_group.result_life;
-        for (std::size_t dim : spec.function.args()) {
-          if (dim >= n) continue;
-          const FactDimRelation& relation = mo.relation(dim);
-          for (FactId member : fresh) {
-            TemporalElement member_valid;
-            TemporalElement member_transaction;
-            for (std::size_t e : relation.EntryIndexesForFact(member)) {
-              const FactDimRelation::Entry& entry = relation.entries()[e];
-              member_valid = member_valid.Union(entry.life.valid);
-              member_transaction =
-                  member_transaction.Union(entry.life.transaction);
-            }
-            result_life = result_life.Intersect(
-                Lifespan{member_valid, member_transaction});
-          }
-        }
-        eval.result_life = result_life;
-      }
-    }
-    keys.push_back(key);
-    accums.push_back(std::move(group));
-    evals.push_back(eval);
-  }
-
-  if (exec != nullptr) ++exec->stats.aggregate_folds;
-  return AssembleAggregateResult(mo, spec, summarizability, keys, accums,
-                                 evals);
+  ArenaResetGuard arena_guard{*exec};
+  ScanRequest request;
+  request.facts = delta_facts;
+  request.grouping = &spec.grouping;
+  request.prob_at = spec.prob_at;
+  if (auto cls = ClassOf(mo, spec.function)) request.classes.push_back(*cls);
+  request.parallel = ParallelGate(*exec, delta_facts.size(),
+                                  summarizability.summarizable);
+  request.seeds = std::move(seeds);
+  MDDC_ASSIGN_OR_RETURN(std::vector<ScanGroup> groups,
+                        GroupByScan(mo, request, *exec));
+  return AssembleAggregateResult(mo, spec, summarizability, groups);
 }
-
-// ---- Streaming multi-aggregate group-by ------------------------------------
-
-namespace {
-
-/// Per-worker state of a stream run — KernelPartition minus the rendered
-/// state (member lists, lifespans, probabilities) the fused MDQL path
-/// never displays, plus per-class accumulator strides so every function
-/// folds in the one scan.
-struct StreamPartition {
-  explicit StreamPartition(Arena* a)
-      : group_of_slot(ArenaAllocator<std::uint32_t>(a)),
-        slot_of_group(ArenaAllocator<std::uint64_t>(a)),
-        key_storage(ArenaAllocator<ValueId>(a)),
-        members(ArenaAllocator<std::size_t>(a)),
-        accums(ArenaAllocator<AggFunction::Accumulator>(a)),
-        failed(ArenaAllocator<unsigned char>(a)),
-        inc_group(ArenaAllocator<std::uint32_t>(a)),
-        inc_fact(ArenaAllocator<FactId>(a)) {}
-
-  std::uint64_t slot_begin = 0;
-  std::uint64_t slot_end = 0;
-  ArenaVec<std::uint32_t> group_of_slot;
-  ArenaVec<std::uint64_t> slot_of_group;
-  FlatHashGroupIndex index;
-  ArenaVec<ValueId> key_storage;              // stride = live dim count
-  ArenaVec<std::size_t> members;              // one per group
-  ArenaVec<AggFunction::Accumulator> accums;  // stride = class count
-  ArenaVec<unsigned char> failed;             // stride = class count
-  std::vector<Status> errors;                 // stride = class count
-  /// Membership incidences in scan order (ascending fact within each
-  /// group, since the scan walks facts ascending); recorded only under
-  /// StreamSpec::collect_members and scattered into per-group lists at
-  /// emission.
-  ArenaVec<std::uint32_t> inc_group;
-  ArenaVec<FactId> inc_fact;
-};
-
-/// Functions sharing an argument dimension and pair-vs-value reading
-/// share one contribution pass, one accumulator per group and one sticky
-/// error — the Accumulator keeps count/sum/min/max regardless of which
-/// Finish will read it, so the shared state is exactly what running each
-/// function alone would have built.
-struct AccumClass {
-  std::size_t dim = 0;
-  bool counts = false;     // COUNT reads pairs; SUM/AVG/MIN/MAX read values
-  std::size_t exemplar = 0;  // index into StreamSpec::functions
-  bool bad_dim = false;      // dim >= dimension_count: error only if groups
-};
-
-}  // namespace
 
 StreamProbe AggregateStreamProbe(const MdObject& mo,
                                  const std::vector<CategoryTypeIndex>& grouping,
                                  ExecContext* exec) {
+  ExecContext sequential;
+  if (exec == nullptr) exec = &sequential;
   StreamProbe probe;
   const std::size_t n = mo.dimension_count();
   if (grouping.size() != n) return probe;
@@ -1914,13 +1636,10 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
       return probe;
     }
     hold.push_back(std::move(index));
-    dims.push_back({hold.back().get(), grouping[i], ValueId{}});
+    dims.push_back({hold.back().get(), grouping[i]});
   }
-  const std::uint64_t max_slots = exec != nullptr
-                                      ? exec->max_dense_groupby_slots
-                                      : (std::uint64_t{1} << 22);
   DenseSlotSpace space;
-  switch (DenseSlotSpace::Build(dims, max_slots, &space)) {
+  switch (DenseSlotSpace::Build(dims, exec->max_dense_groupby_slots, &space)) {
     case DenseSlotSpace::Plan::kDense:
       probe.dense = true;
       probe.slot_product = space.slot_count();
@@ -1946,492 +1665,76 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
 Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
                                                  const StreamSpec& spec,
                                                  ExecContext* exec) {
+  ExecContext sequential;
+  if (exec == nullptr) exec = &sequential;
   const std::size_t n = mo.dimension_count();
-  if (spec.grouping.size() != n) {
-    return Status::InvalidArgument(
-        StrCat("aggregate stream got ", spec.grouping.size(),
-               " grouping categories for a ", n, "-dimensional MO"));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (spec.grouping[i] >= mo.dimension(i).type().category_count()) {
-      return Status::InvalidArgument(
-          StrCat("grouping category ", spec.grouping[i],
-                 " out of range for dimension '", mo.dimension(i).name(),
-                 "'"));
-    }
-  }
-  const std::vector<FactId>& facts = mo.facts();  // sorted by id
+  MDDC_RETURN_NOT_OK(CheckGrouping(mo, spec.grouping, "aggregate stream"));
+  const std::vector<FactId>& facts = mo.facts();
   if (spec.keep != nullptr && spec.keep->size() != facts.size()) {
     return Status::InvalidArgument(
         StrCat("aggregate stream keep mask covers ", spec.keep->size(),
                " facts of ", facts.size()));
   }
 
-  // Dead-dimension pruning: a top-grouped dimension contributes one fixed
-  // coordinate with probability 1 to every fact, so the scan drops it and
-  // keys carry only the live axes.
-  std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (spec.grouping[i] != mo.dimension(i).type().top()) live.push_back(i);
-  }
-  const std::size_t nl = live.size();
-
-  std::size_t kept = facts.size();
-  if (spec.keep != nullptr) {
-    kept = static_cast<std::size_t>(
-        std::count(spec.keep->begin(), spec.keep->end(), true));
-  }
-
-  // Everything arena-backed below is scratch of this one stream; the
-  // guard rewinds the context's arenas on every exit path (the returned
-  // groups are plain heap state).
-  ArenaResetGuard arena_guard{exec};
-
-  bool parallel = exec != nullptr && spec.allow_parallel &&
-                  exec->WantsParallel(kept);
-  if (parallel) {
-    // Same safety gate as AggregateFormation, applied to every fused
-    // function: per-worker partial groups are combinable exactly when the
-    // Section 3.4 preconditions hold.
-    for (const AggFunction& fn : spec.functions) {
-      if (!CheckSummarizability(mo, fn.kind(), spec.grouping).summarizable) {
-        ++exec->stats.sequential_fallbacks;
-        parallel = false;
-        break;
-      }
-    }
-  }
-
-  // Compiled rollup snapshots for the live dimensions (exec-gated exactly
-  // like AggregateFormation's step 0).
-  std::vector<std::shared_ptr<const RollupIndex>> indexes(n);
-  if (exec != nullptr) {
-    for (std::size_t i : live) {
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(mo.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
-    }
-  }
-
   // The accumulator classes behind spec.functions.
-  std::vector<AccumClass> classes;
-  std::vector<std::size_t> class_of(spec.functions.size(),
-                                    std::numeric_limits<std::size_t>::max());
+  ScanRequest request;
+  request.facts = facts;
+  request.keep = spec.keep;
+  request.grouping = &spec.grouping;
+  request.prob_at = spec.prob_at;
+  std::vector<std::size_t> class_of(spec.functions.size());
   for (std::size_t k = 0; k < spec.functions.size(); ++k) {
-    const AggFunction& fn = spec.functions[k];
-    if (fn.args().empty()) continue;  // SetCount folds from member counts
-    const std::size_t dim = fn.args().front();
-    const bool counts = fn.kind() == AggregateFunctionKind::kCount;
+    const std::optional<AccumClass> cls = ClassOf(mo, spec.functions[k]);
+    if (!cls.has_value()) continue;  // SetCount reads the member count
     std::size_t c = 0;
-    for (; c < classes.size(); ++c) {
-      if (classes[c].dim == dim && classes[c].counts == counts) break;
+    while (c < request.classes.size() &&
+           !(request.classes[c].dim == cls->dim &&
+             request.classes[c].counts == cls->counts)) {
+      ++c;
     }
-    if (c == classes.size()) {
-      classes.push_back(AccumClass{dim, counts, k, dim >= n});
-    }
+    if (c == request.classes.size()) request.classes.push_back(*cls);
     class_of[k] = c;
   }
-  const std::size_t nclasses = classes.size();
 
-  // Per-fact entry lists for the live indexed dimensions and the classes'
-  // argument dimensions.
-  FactEntryLists fact_entries;
-  const FactEntryLists* fact_entries_ptr = nullptr;
-  if (exec != nullptr) {
-    std::vector<bool> wanted(n, false);
-    for (std::size_t i : live) {
-      if (indexes[i] != nullptr) wanted[i] = true;
+  ArenaResetGuard arena_guard{*exec};
+  const std::size_t kept =
+      spec.keep == nullptr
+          ? facts.size()
+          : static_cast<std::size_t>(
+                std::count(spec.keep->begin(), spec.keep->end(), true));
+  bool summarizable = true;
+  if (exec->WantsParallel(kept)) {
+    for (const AggFunction& fn : spec.functions) {
+      summarizable = summarizable &&
+          CheckSummarizability(mo, fn.kind(), spec.grouping).summarizable;
     }
-    for (const AccumClass& cls : classes) {
-      if (!cls.bad_dim) wanted[cls.dim] = true;
-    }
-    fact_entries = BuildFactEntryLists(mo, wanted);
-    fact_entries_ptr = &fact_entries;
   }
+  request.parallel = ParallelGate(*exec, kept, summarizable);
+  MDDC_ASSIGN_OR_RETURN(std::vector<ScanGroup> groups,
+                        GroupByScan(mo, request, *exec));
 
-  // 1. Live coordinates per kept fact, in fact order. A fact with an
-  //    empty live list joins no group (exactly GroupingCoordinates'
-  //    nullopt), and a false keep entry is skipped outright — selection
-  //    pushdown without the materialized Select.
-  std::vector<std::optional<CoordLists>> coords(facts.size());
-  auto live_coords = [&](std::size_t f,
-                         Arena* arena) -> std::optional<CoordLists> {
-    CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
-    per_dim.reserve(nl);
-    for (std::size_t j = 0; j < nl; ++j) {
-      per_dim.emplace_back(ArenaAllocator<Coordinate>(arena));
-    }
-    for (std::size_t j = 0; j < nl; ++j) {
-      const std::size_t i = live[j];
-      const RollupIndex* index = indexes[i].get();
-      const FactDimRelation::EntrySpan* span =
-          (index != nullptr && fact_entries_ptr != nullptr)
-              ? &(*fact_entries_ptr)[i][f]
-              : nullptr;
-      AppendDimCoordinates(mo, i, spec.grouping[i], spec.prob_at, index,
-                           facts[f], span, per_dim[j]);
-      if (per_dim[j].empty()) return std::nullopt;
-    }
-    return per_dim;
-  };
-  if (parallel) {
-    for (std::size_t i : live) mo.dimension(i).WarmClosureMemo();
-    const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-    exec->EnsureWorkerArenas(chunks);
-    exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-      const std::size_t begin = chunk * facts.size() / chunks;
-      const std::size_t end = (chunk + 1) * facts.size() / chunks;
-      Arena* arena = &exec->worker_arena(chunk);
-      for (std::size_t f = begin; f < end; ++f) {
-        if (spec.keep == nullptr || (*spec.keep)[f]) {
-          coords[f] = live_coords(f, arena);
-        }
-      }
-    });
-    exec->stats.tasks += chunks;
-  } else {
-    Arena* arena = exec != nullptr ? &exec->arena : nullptr;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (spec.keep == nullptr || (*spec.keep)[f]) {
-        coords[f] = live_coords(f, arena);
-      }
-    }
-  }
-
-  // 2. Per-class fact contributions, sharing ContributionOf (and its
-  //    sequential numeric-value hoist) with the kernel path.
-  std::vector<std::vector<FactContribution>> contribs(nclasses);
-  std::vector<NumericValueCache> caches(nclasses);
-  for (std::size_t c = 0; c < nclasses; ++c) {
-    const AccumClass& cls = classes[c];
-    if (cls.bad_dim) continue;
-    const AggregateSpec cspec{spec.functions[cls.exemplar],
-                              spec.grouping,
-                              ResultDimensionSpec::Auto(),
-                              spec.prob_at,
-                              false,
-                              false};
-    const NumericValueCache* cache_ptr = nullptr;
-    if (!cls.counts) {
-      const Dimension& dimension = mo.dimension(cls.dim);
-      NumericValueCache& cache = caches[c];
-      for (const FactDimRelation::Entry& entry :
-           mo.relation(cls.dim).entries()) {
-        if (entry.value == dimension.top_value()) continue;
-        const std::uint64_t raw = entry.value.raw();
-        if (cache.find(raw) != cache.end()) continue;
-        cache.emplace(raw,
-                      dimension.NumericValueOf(entry.value, spec.prob_at));
-      }
-      cache_ptr = &cache;
-    }
-    contribs[c].resize(facts.size());
-    auto fill_chunk = [&](std::size_t begin, std::size_t end, Arena* arena) {
-      for (std::size_t f = begin; f < end; ++f) {
-        if (coords[f].has_value()) {
-          contribs[c][f] = ContributionOf(mo, cspec, facts[f],
-                                          fact_entries_ptr, f, cache_ptr,
-                                          arena);
-        }
-      }
-    };
-    if (parallel) {
-      const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-      exec->EnsureWorkerArenas(chunks);
-      exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-        fill_chunk(chunk * facts.size() / chunks,
-                   (chunk + 1) * facts.size() / chunks,
-                   &exec->worker_arena(chunk));
-      });
-      exec->stats.tasks += chunks;
-    } else {
-      fill_chunk(0, facts.size(), exec != nullptr ? &exec->arena : nullptr);
-    }
-  }
-
-  // 3. Engine selection over the live axes only (dead dimensions never
-  //    widen the slot product).
-  GroupEngine engine = GroupEngine::kFlatHash;
-  DenseSlotSpace space;
-  {
-    bool all_indexed = true;
-    std::vector<DenseSlotSpace::GroupingDim> grouping_dims(nl);
-    for (std::size_t j = 0; j < nl; ++j) {
-      const std::size_t i = live[j];
-      if (indexes[i] != nullptr) {
-        grouping_dims[j] = {indexes[i].get(), spec.grouping[i], ValueId{}};
-      } else {
-        all_indexed = false;
-        break;
-      }
-    }
-    if (all_indexed) {
-      const std::uint64_t max_slots = exec != nullptr
-                                          ? exec->max_dense_groupby_slots
-                                          : (std::uint64_t{1} << 22);
-      switch (DenseSlotSpace::Build(grouping_dims, max_slots, &space)) {
-        case DenseSlotSpace::Plan::kDense:
-          engine = GroupEngine::kDenseSlots;
-          break;
-        case DenseSlotSpace::Plan::kTooManySlots:
-          if (exec != nullptr) ++exec->stats.dense_slot_fallbacks;
-          break;
-        case DenseSlotSpace::Plan::kNotIndexed:
-          break;
-      }
-    }
-  }
-  if (exec != nullptr) {
-    if (engine == GroupEngine::kDenseSlots) {
-      ++exec->stats.dense_groupby_runs;
-    } else {
-      ++exec->stats.flat_hash_runs;
-    }
-  }
-
-  // 4. The partitioned scan: contiguous dense-slot ranges or keys by
-  //    hash, every worker scans all facts, every group built whole by one
-  //    worker — exactly RunGroupByKernel's ownership scheme.
-  const std::size_t num_partitions = parallel ? exec->num_threads : 1;
-  if (parallel) exec->EnsureWorkerArenas(num_partitions);
-  std::vector<StreamPartition> parts;
-  parts.reserve(num_partitions);
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    parts.emplace_back(parallel ? &exec->worker_arena(p)
-                       : exec != nullptr ? &exec->arena
-                                         : nullptr);
-  }
-  if (engine == GroupEngine::kDenseSlots) {
-    const std::uint64_t slots = space.slot_count();
-    const std::uint64_t base = slots / num_partitions;
-    const std::uint64_t extra = slots % num_partitions;
-    std::uint64_t begin = 0;
-    for (std::size_t p = 0; p < num_partitions; ++p) {
-      const std::uint64_t width = base + (p < extra ? 1 : 0);
-      parts[p].slot_begin = begin;
-      parts[p].slot_end = begin + width;
-      begin += width;
-      parts[p].group_of_slot.assign(static_cast<std::size_t>(width),
-                                    FlatHashGroupIndex::kNoGroup);
-    }
-  }
-
-  auto scan_partition = [&](std::size_t p) {
-    StreamPartition& part = parts[p];
-    std::vector<std::size_t> cursor(nl);
-    std::vector<ValueId> scratch(nl);
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (!coords[f].has_value()) continue;
-      const CoordLists& per_dim = *coords[f];
-      std::fill(cursor.begin(), cursor.end(), 0);
-      // Enumerate the cross product of the fact's live coordinate lists
-      // (one iteration — the single global group — when nl == 0).
-      while (true) {
-        std::uint32_t g = FlatHashGroupIndex::kNoGroup;
-        if (engine == GroupEngine::kDenseSlots) {
-          // Row-major slot over the live axes, lowest dimension index
-          // most significant — ascending slots are the canonical order.
-          std::uint64_t slot = 0;
-          for (std::size_t j = 0; j < nl; ++j) {
-            slot = slot * space.cardinality(j) +
-                   space.OrdinalOf(j, per_dim[j][cursor[j]].dense);
-          }
-          if (slot >= part.slot_begin && slot < part.slot_end) {
-            std::uint32_t& mapped = part.group_of_slot[
-                static_cast<std::size_t>(slot - part.slot_begin)];
-            if (mapped == FlatHashGroupIndex::kNoGroup) {
-              mapped = static_cast<std::uint32_t>(part.members.size());
-              part.slot_of_group.push_back(slot);
-              part.members.push_back(0);
-              part.accums.insert(part.accums.end(), nclasses,
-                                 AggFunction::Accumulator{});
-              part.failed.insert(part.failed.end(), nclasses, 0);
-              part.errors.resize(part.errors.size() + nclasses);
-            }
-            g = mapped;
-          }
-        } else {
-          for (std::size_t j = 0; j < nl; ++j) {
-            scratch[j] = per_dim[j][cursor[j]].value;
-          }
-          const std::uint64_t hash = HashValueIds(scratch.data(), nl);
-          if (num_partitions == 1 || hash % num_partitions == p) {
-            bool inserted = false;
-            g = part.index.FindOrInsert(
-                hash, static_cast<std::uint32_t>(part.members.size()),
-                [&](std::uint32_t ordinal) {
-                  return std::equal(scratch.begin(), scratch.end(),
-                                    part.key_storage.begin() +
-                                        static_cast<std::ptrdiff_t>(
-                                            ordinal * nl));
-                },
-                &inserted);
-            if (inserted) {
-              part.key_storage.insert(part.key_storage.end(),
-                                      scratch.begin(), scratch.end());
-              part.members.push_back(0);
-              part.accums.insert(part.accums.end(), nclasses,
-                                 AggFunction::Accumulator{});
-              part.failed.insert(part.failed.end(), nclasses, 0);
-              part.errors.resize(part.errors.size() + nclasses);
-            }
-          }
-        }
-        if (g != FlatHashGroupIndex::kNoGroup) {
-          ++part.members[g];
-          if (spec.collect_members) {
-            part.inc_group.push_back(g);
-            part.inc_fact.push_back(facts[f]);
-          }
-          const std::size_t base = static_cast<std::size_t>(g) * nclasses;
-          for (std::size_t c = 0; c < nclasses; ++c) {
-            if (classes[c].bad_dim) continue;
-            const FactContribution& fc = contribs[c][f];
-            if (fc.failed) {
-              if (!part.failed[base + c]) {
-                part.failed[base + c] = 1;
-                part.errors[base + c] = fc.error;
-              }
-            } else if (!part.failed[base + c]) {
-              if (classes[c].counts) {
-                part.accums[base + c].AddCounted(fc.counted);
-              } else {
-                for (double value : fc.values) {
-                  part.accums[base + c].Add(value);
-                }
-              }
-            }
-          }
-        }
-        // Advance the cross-product cursor.
-        std::size_t j = 0;
-        while (j < nl && ++cursor[j] == per_dim[j].size()) {
-          cursor[j] = 0;
-          ++j;
-        }
-        if (j == nl) break;
-      }
-    }
-  };
-  if (parallel) {
-    exec->pool().ParallelFor(num_partitions, scan_partition);
-    exec->stats.tasks += num_partitions;
-    exec->stats.partitions += num_partitions;
-    ++exec->stats.parallel_runs;
-  } else {
-    scan_partition(0);
-  }
-
-  // 5. Canonical group order: ascending slot for the dense engine (the
-  //    partitions own ascending disjoint ranges), one lexicographic key
-  //    sort for the flat-hash engine.
-  struct GroupRef {
-    std::uint32_t partition;
-    std::uint32_t ordinal;
-  };
-  std::size_t total = 0;
-  for (const StreamPartition& part : parts) total += part.members.size();
-  std::vector<GroupRef> order;
-  order.reserve(total);
-  const auto merge_start = std::chrono::steady_clock::now();
-  if (engine == GroupEngine::kDenseSlots) {
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      StreamPartition& part = parts[p];
-      std::vector<std::uint32_t> by_slot(part.members.size());
-      for (std::uint32_t g = 0; g < by_slot.size(); ++g) by_slot[g] = g;
-      std::sort(by_slot.begin(), by_slot.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return part.slot_of_group[a] < part.slot_of_group[b];
-                });
-      for (std::uint32_t g : by_slot) {
-        order.push_back({static_cast<std::uint32_t>(p), g});
-      }
-    }
-  } else {
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      for (std::uint32_t g = 0; g < parts[p].members.size(); ++g) {
-        order.push_back({static_cast<std::uint32_t>(p), g});
-      }
-    }
-    std::sort(order.begin(), order.end(),
-              [&](const GroupRef& a, const GroupRef& b) {
-                const ValueId* ka =
-                    parts[a.partition].key_storage.data() + a.ordinal * nl;
-                const ValueId* kb =
-                    parts[b.partition].key_storage.data() + b.ordinal * nl;
-                return std::lexicographical_compare(ka, ka + nl, kb, kb + nl);
-              });
-  }
-  if (parallel) {
-    exec->stats.merge_nanos += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - merge_start)
-            .count());
-  }
-
-  // 6. Emission, function-major: function k's errors (CheckApplicable,
-  //    then each group's sticky class error or Finish failure, in
-  //    canonical group order) surface before function k+1 computes
-  //    anything — exactly the order running the functions one
-  //    AggregateFormation at a time produces.
-  std::vector<StreamGroup> out(order.size());
-  std::vector<ValueId> key(nl);
-  for (std::size_t t = 0; t < order.size(); ++t) {
-    const GroupRef& ref = order[t];
-    const StreamPartition& part = parts[ref.partition];
-    StreamGroup& group = out[t];
-    if (engine == GroupEngine::kDenseSlots) {
-      space.KeyOf(part.slot_of_group[ref.ordinal], key);
-      group.key = key;
-    } else {
-      const ValueId* base = part.key_storage.data() + ref.ordinal * nl;
-      group.key.assign(base, base + nl);
-    }
-    group.members = part.members[ref.ordinal];
-    group.values.reserve(spec.functions.size());
-  }
-  if (spec.collect_members) {
-    // Scatter the scan-order incidence log into per-group lists. Each
-    // worker walked facts ascending, so within a group the log is already
-    // in ascending fact order.
-    std::vector<std::vector<std::uint32_t>> out_of(parts.size());
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      out_of[p].resize(parts[p].members.size());
-    }
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      out_of[order[t].partition][order[t].ordinal] =
-          static_cast<std::uint32_t>(t);
-      out[t].member_facts.reserve(out[t].members);
-    }
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      const StreamPartition& part = parts[p];
-      for (std::size_t e = 0; e < part.inc_group.size(); ++e) {
-        out[out_of[p][part.inc_group[e]]].member_facts.push_back(
-            part.inc_fact[e]);
-      }
-    }
-  }
+  // Emission, function-major: function k's errors (CheckApplicable, then
+  // each group's sticky class error or Finish failure, in canonical
+  // group order) surface before function k+1 computes anything — exactly
+  // the order running the functions one AggregateFormation at a time
+  // produces.
+  std::vector<StreamGroup> out(groups.size());
   for (std::size_t k = 0; k < spec.functions.size(); ++k) {
     const AggFunction& fn = spec.functions[k];
     if (spec.enforce_aggregation_types) {
       MDDC_RETURN_NOT_OK(fn.CheckApplicable(mo));
     }
     if (fn.args().empty()) {
-      for (StreamGroup& group : out) {
-        group.values.push_back(static_cast<double>(group.members));
+      for (std::size_t t = 0; t < groups.size(); ++t) {
+        out[t].values.push_back(static_cast<double>(groups[t].members.size()));
       }
       continue;
     }
     if (fn.args().front() >= n) {
       // Every group's evaluation would fail identically; surface it
-      // exactly as AggregateFormation does for its first group (and stay
-      // silent when there are no groups, as it does).
-      if (!out.empty()) {
+      // exactly as AggregateFormation does (and stay silent when there
+      // are no groups, as it does).
+      if (!groups.empty()) {
         return Status::InvalidArgument(
             StrCat(fn.name(), " references dimension ", fn.args().front(),
                    " of a ", n, "-dimensional MO"));
@@ -2439,14 +1742,16 @@ Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
       continue;
     }
     const std::size_t c = class_of[k];
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      const GroupRef& ref = order[t];
-      const StreamPartition& part = parts[ref.partition];
-      const std::size_t base =
-          static_cast<std::size_t>(ref.ordinal) * nclasses + c;
-      if (part.failed[base]) return part.errors[base];
-      MDDC_ASSIGN_OR_RETURN(double value, fn.Finish(part.accums[base]));
+    for (std::size_t t = 0; t < groups.size(); ++t) {
+      if (!groups[t].errors[c].ok()) return groups[t].errors[c];
+      MDDC_ASSIGN_OR_RETURN(double value, fn.Finish(groups[t].accums[c]));
       out[t].values.push_back(value);
+    }
+  }
+  for (std::size_t t = 0; t < groups.size(); ++t) {
+    out[t].key = std::move(groups[t].key);
+    if (spec.collect_members) {
+      out[t].member_facts = std::move(groups[t].members);
     }
   }
   return out;

@@ -113,15 +113,17 @@ class ResultDimensionSpec {
   std::function<Result<ValueId>(double)> mapper_;
 };
 
-/// Raw per-group accumulator state captured by one AggregateFormation run
-/// (via AggregateSpec::capture), enough for FoldAggregateAppend to resume
-/// the formation's exact left-folds over facts appended later — the
-/// delta-maintenance state behind incrementally refreshed pre-aggregates
-/// (docs/ingestion.md). Everything here is the *pre-presentation* state:
-/// lifespans before the assembly loop's Empty -> Always replacement,
-/// values as Finish settled them, so resuming replays the identical
-/// floating-point and temporal-element operation sequence a full re-run
-/// over old-then-new facts would perform.
+/// Raw per-group state captured by one AggregateFormation run (via
+/// AggregateSpec::capture), enough for FoldAggregateAppend to resume the
+/// run over facts appended later — the delta-maintenance state behind
+/// incrementally refreshed pre-aggregates (docs/ingestion.md). Everything
+/// here is the *pre-presentation* state of the group-by scan: raw
+/// accumulators rather than settled values, lifespans before the
+/// assembly's Empty -> Always replacement. Seeding a fold with it is a
+/// copy, and resuming replays the identical floating-point and
+/// temporal-element operation sequence a full re-run over old-then-new
+/// facts would perform — for every function kind, AVG and expected
+/// counts included.
 struct AggregateFoldState {
   struct Group {
     /// Canonical grouping key (one ValueId per argument dimension).
@@ -137,11 +139,13 @@ struct AggregateFoldState {
     std::vector<double> prob_per_dim;
     /// Raw Section 4.2 result lifespan (pre Empty -> Always).
     Lifespan result_life;
-    /// g(group) exactly as evaluated.
-    double value = 0.0;
+    /// The function's raw accumulator (unused by SetCount).
+    AggFunction::Accumulator accumulator;
+    /// Sum over members of their membership probability: the expected
+    /// group size an expected-count SetCount reports.
+    double expected = 0.0;
   };
-  /// Groups in canonical lexicographic key order — the emission order of
-  /// every engine.
+  /// Groups in canonical lexicographic key order.
   std::vector<Group> groups;
   /// The atemporal report the run was typed under; strict-path entries
   /// factorize over fact partitions, so a fold re-checks only the delta.
@@ -195,21 +199,23 @@ struct AggregateSpec {
 /// summarizability rule of Section 4.1 (min of argument types when
 /// distributive + strict + partitioning, else c).
 ///
-/// Any ExecContext switches grouping onto a flat kernel
-/// (docs/groupby_kernel.md): dense row-major slots over the compiled
-/// rollup index when every grouping dimension is covered and the slot
-/// cross-product fits exec->max_dense_groupby_slots, an open-addressing
-/// flat-hash kernel otherwise; without a context the ordered-map
-/// baseline runs unchanged. With num_threads > 1 and a fact set of at
-/// least min_parallel_facts the kernel additionally fans out: each
-/// worker scans all facts and owns a disjoint slice of the group space
-/// (contiguous slot ranges, or keys by hash), so every group is built
-/// whole by one worker and the result — down to its serialized bytes —
-/// is identical to the sequential path at any thread count. The
-/// parallel path is taken only when the Section 3.4 summarizability
-/// preconditions hold (the same gate PreAggregateCache applies);
-/// otherwise the operator falls back to the sequential algorithm and
-/// counts a sequential_fallback on the context.
+/// All three aggregation entry points (this one, FoldAggregateAppend and
+/// AggregateStream) run one group-by scan (docs/groupby_kernel.md):
+/// dense row-major slots over the compiled rollup index when every
+/// grouped dimension is covered and the slot cross-product fits
+/// exec->max_dense_groupby_slots, an open-addressing flat-hash table
+/// otherwise. A null `exec` means a fresh one-thread context; no result
+/// depends on whether one was passed. With num_threads > 1 and a fact set
+/// of at least min_parallel_facts the scan fans out: each worker scans
+/// all facts and owns a disjoint slice of the group space (contiguous
+/// slot ranges, or keys by hash), so every group is built whole by one
+/// worker and the result — down to its serialized bytes — is identical
+/// at any thread count. The parallel path is taken only when the Section
+/// 3.4 summarizability preconditions hold (the same gate PreAggregateCache
+/// applies); otherwise the scan runs sequentially and counts a
+/// sequential_fallback on the context. The executable specification this
+/// is tested against — an ordered map over the memoized characterization
+/// walk — lives in tests/reference/.
 Result<MdObject> AggregateFormation(const MdObject& mo,
                                     const AggregateSpec& spec,
                                     ExecContext* exec = nullptr);
@@ -217,21 +223,22 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
 /// Resumes a captured formation over `delta_facts` — the facts appended
 /// to the MO since `state` was recorded — and returns a result MO
 /// byte-identical to re-running AggregateFormation(mo, spec) from
-/// scratch, in O(delta) scan work instead of O(facts). The delta facts
-/// must be exactly mo.facts() minus the facts of the captured run, in
-/// ascending id order with every id above the captured members' (the
-/// natural shape of registry appends); violations, structural dimension
-/// drift, non-foldable functions (AVG, expected-count SetCount),
-/// explicit result specs, or an invalid state all return an error so
-/// the caller can fall back to a full re-run.
+/// scratch: the group-by scan visits only the delta facts, seeded with
+/// the captured groups, and the result is assembled exactly as the
+/// formation assembles it. The delta facts must be exactly mo.facts()
+/// minus the facts of the captured run, in ascending id order with every
+/// id above the captured members' (the natural shape of registry
+/// appends); violations, structural dimension drift, explicit result
+/// specs, or an invalid state return an error so the caller can fall
+/// back to a full re-run.
 ///
-/// Foldability per Section 3.4: SUM/COUNT/MIN/MAX resume their exact
-/// accumulator from the captured per-group value; crisp SetCount resumes
-/// from the member count; strict-path checks factorize over the fact
-/// partition (only the delta is re-scanned) and partitioning — a
-/// dimension-local property appends can break — is recomputed when the
-/// dimension's version moved. When spec.capture is set, the fold records
-/// the merged state so the next append folds again.
+/// Every function kind folds, AVG and expected-count SetCount included:
+/// the state holds raw accumulators and expected sums. Strict-path
+/// checks factorize over the fact partition (only the delta is
+/// re-scanned) and partitioning — a dimension-local property appends can
+/// break — is recomputed when the dimension's version moved. When
+/// spec.capture is set, the fold records the merged state so the next
+/// append folds again.
 Result<MdObject> FoldAggregateAppend(const MdObject& mo,
                                      const AggregateSpec& spec,
                                      const AggregateFoldState& state,
@@ -241,11 +248,9 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
 /// Parameters of the streaming multi-aggregate group-by — the fused
 /// physical operator behind compiled MDQL plans (docs/mdql_compiler.md).
 /// Where AggregateFormation materializes a full result MO per function,
-/// the stream scans the argument MO's facts once, folds every function's
-/// accumulator per group, and returns only what a renderer needs: the
-/// grouping key and one settled value per function. No intermediate MO,
-/// no result dimension, no lifespans — the unrendered state the fused
-/// MDQL path provably never displays.
+/// the stream folds every function's accumulator in one scan and returns
+/// only what a renderer needs: the grouping key and one settled value per
+/// function. No intermediate MO and no result dimension.
 struct StreamSpec {
   /// The functions folded in one scan; all share `grouping`. Evaluation
   /// errors surface in function-major order (function 0's groups in
@@ -266,8 +271,6 @@ struct StreamSpec {
   /// skipped by the scan — selection pushdown without materializing the
   /// filtered MO. Null means every fact participates.
   const std::vector<bool>* keep = nullptr;
-  /// When false the scan stays sequential even on a parallel context.
-  bool allow_parallel = true;
   /// When true every StreamGroup carries its member fact list (ascending
   /// fact order). AggregateFormation interns each group as a set-fact, so
   /// two groups with identical member sets collapse into ONE result fact;
@@ -277,15 +280,13 @@ struct StreamSpec {
 };
 
 /// One output group of AggregateStream, in canonical order (ascending
-/// lexicographic ValueId key — the same order AggregateFormation's
-/// ordered-map baseline emits groups in).
+/// lexicographic ValueId key — the order AggregateFormation emits its
+/// groups in).
 struct StreamGroup {
   /// The grouping values of the live (non-top) dimensions, in ascending
   /// dimension-index order.
   std::vector<ValueId> key;
-  /// Distinct member facts (each fact joins a given key at most once).
-  std::size_t members = 0;
-  /// The member facts, ascending; filled only under
+  /// The distinct member facts, ascending; filled only under
   /// StreamSpec::collect_members (empty otherwise).
   std::vector<FactId> member_facts;
   /// One settled result per StreamSpec function, in spec order.
@@ -311,18 +312,16 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
                                  const std::vector<CategoryTypeIndex>& grouping,
                                  ExecContext* exec = nullptr);
 
-/// Runs the fused scan. Groups come back in canonical key order with
-/// members accumulated in ascending fact order, and functions sharing an
+/// Runs the group-by scan AggregateFormation runs, returning only what a
+/// renderer needs. Groups come back in canonical key order with members
+/// accumulated in ascending fact order, and functions sharing an
 /// argument dimension share one accumulator class, so every value (and
 /// every error, in function-major order) is bit-identical to running the
-/// functions through AggregateFormation one at a time. With a parallel
-/// context the group space is partitioned (contiguous dense-slot ranges,
-/// or keys by hash) and every worker scans all facts, so each group is
-/// built whole by one worker — thread count never changes a byte. The
-/// parallel path is gated on every function passing the Section 3.4
-/// summarizability check, like AggregateFormation's gate. Counts
-/// dense_groupby_runs / flat_hash_runs / dense_slot_fallbacks /
-/// index_hits / index_fallbacks / parallel_runs on the context.
+/// functions through AggregateFormation one at a time. The parallel path
+/// is gated on every function passing the Section 3.4 summarizability
+/// check. Counts dense_groupby_runs / flat_hash_runs /
+/// dense_slot_fallbacks / index_hits / index_fallbacks / parallel_runs on
+/// the context; a null `exec` means a fresh one-thread context.
 Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
                                                  const StreamSpec& spec,
                                                  ExecContext* exec = nullptr);

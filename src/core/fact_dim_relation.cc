@@ -19,6 +19,7 @@ void FactDimRelation::CopyFrom(const FactDimRelation& other) {
     dst.insert(dst.end(), src.begin(), src.end());
   };
   with_headroom(entries_, other.entries_);
+  first_edited_entry_ = kNoEdit;
   by_fact_ = other.by_fact_;
   by_value_ = other.by_value_;
   // A *valid* (sealed) CSR view is index-based, so it stays correct for
@@ -43,6 +44,7 @@ void FactDimRelation::CopyFrom(const FactDimRelation& other) {
 
 void FactDimRelation::MoveFrom(FactDimRelation&& other) {
   entries_ = std::move(other.entries_);
+  first_edited_entry_ = other.first_edited_entry_;
   by_fact_ = std::move(other.by_fact_);
   by_value_ = std::move(other.by_value_);
   spans_ = std::move(other.spans_);
@@ -103,13 +105,21 @@ Status FactDimRelation::Add(FactId fact, ValueId value, const Lifespan& life,
       // of the bitemporal regions when the operands agree on one axis.
       // Bitemporal corrections (same pair, different rectangles) keep
       // separate entries.
+      TemporalElement* widened = nullptr;
+      const TemporalElement* addition = nullptr;
       if (entry.life.valid == life.valid) {
-        entry.life.transaction = entry.life.transaction.Union(life.transaction);
-        InvalidateCsr();
-        return Status::OK();
+        widened = &entry.life.transaction;
+        addition = &life.transaction;
+      } else if (entry.life.transaction == life.transaction) {
+        widened = &entry.life.valid;
+        addition = &life.valid;
       }
-      if (entry.life.transaction == life.transaction) {
-        entry.life.valid = entry.life.valid.Union(life.valid);
+      if (widened != nullptr) {
+        TemporalElement merged = widened->Union(*addition);
+        if (!(merged == *widened)) {
+          *widened = std::move(merged);
+          first_edited_entry_ = std::min(first_edited_entry_, index);
+        }
         InvalidateCsr();
         return Status::OK();
       }
@@ -146,6 +156,7 @@ void FactDimRelation::RestrictToFacts(const std::vector<FactId>& facts) {
     }
   }
   entries_ = std::move(kept);
+  first_edited_entry_ = 0;
   ReindexAll();
 }
 

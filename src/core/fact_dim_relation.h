@@ -131,6 +131,16 @@ class FactDimRelation {
   /// True iff some pair references `fact`.
   bool HasFact(FactId fact) const;
 
+  /// Lowest index of an entry edited in place — a coalescing Add that
+  /// changed an existing pair's lifespan — since this relation was built
+  /// or copied, or kNoEdit. Copies start clean, so a writer's draft
+  /// reports exactly the edits made since it was cloned from the
+  /// published relation (MoStore's append gate reads this). An
+  /// idempotent coalesce is not an edit; RestrictToFacts renumbers every
+  /// entry and counts as an edit of entry 0.
+  static constexpr std::size_t kNoEdit = static_cast<std::size_t>(-1);
+  std::size_t first_edited_entry() const { return first_edited_entry_; }
+
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
@@ -196,6 +206,7 @@ class FactDimRelation {
   void MoveFrom(FactDimRelation&& other);
 
   std::vector<Entry> entries_;
+  std::size_t first_edited_entry_ = kNoEdit;
   FlatListIndex<FactId> by_fact_;
   FlatListIndex<ValueId> by_value_;
 

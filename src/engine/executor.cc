@@ -150,8 +150,6 @@ void ExecStats::MergeFrom(const ExecStats& other) {
   rewrites_applied += other.rewrites_applied;
   fused_pipelines += other.fused_pipelines;
   plan_fallbacks += other.plan_fallbacks;
-  plan_cache_hits += other.plan_cache_hits;
-  aggregate_folds += other.aggregate_folds;
   rollup_patches += other.rollup_patches;
   csr_tail_extends += other.csr_tail_extends;
   preagg_folds += other.preagg_folds;
@@ -172,7 +170,6 @@ std::string ExecStats::ToJson() const {
       "\"arena_resets\": %zu, \"interner_hits\": %zu, "
       "\"interner_misses\": %zu, \"rewrites_applied\": %zu, "
       "\"fused_pipelines\": %zu, \"plan_fallbacks\": %zu, "
-      "\"plan_cache_hits\": %zu, \"aggregate_folds\": %zu, "
       "\"rollup_patches\": %zu, \"csr_tail_extends\": %zu, "
       "\"preagg_folds\": %zu, \"preagg_fold_invalidations\": %zu}",
       parallel_runs, sequential_fallbacks, partitions, tasks,
@@ -181,8 +178,8 @@ std::string ExecStats::ToJson() const {
       index_fallbacks, dense_groupby_runs, flat_hash_runs,
       dense_slot_fallbacks, arena_bytes, arena_resets, interner_hits,
       interner_misses, rewrites_applied, fused_pipelines, plan_fallbacks,
-      plan_cache_hits, aggregate_folds, rollup_patches, csr_tail_extends,
-      preagg_folds, preagg_fold_invalidations);
+      rollup_patches, csr_tail_extends, preagg_folds,
+      preagg_fold_invalidations);
   return buffer;
 }
 

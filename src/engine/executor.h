@@ -131,17 +131,17 @@ struct ExecStats {
   /// strictness/non-temporal gate failed, falling back to the memoized
   /// traversal (results are bit-identical either way).
   std::size_t index_fallbacks = 0;
-  /// Aggregate formations answered by the dense-slot group-by kernel:
-  /// every grouping dimension was covered by a flat rollup table (or
-  /// grouped at top) and the slot cross-product fit within
+  /// Group-by scans (aggregate formations, folds, fused reads) answered
+  /// by the dense-slot engine: every grouped dimension was covered by a
+  /// flat rollup table and the slot cross-product fit within
   /// ExecContext::max_dense_groupby_slots.
   std::size_t dense_groupby_runs = 0;
-  /// Group-bys answered by the open-addressing flat-hash kernel: an
-  /// aggregate formation whose slot space was too large or not fully
-  /// indexed, a relational group-by, or a pre-aggregate rollup merge —
-  /// whenever an execution context is supplied.
+  /// Group-bys answered by the open-addressing flat-hash engine: a
+  /// group-by scan whose slot space was too large or not fully indexed,
+  /// or — when an execution context is supplied — a relational group-by
+  /// or a pre-aggregate rollup merge.
   std::size_t flat_hash_runs = 0;
-  /// Aggregate formations that were structurally dense (all grouping
+  /// Group-by scans that were structurally dense (all grouped
   /// dimensions indexed) but whose slot cross-product exceeded
   /// max_dense_groupby_slots, demoting them to the flat-hash kernel.
   std::size_t dense_slot_fallbacks = 0;
@@ -170,13 +170,6 @@ struct ExecStats {
   /// pipeline, falling back to the tree-walk interpreter (results are
   /// byte-identical either way).
   std::size_t plan_fallbacks = 0;
-  /// Statements answered by a session's compiled-plan cache (keyed on
-  /// statement text + MO version), skipping parse-tree lowering and the
-  /// rewrite loop entirely.
-  std::size_t plan_cache_hits = 0;
-  /// Aggregate results produced by FoldAggregateAppend — a captured
-  /// formation resumed over appended facts instead of re-scanned.
-  std::size_t aggregate_folds = 0;
   /// Compiled rollup snapshots produced by patching the previous snapshot
   /// (dense-remap extension + CSR rebuild over the appended values)
   /// instead of a full recompile; each also counts an index_builds.
@@ -186,8 +179,8 @@ struct ExecStats {
   std::size_t csr_tail_extends = 0;
   /// Warm pre-aggregate entries delta-folded across an append batch.
   std::size_t preagg_folds = 0;
-  /// Warm pre-aggregate entries that could not fold (gate drift,
-  /// non-foldable function, rollup-derived entry) and were re-materialized
+  /// Warm pre-aggregate entries that could not fold (structural drift,
+  /// rollup-derived entry without a capture) and were re-materialized
   /// from scratch instead.
   std::size_t preagg_fold_invalidations = 0;
 
@@ -205,8 +198,9 @@ struct ExecStats {
 /// Execution context threaded through AggregateFormation, Join, the
 /// timeslice operators, PreAggregateCache::Query/Materialize,
 /// relational::Aggregate and mdql::Session::Execute. The default context
-/// (num_threads = 1) is exactly the sequential engine, so every caller
-/// that does not pass a context is unchanged. A context is owned by one
+/// (num_threads = 1) is the sequential engine; the aggregation entry
+/// points (AggregateFormation, FoldAggregateAppend, AggregateStream)
+/// treat a null context as a fresh default one. A context is owned by one
 /// query thread; the operators it is passed to fan work out to the
 /// shared pool internally, but the context itself is not thread-safe.
 struct ExecContext {

@@ -14,20 +14,16 @@ DenseSlotSpace::Plan DenseSlotSpace::Build(
   out->dims_.clear();
   out->dims_.reserve(dims.size());
   for (const GroupingDim& in : dims) {
+    if (!in.index->has_flat_table()) return Plan::kNotIndexed;
     Dim dim;
     dim.index = in.index;
-    dim.fixed_value = in.fixed_value;
-    if (in.index != nullptr) {
-      if (!in.index->has_flat_table()) return Plan::kNotIndexed;
-      const std::uint32_t* begin = in.index->CategoryBegin(in.category);
-      const std::uint32_t* end = in.index->CategoryEnd(in.category);
-      dim.range = begin;
-      dim.card = static_cast<std::uint64_t>(end - begin);
-      dim.ordinal_of_dense.assign(in.index->value_count(),
-                                  RollupIndex::kNone);
-      for (const std::uint32_t* it = begin; it != end; ++it) {
-        dim.ordinal_of_dense[*it] = static_cast<std::uint32_t>(it - begin);
-      }
+    const std::uint32_t* begin = in.index->CategoryBegin(in.category);
+    const std::uint32_t* end = in.index->CategoryEnd(in.category);
+    dim.range = begin;
+    dim.card = static_cast<std::uint64_t>(end - begin);
+    dim.ordinal_of_dense.assign(in.index->value_count(), RollupIndex::kNone);
+    for (const std::uint32_t* it = begin; it != end; ++it) {
+      dim.ordinal_of_dense[*it] = static_cast<std::uint32_t>(it - begin);
     }
     out->dims_.push_back(std::move(dim));
   }
@@ -51,10 +47,6 @@ void DenseSlotSpace::KeyOf(std::uint64_t slot, std::vector<ValueId>& key) const 
   key.resize(dims_.size());
   for (std::size_t i = dims_.size(); i-- > 0;) {
     const Dim& dim = dims_[i];
-    if (dim.index == nullptr) {
-      key[i] = dim.fixed_value;
-      continue;
-    }
     const std::uint64_t ordinal = slot % dim.card;
     slot /= dim.card;
     key[i] = dim.index->ValueOf(dim.range[ordinal]);

@@ -11,34 +11,33 @@
 
 namespace mddc {
 
-/// Shared building blocks of the group-by kernels (docs/groupby_kernel.md):
-/// the dense row-major slot space an aggregate formation composes from the
+/// Shared building blocks of the group-by engines (docs/groupby_kernel.md):
+/// the dense row-major slot space the group-by scan composes from the
 /// compiled rollup index, and the open-addressing flat-hash group index the
 /// sparse paths (and relational group-by) fall back to. Both exist to kill
-/// the per-fact heap-allocated GroupKey and the std::map node churn of the
-/// ordered-map baseline; the baseline itself stays untouched as the
-/// no-context differential ground truth.
+/// the per-fact heap-allocated group key and the std::map node churn of an
+/// ordered-map grouping; that ordered map survives only as the executable
+/// specification in tests/reference/.
 
 /// FNV-1a over `n` surrogate ids, byte by byte — the group-key hash shared
 /// by the flat-hash group index and the parallel partitioner, so a key's
 /// owning partition and its table slot derive from one computation.
 std::uint64_t HashValueIds(const ValueId* ids, std::size_t n);
 
-/// A row-major slot space over the grouping categories of an aggregate
-/// formation. Dimension 0 is the most significant digit and each
-/// dimension's digit is the rank of the coordinate value within its
-/// grouping category (categories are sorted by ValueId in the rollup
-/// snapshot), so ascending slot order IS the lexicographic ValueId key
-/// order of the ordered-map baseline — canonical output order falls out of
-/// the layout instead of a sort.
+/// A row-major slot space over the live grouping categories of a group-by
+/// scan. Dimension 0 is the most significant digit and each dimension's
+/// digit is the rank of the coordinate value within its grouping category
+/// (categories are sorted by ValueId in the rollup snapshot), so ascending
+/// slot order IS the lexicographic ValueId key order — canonical output
+/// order falls out of the layout instead of a sort.
 ///
 /// Holds raw pointers into the RollupIndex snapshots it was built from;
 /// callers keep those snapshots alive for the space's lifetime.
 class DenseSlotSpace {
  public:
   enum class Plan {
-    /// Every grouping dimension is covered (flat table or fixed at top)
-    /// and the slot cross-product fits the threshold.
+    /// Every grouping dimension has a flat table and the slot
+    /// cross-product fits the threshold.
     kDense,
     /// Structurally dense, but the cross-product exceeds `max_slots`.
     kTooManySlots,
@@ -46,13 +45,11 @@ class DenseSlotSpace {
     kNotIndexed,
   };
 
-  /// One grouping dimension: either backed by a compiled snapshot (the
-  /// grouping category's values become the digit range) or fixed to a
-  /// single value (a dimension grouped at top contributes one digit).
+  /// One grouping dimension, backed by a compiled snapshot: the grouping
+  /// category's values become the digit range.
   struct GroupingDim {
-    const RollupIndex* index = nullptr;  // null => fixed single-value dim
+    const RollupIndex* index = nullptr;
     CategoryTypeIndex category = 0;
-    ValueId fixed_value{};  // used when index == nullptr
   };
 
   /// Plans the slot space. Returns kDense and fills `out` when the
@@ -64,11 +61,9 @@ class DenseSlotSpace {
   std::uint64_t slot_count() const { return slot_count_; }
   std::size_t dim_count() const { return dims_.size(); }
   std::uint64_t cardinality(std::size_t i) const { return dims_[i].card; }
-  bool fixed(std::size_t i) const { return dims_[i].index == nullptr; }
 
   /// The digit of dense value `dense` in dimension `i`: its rank within
-  /// the grouping category. Only valid for values the flat table resolved
-  /// into the category (ancestors at it); fixed dimensions always use 0.
+  /// the grouping category, or RollupIndex::kNone for a value outside it.
   std::uint32_t OrdinalOf(std::size_t i, std::uint32_t dense) const {
     return dims_[i].ordinal_of_dense[dense];
   }
@@ -80,7 +75,6 @@ class DenseSlotSpace {
  private:
   struct Dim {
     const RollupIndex* index = nullptr;
-    ValueId fixed_value{};
     std::uint64_t card = 1;
     const std::uint32_t* range = nullptr;  // category dense ids, ascending
     std::vector<std::uint32_t> ordinal_of_dense;

@@ -134,9 +134,8 @@ Result<PreAggregateCache> PreAggregateCache::FoldAppend(
                                                      entry.fold, delta_facts,
                                                      exec);
       if (attempt.ok()) folded = std::move(*attempt);
-      // A failed fold (non-foldable function, structural drift, member
-      // order surprises) is not an error: the entry takes the rescan
-      // path below, exactly today's invalidate-and-recompute.
+      // A failed fold (structural drift, member order surprises) is not
+      // an error: the entry takes the rescan path below.
     }
     if (folded.has_value()) {
       if (exec != nullptr) ++exec->stats.preagg_folds;

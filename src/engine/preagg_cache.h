@@ -71,11 +71,10 @@ class PreAggregateCache {
 
   /// Builds the successor cache for `new_base` — this cache's base plus
   /// `delta_facts` appended (ascending, all above every published fact).
-  /// Entries with a valid capture and a foldable function resume via
-  /// FoldAggregateAppend, touching only the delta facts
-  /// (exec->stats.preagg_folds); entries whose fold gate fails — AVG,
-  /// expected counts, rollup-derived entries without capture, structural
-  /// drift — rematerialize from the new base with a full scan
+  /// Entries with a valid capture resume via FoldAggregateAppend,
+  /// touching only the delta facts (exec->stats.preagg_folds); entries
+  /// whose fold gate fails — rollup-derived entries without capture,
+  /// structural drift — rematerialize from the new base with a full scan
   /// (exec->stats.preagg_fold_invalidations), so every entry stays warm
   /// either way. Both paths produce bytes identical to materializing the
   /// entry against `new_base` from scratch.

@@ -137,11 +137,6 @@ struct Statement {
   std::optional<InsertStatement> insert;
   std::optional<DeleteStatement> del;
   bool explain = false;
-
-  /// The raw source text, filled by Parse(). The session's plan cache
-  /// keys on it (together with the target MO's version); statements
-  /// constructed by hand carry no text and simply bypass the cache.
-  std::string text;
 };
 
 }  // namespace mdql

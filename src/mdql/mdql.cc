@@ -193,44 +193,16 @@ Result<QueryResult> Session::ExecuteImpl(const Statement& statement,
   }
   if (statement.select.has_value()) {
     if (compile_options_.enable_compiler) {
-      // Plan cache: same text against the same MO version re-uses the
-      // compiler's fuse-or-fallback decision and skips lower+rewrite.
-      std::uint64_t version = 0;
-      if (auto vit = catalog_versions_.find(mo_name);
-          vit != catalog_versions_.end()) {
-        version = vit->second;
-      }
-      const bool* hint = nullptr;
-      bool cached_fused = false;
-      if (!statement.text.empty()) {
-        if (auto hit = plan_cache_.find(statement.text);
-            hit != plan_cache_.end() && hit->second.version == version) {
-          cached_fused = hit->second.fused;
-          hint = &cached_fused;
-          if (exec != nullptr) ++exec->stats.plan_cache_hits;
-        }
-      }
-      bool decision = false;
-      Result<QueryResult> result =
-          ExecuteCompiledSelect(it->second, *statement.select,
-                                compile_options_, exec, hint, &decision);
-      if (hint == nullptr && !statement.text.empty()) {
-        static constexpr std::size_t kPlanCacheCapacity = 256;
-        if (plan_cache_.size() >= kPlanCacheCapacity) plan_cache_.clear();
-        plan_cache_[statement.text] = PlanCacheEntry{version, decision};
-      }
-      return result;
+      return ExecuteCompiledSelect(it->second, *statement.select,
+                                   compile_options_, exec);
     }
     return ExecuteSelectTreeWalk(it->second, *statement.select, exec);
   }
-  if (statement.insert.has_value() || statement.del.has_value()) {
-    Result<QueryResult> ack =
-        statement.insert.has_value()
-            ? ApplyInsert(it->second, *statement.insert)
-            : ApplyDelete(it->second, *statement.del);
-    // The MO changed shape: cached plan decisions against it are stale.
-    if (ack.ok()) ++catalog_versions_[std::string(mo_name)];
-    return ack;
+  if (statement.insert.has_value()) {
+    return ApplyInsert(it->second, *statement.insert);
+  }
+  if (statement.del.has_value()) {
+    return ApplyDelete(it->second, *statement.del);
   }
   return ExecuteShow(it->second, *statement.show);
 }

@@ -110,25 +110,13 @@ class Session {
   /// Compiler configuration for this session's SELECTs (rewrite.h). The
   /// default compiles and fuses everything; the stress oracle's replay
   /// session turns the compiler off to serve as the interpreted side of
-  /// a compiled-vs-interpreted differential. Changing the options drops
-  /// the plan cache — cached decisions were made under the old rules.
+  /// a compiled-vs-interpreted differential.
   void set_compile_options(const CompileOptions& options) {
     compile_options_ = options;
-    plan_cache_.clear();
   }
   const CompileOptions& compile_options() const { return compile_options_; }
 
  private:
-  /// One plan-cache entry: the compiler's fuse-or-fallback decision for
-  /// a statement text, valid while the target MO is at `version`. The
-  /// decision is the whole compiled artifact — the fused stream executes
-  /// straight off the AST — so a hit skips lowering, the rewrite
-  /// fixpoint and the shape check entirely (stats.plan_cache_hits).
-  struct PlanCacheEntry {
-    std::uint64_t version = 0;
-    bool fused = false;
-  };
-
   Result<QueryResult> ExecuteImpl(const Statement& statement,
                                   ExecContext* exec);
 
@@ -136,13 +124,6 @@ class Session {
   // materializing a key string.
   std::map<std::string, MdObject, std::less<>> catalog_;
   CompileOptions compile_options_;
-  /// Keyed on raw statement text (which names the MO, so one key never
-  /// spans MOs). Bounded: wholesale-cleared at capacity.
-  std::map<std::string, PlanCacheEntry, std::less<>> plan_cache_;
-  /// Per-MO mutation counters: bumped on Register and on every
-  /// successful INSERT/DELETE, so cached plan decisions made against an
-  /// older shape of the MO self-invalidate.
-  std::map<std::string, std::uint64_t, std::less<>> catalog_versions_;
 };
 
 }  // namespace mdql

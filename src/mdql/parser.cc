@@ -344,9 +344,7 @@ class Parser {
 Result<Statement> Parse(const std::string& source) {
   MDDC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
   Parser parser(std::move(tokens));
-  MDDC_ASSIGN_OR_RETURN(Statement statement, parser.ParseStatement());
-  statement.text = source;
-  return statement;
+  return parser.ParseStatement();
 }
 
 }  // namespace mdql

@@ -251,23 +251,14 @@ Result<QueryResult> ExecuteFused(const MdObject& source,
 Result<QueryResult> ExecuteCompiledSelect(const MdObject& source,
                                           const SelectStatement& select,
                                           const CompileOptions& options,
-                                          ExecContext* exec,
-                                          const bool* fused_hint,
-                                          bool* fused_decision) {
-  bool fused;
-  if (fused_hint != nullptr) {
-    // Cached decision: the caller guarantees the (text, MO version) key
-    // still holds, so lower+rewrite+shape-check is skipped wholesale.
-    fused = *fused_hint;
-  } else {
-    PlanRef plan = LowerSelect(select.mo_name, &source, select);
-    RewriteOutcome rewritten =
-        Rewrite(std::move(plan), options.rewrites, exec);
-    std::string reason;
-    const PlanNode* agg = FusedShape(rewritten.plan, source, &reason);
-    fused = options.enable_fusion && agg != nullptr;
-  }
-  if (fused_decision != nullptr) *fused_decision = fused;
+                                          ExecContext* exec) {
+  // The fused stream executes straight off the AST, so the compile work
+  // (lower, rewrite fixpoint, shape check) only decides fuse-or-fallback.
+  PlanRef plan = LowerSelect(select.mo_name, &source, select);
+  RewriteOutcome rewritten = Rewrite(std::move(plan), options.rewrites, exec);
+  std::string reason;
+  const bool fused = options.enable_fusion &&
+                     FusedShape(rewritten.plan, source, &reason) != nullptr;
   if (!fused) {
     if (exec != nullptr) ++exec->stats.plan_fallbacks;
     return ExecuteSelectTreeWalk(source, select, exec);

@@ -22,21 +22,10 @@ namespace mdql {
 /// interpreter and counts stats.plan_fallbacks; a fused run counts
 /// stats.fused_pipelines. The rendered result is byte-identical to the
 /// interpreter either way, at any thread count.
-///
-/// The fused stream executes straight off the AST, so the compile work
-/// (lower, rewrite fixpoint, shape check) only produces the fuse-or-
-/// fallback DECISION — which is what the session's plan cache stores.
-/// `fused_hint` (optional) replays a cached decision, skipping the
-/// compile entirely; `fused_decision` (optional) reports the decision
-/// taken so the caller can cache it. Both are keyed outside this layer
-/// on (statement text, MO version), which pins every input the decision
-/// depends on.
 Result<QueryResult> ExecuteCompiledSelect(const MdObject& source,
                                           const SelectStatement& select,
                                           const CompileOptions& options,
-                                          ExecContext* exec = nullptr,
-                                          const bool* fused_hint = nullptr,
-                                          bool* fused_decision = nullptr);
+                                          ExecContext* exec = nullptr);
 
 /// EXPLAIN rendering: the logical plan before and after rewrites, the
 /// rules that fired, and the chosen physical operators (probing the

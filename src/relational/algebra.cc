@@ -228,7 +228,6 @@ Result<Relation> NaturalJoin(const Relation& r, const Relation& s) {
 namespace {
 
 using GroupMembers = std::vector<const Tuple*>;
-using GroupMap = std::map<std::vector<Value>, GroupMembers>;
 
 std::uint64_t GroupKeyHash(const std::vector<Value>& key) {
   std::uint64_t h = 1469598103934665603ull;
@@ -359,7 +358,7 @@ Result<Relation> Aggregate(const Relation& r,
   using OrderedGroup = std::pair<const std::vector<Value>*,
                                  const GroupMembers*>;
   std::vector<OrderedGroup> ordered;
-  GroupMap groups;                        // legacy engine storage
+  std::map<std::vector<Value>, GroupMembers> groups;  // legacy engine
   std::vector<FlatPartition> partitions;  // flat-hash engine storage
   if (exec != nullptr) {
     ++exec->stats.flat_hash_runs;

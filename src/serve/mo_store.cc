@@ -21,9 +21,11 @@ constexpr std::size_t kMaxForkDepth = 8;
 /// plus appended facts only. The published fact list must be a prefix of
 /// the draft's (facts are sorted, so the tail is then both ascending and
 /// above every published id), every relation entry beyond the published
-/// count must reference a tail fact, and no dimension may have changed
-/// structurally — new leaf values and edges under them only bump the
-/// append version. On success `delta` receives the appended tail.
+/// count must reference a tail fact, no published entry may have been
+/// edited in place (FactDimRelation::first_edited_entry), and no
+/// dimension may have changed structurally — new leaf values and edges
+/// under them only bump the append version. On success `delta` receives
+/// the appended tail.
 bool IsPureAppend(const MdObject& published, const MdObject& draft,
                   std::vector<FactId>* delta) {
   const std::vector<FactId>& old_facts = published.facts();
@@ -41,6 +43,9 @@ bool IsPureAppend(const MdObject& published, const MdObject& draft,
     const FactDimRelation& old_rel = published.relation(i);
     const FactDimRelation& new_rel = draft.relation(i);
     if (new_rel.size() < old_rel.size()) return false;
+    // An in-place coalesce on a published pair changed its lifespan; a
+    // fold would resume from the stale captured state.
+    if (new_rel.first_edited_entry() < old_rel.size()) return false;
     for (std::size_t e = old_rel.size(); e < new_rel.size(); ++e) {
       const FactDimRelation::Entry& entry = new_rel.entries()[e];
       if (old_facts.empty() || !(old_facts.back() < entry.fact)) return false;

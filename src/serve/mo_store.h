@@ -128,13 +128,10 @@ class MoStore {
   /// only the new facts' contributions instead of rescanning. A draft
   /// that fails the gate (structural edits, deletes, touched old facts)
   /// silently takes the full Seal path, so AppendBatch is always safe to
-  /// call. The gate itself demotes an appender that adds relation
-  /// entries for already-published facts (every appended entry must
-  /// reference a fact past the old tail); the one thing it cannot see is
-  /// an in-place coalesce — re-adding an existing (fact, value) pair
-  /// with a different lifespan. MDQL INSERT only ever relates with the
-  /// always-lifespan, for which the coalesce is an idempotent no-op;
-  /// direct-API appenders must avoid re-characterizing published facts.
+  /// call. The gate demotes an appender that adds relation entries for
+  /// already-published facts (every appended entry must reference a fact
+  /// past the old tail) or widens a published pair's lifespan in place
+  /// (a coalescing re-add); an idempotent re-add keeps the fast path.
   ///
   /// `stats` (optional) accumulates the engine counters of the seal —
   /// rollup_patches, csr_tail_extends, preagg_folds,

@@ -9,6 +9,7 @@
 #include "algebra/operators.h"
 #include "engine/executor.h"
 #include "io/serialize.h"
+#include "reference/aggregate_reference.h"
 #include "relational/algebra.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
@@ -229,13 +230,13 @@ AggregationType ResultBottomType(const MdObject& aggregated) {
   return type.AggType(type.bottom());
 }
 
-/// The differential oracle: the sequential algebra is ground truth; the
-/// parallel engine at 1, 2 and 8 threads must reproduce it down to the
-/// serialized bytes, including the result dimension's aggregation-type
-/// degradation.
+/// The differential oracle: the reference formation (tests/reference/)
+/// is ground truth; the engine at 1, 2 and 8 threads must reproduce it
+/// down to the serialized bytes, including the result dimension's
+/// aggregation-type degradation.
 void ExpectParallelMatchesSequential(const MdObject& mo,
                                      const AggregateSpec& spec) {
-  auto sequential = AggregateFormation(mo, spec);
+  auto sequential = reference::AggregateFormation(mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok()) << sequential_bytes.status();

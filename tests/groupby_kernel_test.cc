@@ -13,14 +13,15 @@
 #include "engine/rollup_index.h"
 #include "fixtures.h"
 #include "io/serialize.h"
+#include "reference/aggregate_reference.h"
 #include "relational/algebra.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
-// Coverage for the dense-slot / flat-hash group-by kernels
-// (docs/groupby_kernel.md): differential proof against the context-free
-// ordered-map baseline over schemas forcing each rung of the fallback
-// ladder, exact behaviour at the slot-threshold boundary, 50x
+// Coverage for the dense-slot / flat-hash engines of the group-by scan
+// (docs/groupby_kernel.md): differential proof against the reference
+// formation (tests/reference/) over schemas forcing each rung of the
+// fallback ladder, exact behaviour at the slot-threshold boundary, 50x
 // byte-identity at 1/2/8 threads through the dense kernel, the
 // NaN-payload result-interning regression, and the relational flat-hash
 // engine against its own baseline.
@@ -67,7 +68,7 @@ AggregateSpec SpecFor(const AggFunction& function,
 }
 
 std::string BaselineBytes(const MdObject& mo, const AggregateSpec& spec) {
-  auto baseline = AggregateFormation(mo, spec);
+  auto baseline = reference::AggregateFormation(mo, spec);
   EXPECT_TRUE(baseline.ok()) << baseline.status();
   auto bytes = io::WriteMo(*baseline);
   EXPECT_TRUE(bytes.ok());
@@ -276,8 +277,7 @@ TEST(GroupByKernelTest, DistinctResultsWithIdenticalFormattingDoNotCollide) {
 
   AggregateSpec spec = SpecFor(AggFunction::Sum(1),
                                {key, mo.dimension(1).type().top()});
-  auto check = [&](ExecContext* exec, const char* engine) {
-    auto result = AggregateFormation(mo, spec, exec);
+  auto check = [&](Result<MdObject> result, const char* engine) {
     ASSERT_TRUE(result.ok()) << result.status();
     const std::size_t result_dim = result->dimension_count() - 1;
     const CategoryTypeIndex bottom =
@@ -287,9 +287,9 @@ TEST(GroupByKernelTest, DistinctResultsWithIdenticalFormattingDoNotCollide) {
     EXPECT_EQ(result->dimension(result_dim).ValuesIn(bottom).size(), 2u)
         << engine;
   };
-  check(nullptr, "baseline engine");
+  check(reference::AggregateFormation(mo, spec), "reference");
   ExecContext ctx(1, /*min_facts=*/1);
-  check(&ctx, "kernel engine");
+  check(AggregateFormation(mo, spec, &ctx), "group-by scan");
 }
 
 // ---- Relational flat-hash engine ------------------------------------------

@@ -7,8 +7,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/date.h"
 #include "common/strings.h"
 #include "engine/executor.h"
+#include "io/serialize.h"
 #include "mdql/mdql.h"
 #include "mdql/parser.h"
 #include "serve/mdql_server.h"
@@ -104,6 +106,33 @@ void ExpectReadsMatch(serve::MoStore& incremental, serve::MoStore& rebuilt,
   }
 }
 
+/// Asserts both stores publish a warm entry for (function, grouping) and
+/// that the two serialize byte-identically.
+void ExpectWarmEntriesMatch(serve::MoStore& incremental,
+                            serve::MoStore& rebuilt,
+                            const AggFunction& function,
+                            const std::vector<CategoryTypeIndex>& grouping,
+                            const std::string& context) {
+  const auto inc_snapshot = incremental.Pin();
+  const auto full_snapshot = rebuilt.Pin();
+  const serve::PublishedMo* inc = inc_snapshot->Find("clinical");
+  const serve::PublishedMo* full = full_snapshot->Find("clinical");
+  ASSERT_NE(inc, nullptr);
+  ASSERT_NE(full, nullptr);
+  ASSERT_NE(inc->preagg, nullptr);
+  ASSERT_NE(full->preagg, nullptr);
+  const MdObject* inc_entry = inc->preagg->Peek(function, grouping);
+  const MdObject* full_entry = full->preagg->Peek(function, grouping);
+  ASSERT_NE(inc_entry, nullptr) << context;
+  ASSERT_NE(full_entry, nullptr) << context;
+  auto inc_bytes = io::WriteMo(*inc_entry);
+  auto full_bytes = io::WriteMo(*full_entry);
+  ASSERT_TRUE(inc_bytes.ok()) << inc_bytes.status();
+  ASSERT_TRUE(full_bytes.ok()) << full_bytes.status();
+  EXPECT_EQ(*inc_bytes, *full_bytes)
+      << context << ": warm " << function.name() << " entries differ";
+}
+
 TEST(IngestDifferentialTest, AppendedEpochsMatchFullRebuild) {
   const ClinicalWorkloadParams params = SmallParams(300);
   ClinicalMo clinical = Build(params);
@@ -172,6 +201,8 @@ TEST(IngestDifferentialTest, AppendedEpochsMatchFullRebuild) {
     ASSERT_TRUE(rebuilt.Mutate("clinical", appender).ok()) << "batch " << batch;
 
     ExpectReadsMatch(incremental, rebuilt, StrCat("batch ", batch));
+    ExpectWarmEntriesMatch(incremental, rebuilt, AggFunction::SetCount(),
+                           grouping, StrCat("batch ", batch));
   }
 
   // Every batch took the fast path...
@@ -185,13 +216,6 @@ TEST(IngestDifferentialTest, AppendedEpochsMatchFullRebuild) {
   EXPECT_GT(append_stats.rollup_patches, 0u);
   EXPECT_GT(append_stats.preagg_folds, 0u);
 
-  // The warm entry is present (peekable without computing) on the
-  // patched store's published snapshot.
-  const auto snapshot = incremental.Pin();
-  const serve::PublishedMo* entry = snapshot->Find("clinical");
-  ASSERT_NE(entry, nullptr);
-  ASSERT_NE(entry->preagg, nullptr);
-  EXPECT_NE(entry->preagg->Peek(AggFunction::SetCount(), grouping), nullptr);
 }
 
 TEST(IngestDifferentialTest, StructuralMutationMidStreamFallsBack) {
@@ -257,6 +281,8 @@ TEST(IngestDifferentialTest, StructuralMutationMidStreamFallsBack) {
         << "op " << op;
     ASSERT_TRUE(rebuilt.Mutate("clinical", stream[op]).ok()) << "op " << op;
     ExpectReadsMatch(incremental, rebuilt, StrCat("op ", op));
+    ExpectWarmEntriesMatch(incremental, rebuilt, AggFunction::SetCount(),
+                           grouping, StrCat("op ", op));
   }
 
   const serve::MoStore::Stats stats = incremental.CollectStats();
@@ -264,7 +290,99 @@ TEST(IngestDifferentialTest, StructuralMutationMidStreamFallsBack) {
   EXPECT_EQ(stats.append_fallbacks, 2u);  // delete + old-fact re-relate
 }
 
-TEST(ServerSessionIngestTest, RoutesInsertsThroughAppendPathAndCachesPlans) {
+TEST(IngestDifferentialTest, WidenedPublishedLifespanFallsBack) {
+  const ClinicalWorkloadParams params = SmallParams(150);
+  ClinicalMo clinical = Build(params);
+  const std::size_t lows = clinical.num_low_level;
+  const std::size_t areas =
+      params.num_regions * params.counties_per_region * params.areas_per_county;
+
+  // A published diagnosis pair whose valid time is bounded, on a
+  // low-level value no other patient has: its group's link lifespan is
+  // exactly the pair's, so a stale fold would show in the warm entry.
+  const MdObject& mo = clinical.mo;
+  const FactDimRelation& relation = mo.relation(clinical.diagnosis_dim);
+  const Dimension& diagnosis = mo.dimension(clinical.diagnosis_dim);
+  std::size_t chosen = relation.size();
+  for (std::size_t e = 0; e < relation.size() && chosen == relation.size();
+       ++e) {
+    const FactDimRelation::Entry& entry = relation.entries()[e];
+    auto category = diagnosis.CategoryOf(entry.value);
+    auto membership = diagnosis.MembershipOf(entry.value);
+    if (category.ok() && *category == clinical.low_level &&
+        membership.ok() && membership->IsAlways() &&
+        !entry.life.IsAlways() &&
+        relation.EntryIndexesForValue(entry.value).size() == 1) {
+      chosen = e;
+    }
+  }
+  ASSERT_LT(chosen, relation.size());
+  const FactDimRelation::Entry widened = relation.entries()[chosen];
+  const Lifespan earlier{
+      TemporalElement(Interval(*ParseDate("01/01/60"), *ParseDate("31/12/60"))),
+      widened.life.transaction};
+
+  MdObject seed_inc = clinical.mo;
+  MdObject seed_full = clinical.mo;
+  serve::MoStore incremental;
+  serve::MoStore rebuilt;
+  ASSERT_TRUE(incremental.Publish("clinical", std::move(seed_inc)).ok());
+  ASSERT_TRUE(rebuilt.Publish("clinical", std::move(seed_full)).ok());
+  std::vector<CategoryTypeIndex> by_low(mo.dimension_count());
+  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
+    by_low[i] = mo.dimension(i).type().top();
+  }
+  by_low[clinical.diagnosis_dim] = clinical.low_level;
+  for (serve::MoStore* store : {&incremental, &rebuilt}) {
+    ASSERT_TRUE(
+        store->WarmAggregate("clinical", AggFunction::SetCount(), by_low).ok());
+  }
+
+  // New facts plus an in-place coalesce on the published pair: the same
+  // (fact, value) re-related with an earlier valid time unions into the
+  // existing entry instead of appending one.
+  auto parsed = mdql::Parse(BulkInsert(95000000, 4, lows, areas));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto appender = [&](MdObject& draft) -> Status {
+    MDDC_RETURN_NOT_OK(mdql::ApplyInsert(draft, *parsed->insert).status());
+    const std::size_t before = draft.relation(clinical.diagnosis_dim).size();
+    MDDC_RETURN_NOT_OK(draft.Relate(clinical.diagnosis_dim, widened.fact,
+                                    widened.value, earlier, widened.prob));
+    if (draft.relation(clinical.diagnosis_dim).size() != before) {
+      return Status::InvariantViolation("the re-relate did not coalesce");
+    }
+    return Status::OK();
+  };
+  ASSERT_TRUE(incremental.AppendBatch("clinical", appender).ok());
+  ASSERT_TRUE(rebuilt.Mutate("clinical", appender).ok());
+
+  const serve::MoStore::Stats stats = incremental.CollectStats();
+  EXPECT_EQ(stats.append_batches, 0u);
+  EXPECT_EQ(stats.append_fallbacks, 1u);
+  ExpectReadsMatch(incremental, rebuilt, "widened");
+  ExpectWarmEntriesMatch(incremental, rebuilt, AggFunction::SetCount(),
+                         by_low, "widened");
+
+  // Re-relating the same pair with a lifespan it already covers is an
+  // idempotent coalesce, not an edit: the batch stays on the append path.
+  auto parsed_again = mdql::Parse(BulkInsert(95000100, 2, lows, areas));
+  ASSERT_TRUE(parsed_again.ok()) << parsed_again.status();
+  auto idempotent = [&](MdObject& draft) -> Status {
+    MDDC_RETURN_NOT_OK(
+        mdql::ApplyInsert(draft, *parsed_again->insert).status());
+    return draft.Relate(clinical.diagnosis_dim, widened.fact, widened.value,
+                        earlier, widened.prob);
+  };
+  ASSERT_TRUE(incremental.AppendBatch("clinical", idempotent).ok());
+  ASSERT_TRUE(rebuilt.Mutate("clinical", idempotent).ok());
+  EXPECT_EQ(incremental.CollectStats().append_batches, 1u);
+  EXPECT_EQ(incremental.CollectStats().append_fallbacks, 1u);
+  ExpectReadsMatch(incremental, rebuilt, "idempotent");
+  ExpectWarmEntriesMatch(incremental, rebuilt, AggFunction::SetCount(),
+                         by_low, "idempotent");
+}
+
+TEST(ServerSessionIngestTest, RoutesInsertsThroughAppendPath) {
   const ClinicalWorkloadParams params = SmallParams(150);
   ClinicalMo clinical = Build(params);
   const std::size_t lows = clinical.num_low_level;
@@ -292,16 +410,6 @@ TEST(ServerSessionIngestTest, RoutesInsertsThroughAppendPathAndCachesPlans) {
   ASSERT_EQ(del->rows.size(), 1u);
   EXPECT_NE(del->rows[0][2].find("full-rebuild"), std::string::npos);
   EXPECT_EQ(store.CollectStats().append_batches, 1u);
-
-  // Repeated dashboard reads hit the session plan cache (same text,
-  // same published epoch → same MO version in the view session).
-  const std::string query =
-      "SELECT COUNT FROM clinical BY Residence.Region";
-  ASSERT_TRUE(session.Execute(query).ok());
-  const std::uint64_t hits_after_first = session.stats().exec.plan_cache_hits;
-  ASSERT_TRUE(session.Execute(query).ok());
-  ASSERT_TRUE(session.Execute(query).ok());
-  EXPECT_GE(session.stats().exec.plan_cache_hits, hits_after_first + 2);
 }
 
 TEST(ServerSessionIngestTest, AdvisorWarmsTheSessionsHotGroupings) {

@@ -12,6 +12,7 @@
 #include "engine/preagg_cache.h"
 #include "fixtures.h"
 #include "io/serialize.h"
+#include "reference/aggregate_reference.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -327,7 +328,7 @@ TEST(RollupIndexEndToEndTest, AggregateCountsHitsAndMatchesSequential) {
       SpecFor(AggFunction::Sum(retail.amount_dim),
               GroupingAt(retail.mo, retail.product_dim, retail.category));
 
-  auto sequential = AggregateFormation(retail.mo, spec);
+  auto sequential = reference::AggregateFormation(retail.mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok());
@@ -353,7 +354,7 @@ TEST(RollupIndexEndToEndTest, NonStrictAggregateCountsFallbacks) {
       AggFunction::SetCount(),
       GroupingAt(clinical.mo, clinical.diagnosis_dim, clinical.family));
 
-  auto sequential = AggregateFormation(clinical.mo, spec);
+  auto sequential = reference::AggregateFormation(clinical.mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok());
@@ -459,7 +460,7 @@ TEST(RollupIndexEndToEndTest,
   // The ISSUE's invalidation contract end to end: compile snapshots by
   // running on the engine, mutate a grouping dimension, and prove the
   // stale snapshot is rejected — recompiled, never consulted — with
-  // results byte-identical to the sequential algebra at 1/2/8 threads.
+  // results byte-identical to the reference formation at 1/2/8 threads.
   RetailMo retail = BuildRetail();
   AggregateSpec spec =
       SpecFor(AggFunction::Sum(retail.amount_dim),
@@ -480,7 +481,7 @@ TEST(RollupIndexEndToEndTest,
   ASSERT_TRUE(products.AddOrder(ValueId(999983), category_value).ok());
   EXPECT_TRUE(stale->StaleFor(products));
 
-  auto sequential = AggregateFormation(retail.mo, spec);
+  auto sequential = reference::AggregateFormation(retail.mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok());
