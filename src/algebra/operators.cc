@@ -473,39 +473,95 @@ std::optional<Lifespan> OptLife(const Lifespan& life) {
   return life;
 }
 
-/// Per-dimension entry spans aligned to the visited facts: `[i][f]` is
-/// relation i's entry-index run for facts[f] (empty when the fact has no
-/// pairs there). Built once per scan by sweeping each relation's CSR
-/// by-fact view (FactDimRelation::FactSpans) in lockstep with the
-/// ascending fact list, starting at the first visited fact — a fold over
-/// an appended tail sweeps only the tail's spans.
-using FactEntryLists = std::vector<std::vector<FactDimRelation::EntrySpan>>;
+/// One wanted relation as a scan reads it, aligned with the visited
+/// facts: each fact's row in the CSR by-fact view
+/// (FactDimRelation::FactSpans) and, when the gather path is on, its
+/// dense-id column slot.
+struct ScanRelation {
+  static constexpr std::uint32_t kNoRow = 0xffffffffu;
 
-FactEntryLists BuildFactEntryLists(const MdObject& mo,
-                                   std::span<const FactId> facts,
-                                   const std::vector<bool>& wanted) {
-  FactEntryLists fact_entries(mo.dimension_count());
+  const FactDimRelation::FactSpan* spans = nullptr;
+  const std::size_t* span_entries = nullptr;
+  /// Per visited fact: its CSR row, or kNoRow when it has no pairs here.
+  /// Empty when the visited facts are exactly the rows from `first_row`
+  /// on (every fact of an MO has pairs in every dimension, so a scan of
+  /// all facts, or of an appended tail, usually is).
+  std::vector<std::uint32_t> rows;
+  std::size_t first_row = 0;
+  /// Per visited fact: its column slot (kNoDense without a row); null
+  /// when there is no usable column. Points into the column itself when
+  /// `rows` is empty, else into `dense_storage`.
+  const std::uint32_t* dense = nullptr;
+  std::vector<std::uint32_t> dense_storage;
+
+  FactDimRelation::EntrySpan EntriesOf(std::size_t f) const {
+    const std::size_t row = rows.empty() ? first_row + f : rows[f];
+    if (row == kNoRow) return {};
+    const FactDimRelation::FactSpan& span = spans[row];
+    return {span_entries + span.begin, span.end - span.begin};
+  }
+};
+
+/// Builds the ScanRelation of each dimension with a snapshot in
+/// `numberings`: one sweep of the relation's CSR rows in lockstep with the
+/// ascending visited facts, starting at the first visited fact — a fold
+/// over an appended tail sweeps only the tail's rows. With `gather` the
+/// relation's dense column is read too; `gather` turns false when some
+/// relation has no column under its snapshot's numbering.
+std::vector<ScanRelation> BuildScanRelations(
+    const MdObject& mo, std::span<const FactId> facts,
+    const std::vector<std::shared_ptr<const RollupIndex>>& numberings,
+    bool* gather) {
+  std::vector<ScanRelation> relations(mo.dimension_count());
+  std::vector<const std::uint32_t*> columns(mo.dimension_count(), nullptr);
+  for (std::size_t i = 0; i < mo.dimension_count() && *gather; ++i) {
+    if (numberings[i] == nullptr) continue;
+    const std::vector<std::uint32_t>* column =
+        mo.relation(i).DenseColumn(numberings[i]->numbering());
+    *gather = column != nullptr;
+    if (*gather) columns[i] = column->data();
+  }
   for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    if (!wanted[i] || facts.empty()) continue;
-    fact_entries[i].assign(facts.size(), FactDimRelation::EntrySpan{});
+    if (numberings[i] == nullptr) continue;
     const FactDimRelation& relation = mo.relation(i);
     const std::vector<FactDimRelation::FactSpan>& spans =
         relation.FactSpans();
-    const std::size_t* base = relation.SpanEntryIndexes().data();
-    auto span = std::lower_bound(spans.begin(), spans.end(), facts.front(),
-                                 [](const FactDimRelation::FactSpan& s,
-                                    FactId f) { return s.fact < f; });
+    ScanRelation& out = relations[i];
+    out.spans = spans.data();
+    out.span_entries = relation.SpanEntryIndexes().data();
+    const std::uint32_t* column = *gather ? columns[i] : nullptr;
+    auto span = facts.empty()
+                    ? spans.end()
+                    : std::lower_bound(spans.begin(), spans.end(),
+                                       facts.front(),
+                                       [](const FactDimRelation::FactSpan& s,
+                                          FactId f) { return s.fact < f; });
+    out.first_row = static_cast<std::size_t>(span - spans.begin());
+    if (static_cast<std::size_t>(spans.end() - span) >= facts.size() &&
+        std::equal(facts.begin(), facts.end(), span,
+                   [](FactId f, const FactDimRelation::FactSpan& s) {
+                     return f == s.fact;
+                   })) {
+      if (column != nullptr) out.dense = column + out.first_row;
+      continue;
+    }
+    out.rows.assign(facts.size(), ScanRelation::kNoRow);
+    if (column != nullptr) {
+      out.dense_storage.assign(facts.size(), FactDimRelation::kNoDense);
+      out.dense = out.dense_storage.data();
+    }
     std::size_t f = 0;
     for (; span != spans.end(); ++span) {
       while (f < facts.size() && facts[f] < span->fact) ++f;
       if (f == facts.size()) break;
       if (facts[f] == span->fact) {
-        fact_entries[i][f] = FactDimRelation::EntrySpan{
-            base + span->begin, span->end - span->begin};
+        const auto row = static_cast<std::uint32_t>(span - spans.begin());
+        out.rows[f] = row;
+        if (column != nullptr) out.dense_storage[f] = column[row];
       }
     }
   }
-  return fact_entries;
+  return relations;
 }
 
 /// A fact's per-live-dimension coordinate lists, bump-allocated in the
@@ -607,16 +663,43 @@ struct FactContribution {
   std::optional<Lifespan> arg_life;
 };
 
-/// Numeric values memoized per distinct argument ValueId (NumericValueOf
-/// is a function of the value id alone for a fixed prob_at), so the
-/// contribution pass does array walks instead of representation lookups
-/// and strtod per entry.
-using NumericValueCache = std::unordered_map<std::uint64_t, Result<double>>;
+/// Numeric values of one argument dimension, memoized per distinct value
+/// a scan reads (NumericValueOf is a function of the value id alone for a
+/// fixed prob_at), so contributions are array reads instead of
+/// representation lookups and strtod per entry. Gathered facts read
+/// `dense` by dense id; coordinate-path entries and every failure live in
+/// `by_value`, so a sticky error is NumericValueOf's own Status. Filled
+/// sequentially: NumericValueOf reads lazily memoized dimension state.
+struct NumericValueCache {
+  enum State : std::uint8_t { kUnknown, kKnown, kFailed };
+  std::vector<double> dense;
+  std::vector<std::uint8_t> state;
+  std::unordered_map<std::uint64_t, Result<double>> by_value;
+
+  void FillValue(const Dimension& dimension, ValueId value, Chronon at) {
+    if (value == dimension.top_value() || by_value.contains(value.raw())) {
+      return;
+    }
+    by_value.emplace(value.raw(), dimension.NumericValueOf(value, at));
+  }
+  void FillDense(const Dimension& dimension, const RollupIndex& index,
+                 std::uint32_t d, Chronon at) {
+    if (state[d] != kUnknown) return;
+    Result<double> value = dimension.NumericValueOf(index.ValueOf(d), at);
+    if (value.ok()) {
+      dense[d] = *value;
+      state[d] = kKnown;
+    } else {
+      state[d] = kFailed;
+      by_value.emplace(index.ValueOf(d).raw(), std::move(value));
+    }
+  }
+};
 
 FactContribution ContributionOf(const MdObject& mo, const AccumClass& cls,
                                 Chronon prob_at,
                                 FactDimRelation::EntrySpan entries,
-                                const NumericValueCache& numeric_values,
+                                const NumericValueCache& numeric,
                                 Arena* arena) {
   FactContribution c(arena);
   const FactDimRelation& relation = mo.relation(cls.dim);
@@ -648,9 +731,9 @@ FactContribution ContributionOf(const MdObject& mo, const AccumClass& cls,
       ++c.counted;
       continue;
     }
-    auto cached = numeric_values.find(entry.value.raw());
+    auto cached = numeric.by_value.find(entry.value.raw());
     const Result<double> value =
-        cached != numeric_values.end()
+        cached != numeric.by_value.end()
             ? cached->second
             : dimension.NumericValueOf(entry.value, prob_at);
     if (!value.ok()) {
@@ -726,8 +809,7 @@ struct ScanPartition {
         life(ArenaAllocator<std::optional<Lifespan>>(a)),
         prob(ArenaAllocator<double>(a)),
         expected(ArenaAllocator<double>(a)),
-        inc_group(ArenaAllocator<std::uint32_t>(a)),
-        inc_fact(ArenaAllocator<FactId>(a)) {}
+        incidences(ArenaAllocator<std::uint64_t>(a)) {}
 
   /// Appends a group, fresh or resuming `seeds[seed]`; returns its ordinal.
   std::uint32_t AddGroup(const std::vector<ScanGroup>& seeds,
@@ -772,10 +854,14 @@ struct ScanPartition {
   ArenaVec<double> prob;                             // stride nl
   ArenaVec<double> expected;
   /// Membership incidences in scan order (ascending fact within each
-  /// group, since the scan walks facts ascending), scattered into
-  /// per-group member lists at emission.
-  ArenaVec<std::uint32_t> inc_group;
-  ArenaVec<FactId> inc_fact;
+  /// group, since the scan walks facts ascending), each the group ordinal
+  /// in the high half and the fact's position among the visited facts in
+  /// the low half; scattered into per-group member lists at emission.
+  ArenaVec<std::uint64_t> incidences;
+  void AddIncidence(std::uint32_t group, std::size_t f) {
+    ++hits[group];
+    incidences.push_back(std::uint64_t{group} << 32 | f);
+  }
 };
 
 /// Intersects `life` (nullopt = an untouched AlwaysSpan) with `with`,
@@ -818,9 +904,10 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   }
   const std::size_t nl = live.size();
 
-  // 0. Compiled rollup snapshots for the live dimensions. A dimension
-  //    whose snapshot fails the strictness/non-temporal gate takes the
-  //    memoized characterization walk instead.
+  // 0. Compiled rollup snapshots. A live dimension resolves coordinates
+  //    through its flat table; one whose snapshot fails the
+  //    strictness/non-temporal gate takes the memoized characterization
+  //    walk instead. An argument dimension needs only the dense numbering.
   std::vector<std::shared_ptr<const RollupIndex>> indexes(n);
   for (std::size_t i : live) {
     std::shared_ptr<const RollupIndex> index =
@@ -832,98 +919,14 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
       ++exec.stats.index_fallbacks;
     }
   }
-  std::vector<bool> wanted(n, false);
-  for (std::size_t i : live) wanted[i] = indexes[i] != nullptr;
+  std::vector<std::shared_ptr<const RollupIndex>> numberings = indexes;
   for (const AccumClass& cls : classes) {
-    if (!cls.bad_dim) wanted[cls.dim] = true;
-  }
-  const FactEntryLists fact_entries =
-      BuildFactEntryLists(mo, facts, wanted);
-
-  // Per-fact passes fan out over fact chunks, each chunk bumping its own
-  // worker arena.
-  auto for_fact_chunks = [&](const auto& fill) {
-    if (!parallel) {
-      fill(std::size_t{0}, facts.size(), &exec.arena);
-      return;
+    if (!cls.bad_dim && numberings[cls.dim] == nullptr) {
+      numberings[cls.dim] =
+          RollupIndex::For(mo.dimension(cls.dim), &exec.stats);
     }
-    const std::size_t chunks = std::min(facts.size(), exec.num_threads * 4);
-    exec.EnsureWorkerArenas(chunks);
-    exec.pool().ParallelFor(chunks, [&](std::size_t chunk) {
-      fill(chunk * facts.size() / chunks, (chunk + 1) * facts.size() / chunks,
-           &exec.worker_arena(chunk));
-    });
-    exec.stats.tasks += chunks;
-  };
-
-  // 1. Live coordinates per visited fact. A fact with an empty list in
-  //    some live dimension joins no group; a false keep entry is skipped
-  //    outright (selection pushdown without materializing the Select).
-  if (parallel) {
-    // The fan-out only ever reads the dimensions.
-    for (std::size_t i : live) mo.dimension(i).WarmClosureMemo();
   }
-  std::vector<std::optional<CoordLists>> coords(facts.size());
-  for_fact_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
-    for (std::size_t f = begin; f < end; ++f) {
-      if (request.keep != nullptr && !(*request.keep)[f]) continue;
-      CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
-      per_dim.reserve(nl);
-      bool joins = true;
-      for (std::size_t j = 0; j < nl && joins; ++j) {
-        const std::size_t i = live[j];
-        per_dim.emplace_back(ArenaAllocator<Coordinate>(arena));
-        AppendDimCoordinates(
-            mo, i, grouping[i], request.prob_at, indexes[i].get(), facts[f],
-            indexes[i] != nullptr ? fact_entries[i][f]
-                                  : FactDimRelation::EntrySpan{},
-            per_dim[j]);
-        joins = !per_dim[j].empty();
-      }
-      if (joins) coords[f] = std::move(per_dim);
-    }
-  });
-
-  // 2. Per-class contributions of the joining facts. Numeric parsing is
-  //    hoisted into a per-distinct-value cache over exactly the entry runs
-  //    the pass reads — sequentially, since NumericValueOf reads lazily
-  //    memoized dimension state.
-  std::vector<std::vector<FactContribution>> contribs(nclasses);
-  std::vector<NumericValueCache> caches(nclasses);
-  for (std::size_t c = 0; c < nclasses; ++c) {
-    const AccumClass& cls = classes[c];
-    if (cls.bad_dim) continue;
-    const std::vector<FactDimRelation::EntrySpan>& runs =
-        fact_entries[cls.dim];
-    if (!cls.counts) {
-      const Dimension& dimension = mo.dimension(cls.dim);
-      const std::vector<FactDimRelation::Entry>& entries =
-          mo.relation(cls.dim).entries();
-      for (std::size_t f = 0; f < facts.size(); ++f) {
-        if (!coords[f].has_value()) continue;
-        for (std::size_t e : runs[f]) {
-          const ValueId value = entries[e].value;
-          if (value == dimension.top_value() ||
-              caches[c].find(value.raw()) != caches[c].end()) {
-            continue;
-          }
-          caches[c].emplace(value.raw(),
-                            dimension.NumericValueOf(value, request.prob_at));
-        }
-      }
-    }
-    contribs[c].resize(facts.size());
-    for_fact_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
-      for (std::size_t f = begin; f < end; ++f) {
-        if (coords[f].has_value()) {
-          contribs[c][f] = ContributionOf(mo, cls, request.prob_at, runs[f],
-                                          caches[c], arena);
-        }
-      }
-    });
-  }
-
-  // 3. Engine selection over the live axes (dead dimensions never widen
+  // 1. Engine selection over the live axes (dead dimensions never widen
   //    the slot product).
   bool dense = false;
   DenseSlotSpace space;
@@ -953,7 +956,172 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   }
   ++(dense ? exec.stats.dense_groupby_runs : exec.stats.flat_hash_runs);
 
-  // 4. Partitions: contiguous dense-slot ranges, or keys by hash.
+  // 2. The gather path (docs/groupby_kernel.md): when every live
+  //    dimension has a flat table and every wanted relation a dense column
+  //    under the pinned snapshot's numbering, a visited fact with a column
+  //    hit in each wanted dimension is resolved by array gathers — no
+  //    coordinate list, no contribution. Every other visited fact is
+  //    walked through coordinate lists; both meet in the one scan loop.
+  bool gather = std::all_of(live.begin(), live.end(), [&](std::size_t i) {
+    return indexes[i] != nullptr;
+  });
+  const std::vector<ScanRelation> relations =
+      BuildScanRelations(mo, facts, numberings, &gather);
+  // Per live dimension, what a dense id contributes to a gathered fact,
+  // tabulated once over the snapshot's ids: its slot digit
+  // OrdinalOf(AncestorAt(d, category)) (0 under flat hash; kNone when it
+  // has no ancestor there, so the fact joins no group, exactly as its
+  // empty coordinate list would), its key value (flat hash), and its
+  // coordinate probability AncestorProbAt (= 1.0 x p).
+  struct GatherAxis {
+    const std::uint32_t* dense = nullptr;  // per visited fact
+    std::vector<std::uint32_t> digit;
+    std::vector<ValueId> key;
+    std::vector<double> prob;
+  };
+  std::vector<GatherAxis> axes(nl);
+  // True when every coordinate probability is 1.0: x 1.0 is exact, so the
+  // probability folds can be skipped.
+  bool unit_prob = true;
+  for (std::size_t j = 0; j < nl && gather; ++j) {
+    const RollupIndex& index = *indexes[live[j]];
+    const CategoryTypeIndex category = grouping[live[j]];
+    GatherAxis& axis = axes[j];
+    axis.dense = relations[live[j]].dense;
+    axis.digit.assign(index.value_count(), RollupIndex::kNone);
+    if (!dense) axis.key.resize(index.value_count());
+    axis.prob.resize(index.value_count());
+    for (std::uint32_t d = 0; d < index.value_count(); ++d) {
+      const std::uint32_t ancestor = index.AncestorAt(d, category);
+      if (ancestor == RollupIndex::kNone) continue;
+      axis.digit[d] = dense ? space.OrdinalOf(j, ancestor) : 0;
+      if (!dense) axis.key[d] = index.ValueOf(ancestor);
+      axis.prob[d] = index.AncestorProbAt(d, category);
+      unit_prob = unit_prob && axis.prob[d] == 1.0;
+    }
+  }
+  // route[f]: kSkipped (not kept, or gathered into no group), kGathered,
+  // or the fact's index among the walked facts.
+  constexpr std::uint32_t kSkipped = 0xffffffffu;
+  constexpr std::uint32_t kGathered = 0xfffffffeu;
+  std::vector<const std::uint32_t*> wanted_slots;
+  for (const ScanRelation& relation : relations) {
+    if (relation.dense != nullptr) wanted_slots.push_back(relation.dense);
+  }
+  std::vector<std::uint32_t> route(facts.size(), kSkipped);
+  std::vector<std::uint32_t> walked;
+  std::size_t gathered = 0;
+  std::size_t gathered_joins = 0;
+  for (std::size_t f = 0; f < facts.size(); ++f) {
+    if (request.keep != nullptr && !(*request.keep)[f]) continue;
+    bool hit = gather;
+    for (const std::uint32_t* slots : wanted_slots) {
+      hit &= slots[f] != FactDimRelation::kNoDense;
+    }
+    if (!hit) {
+      route[f] = static_cast<std::uint32_t>(walked.size());
+      walked.push_back(static_cast<std::uint32_t>(f));
+      continue;
+    }
+    bool joins = true;
+    for (const GatherAxis& axis : axes) {
+      joins &= axis.digit[axis.dense[f]] != RollupIndex::kNone;
+    }
+    route[f] = joins ? kGathered : kSkipped;
+    ++gathered;
+    gathered_joins += joins ? 1 : 0;
+  }
+  exec.stats.facts_gathered += gathered;
+  exec.stats.facts_walked += walked.size();
+
+  // Per-walked-fact passes fan out over chunks, each chunk bumping its
+  // own worker arena.
+  auto for_walked_chunks = [&](const auto& fill) {
+    if (!parallel || walked.empty()) {
+      fill(std::size_t{0}, walked.size(), &exec.arena);
+      return;
+    }
+    const std::size_t chunks = std::min(walked.size(), exec.num_threads * 4);
+    exec.EnsureWorkerArenas(chunks);
+    exec.pool().ParallelFor(chunks, [&](std::size_t chunk) {
+      fill(chunk * walked.size() / chunks,
+           (chunk + 1) * walked.size() / chunks, &exec.worker_arena(chunk));
+    });
+    exec.stats.tasks += chunks;
+  };
+
+  // 3. Live coordinates per walked fact. A fact with an empty list in
+  //    some live dimension joins no group.
+  if (parallel) {
+    // The fan-out only ever reads the dimensions.
+    for (std::size_t i : live) mo.dimension(i).WarmClosureMemo();
+  }
+  std::vector<std::optional<CoordLists>> coords(walked.size());
+  for_walked_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
+    for (std::size_t w = begin; w < end; ++w) {
+      const std::size_t f = walked[w];
+      CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
+      per_dim.reserve(nl);
+      bool joins = true;
+      for (std::size_t j = 0; j < nl && joins; ++j) {
+        const std::size_t i = live[j];
+        per_dim.emplace_back(ArenaAllocator<Coordinate>(arena));
+        AppendDimCoordinates(
+            mo, i, grouping[i], request.prob_at, indexes[i].get(), facts[f],
+            indexes[i] != nullptr ? relations[i].EntriesOf(f)
+                                  : FactDimRelation::EntrySpan{},
+            per_dim[j]);
+        joins = !per_dim[j].empty();
+      }
+      if (joins) coords[w] = std::move(per_dim);
+    }
+  });
+
+  // 4. Per-class numeric values over exactly what the joining facts read,
+  //    then the walked facts' contributions.
+  std::vector<std::vector<FactContribution>> contribs(nclasses);
+  std::vector<NumericValueCache> caches(nclasses);
+  for (std::size_t c = 0; c < nclasses; ++c) {
+    const AccumClass& cls = classes[c];
+    if (cls.bad_dim) continue;
+    const ScanRelation& relation = relations[cls.dim];
+    if (!cls.counts) {
+      const Dimension& dimension = mo.dimension(cls.dim);
+      const RollupIndex& numbering = *numberings[cls.dim];
+      NumericValueCache& cache = caches[c];
+      if (gathered_joins > 0) {
+        cache.dense.resize(numbering.value_count());
+        cache.state.assign(numbering.value_count(),
+                           NumericValueCache::kUnknown);
+        for (std::size_t f = 0; f < facts.size(); ++f) {
+          if (route[f] == kGathered) {
+            cache.FillDense(dimension, numbering, relation.dense[f],
+                            request.prob_at);
+          }
+        }
+      }
+      const std::vector<FactDimRelation::Entry>& entries =
+          mo.relation(cls.dim).entries();
+      for (std::size_t w = 0; w < walked.size(); ++w) {
+        if (!coords[w].has_value()) continue;
+        for (std::size_t e : relation.EntriesOf(walked[w])) {
+          cache.FillValue(dimension, entries[e].value, request.prob_at);
+        }
+      }
+    }
+    contribs[c].resize(walked.size());
+    for_walked_chunks([&](std::size_t begin, std::size_t end, Arena* arena) {
+      for (std::size_t w = begin; w < end; ++w) {
+        if (coords[w].has_value()) {
+          contribs[c][w] =
+              ContributionOf(mo, cls, request.prob_at,
+                             relation.EntriesOf(walked[w]), caches[c], arena);
+        }
+      }
+    });
+  }
+
+  // 5. Partitions: contiguous dense-slot ranges, or keys by hash.
   const std::size_t num_partitions = parallel ? exec.num_threads : 1;
   if (parallel) exec.EnsureWorkerArenas(num_partitions);
   std::vector<ScanPartition> parts;
@@ -1017,7 +1185,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
     return g;
   };
 
-  // 5. Seed groups (a fold's captured state) enter their owning partition
+  // 6. Seed groups (a fold's captured state) enter their owning partition
   //    before the scan, so the scan resumes each exactly where the
   //    captured run stopped.
   for (std::size_t s = 0; s < request.seeds.size(); ++s) {
@@ -1049,14 +1217,70 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
     }
   }
 
-  // 6. The partitioned scan.
+  // 7. The partitioned scan. A gathered fact replays exactly the
+  //    operations its one-coordinate lists would: digit or key from the
+  //    flat table, probability AncestorProbAt (= 1.0 x p), Always
+  //    lifespans (the identity), and its one value from the cache.
+  if (!parallel) parts[0].incidences.reserve(gathered_joins + walked.size());
+  std::vector<const std::uint32_t*> class_dense(nclasses, nullptr);
+  for (std::size_t c = 0; c < nclasses; ++c) {
+    if (!classes[c].bad_dim) class_dense[c] = relations[classes[c].dim].dense;
+  }
   auto scan_partition = [&](std::size_t p) {
     ScanPartition& part = parts[p];
     std::vector<std::size_t> cursor(nl);
     std::vector<ValueId> scratch(nl);
+    std::vector<std::uint32_t> base(nl);  // a gathered fact's dense ids
     for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (!coords[f].has_value()) continue;
-      const CoordLists& per_dim = *coords[f];
+      const std::uint32_t r = route[f];
+      if (r == kSkipped) continue;
+      if (r == kGathered) {
+        std::uint64_t slot = 0;
+        std::uint64_t hash = 0;
+        for (std::size_t j = 0; j < nl; ++j) {
+          base[j] = axes[j].dense[f];
+          if (dense) {
+            slot = slot * space.cardinality(j) + axes[j].digit[base[j]];
+          } else {
+            scratch[j] = axes[j].key[base[j]];
+          }
+        }
+        if (!dense) hash = HashValueIds(scratch.data(), nl);
+        bool inserted = false;
+        const std::uint32_t g = group_in(p, slot, scratch, hash,
+                                         FlatHashGroupIndex::kNoGroup,
+                                         &inserted);
+        if (g == FlatHashGroupIndex::kNoGroup) continue;
+        part.AddIncidence(g, f);
+        double member_prob = 1.0;
+        for (std::size_t j = 0; j < nl && !unit_prob; ++j) {
+          const double prob = axes[j].prob[base[j]];
+          part.prob[g * nl + j] *= prob;
+          member_prob *= prob;
+        }
+        part.expected[g] += member_prob;
+        for (std::size_t c = 0; c < nclasses; ++c) {
+          const std::size_t slot_c = g * nclasses + c;
+          if (classes[c].bad_dim || !part.errors[slot_c].ok()) continue;
+          if (classes[c].counts) {
+            part.accums[slot_c].AddCounted(1);
+            continue;
+          }
+          const std::uint32_t d = class_dense[c][f];
+          const NumericValueCache& cache = caches[c];
+          if (cache.state[d] == NumericValueCache::kKnown) {
+            part.accums[slot_c].Add(cache.dense[d]);
+          } else {
+            part.errors[slot_c] =
+                cache.by_value
+                    .at(numberings[classes[c].dim]->ValueOf(d).raw())
+                    .status();
+          }
+        }
+        continue;
+      }
+      if (!coords[r].has_value()) continue;
+      const CoordLists& per_dim = *coords[r];
       std::fill(cursor.begin(), cursor.end(), 0);
       // Enumerate the cross product of the fact's live coordinate lists
       // (one iteration — the single global group — when nl == 0).
@@ -1081,9 +1305,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
                                          FlatHashGroupIndex::kNoGroup,
                                          &inserted);
         if (g != FlatHashGroupIndex::kNoGroup) {
-          ++part.hits[g];
-          part.inc_group.push_back(g);
-          part.inc_fact.push_back(facts[f]);
+          part.AddIncidence(g, f);
           double member_prob = 1.0;
           for (std::size_t j = 0; j < nl; ++j) {
             const Coordinate& c = per_dim[j][cursor[j]];
@@ -1096,7 +1318,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
           part.expected[g] += member_prob;
           for (std::size_t c = 0; c < nclasses; ++c) {
             if (classes[c].bad_dim) continue;
-            const FactContribution& fc = contribs[c][f];
+            const FactContribution& fc = contribs[c][r];
             const std::size_t slot_c = g * nclasses + c;
             if (fc.arg_life.has_value()) {
               IntersectInto(part.result_life[slot_c], *fc.arg_life);
@@ -1130,7 +1352,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
     scan_partition(0);
   }
 
-  // 7. Canonical group order: ascending slot for the dense engine (the
+  // 8. Canonical group order: ascending slot for the dense engine (the
   //    partitions own ascending disjoint ranges), one lexicographic key
   //    sort for the flat-hash engine.
   struct GroupRef {
@@ -1163,7 +1385,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
             .count());
   }
 
-  // 8. Emission. A group's members are its seed's members followed by
+  // 9. Emission. A group's members are its seed's members followed by
   //    the scanned incidences — every visited fact follows every seed
   //    member, and each worker walked the facts ascending.
   std::vector<ScanGroup> out(order.size());
@@ -1203,8 +1425,9 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   }
   for (std::size_t p = 0; p < parts.size(); ++p) {
     const ScanPartition& part = parts[p];
-    for (std::size_t e = 0; e < part.inc_group.size(); ++e) {
-      out[out_of[p][part.inc_group[e]]].members.push_back(part.inc_fact[e]);
+    for (std::uint64_t incidence : part.incidences) {
+      out[out_of[p][incidence >> 32]].members.push_back(
+          facts[incidence & 0xffffffffu]);
     }
   }
   return out;
@@ -1611,6 +1834,7 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
 
 StreamProbe AggregateStreamProbe(const MdObject& mo,
                                  const std::vector<CategoryTypeIndex>& grouping,
+                                 const std::vector<std::size_t>& arg_dims,
                                  ExecContext* exec) {
   ExecContext sequential;
   if (exec == nullptr) exec = &sequential;
@@ -1623,6 +1847,14 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
   }
   // The probe never touches stats: EXPLAIN must not perturb the counters
   // of the statements it describes.
+  auto has_column = [&](std::size_t i, const RollupIndex& index) {
+    return mo.relation(i).DenseColumn(index.numbering()) != nullptr;
+  };
+  for (std::size_t i : arg_dims) {
+    if (i < n && has_column(i, *RollupIndex::For(mo.dimension(i)))) {
+      probe.arg_columns.push_back(i);
+    }
+  }
   std::vector<std::shared_ptr<const RollupIndex>> hold;
   std::vector<DenseSlotSpace::GroupingDim> dims;
   hold.reserve(probe.live.size());
@@ -1635,6 +1867,7 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
       probe.all_indexed = false;
       return probe;
     }
+    if (has_column(i, *index)) probe.live_columns.push_back(i);
     hold.push_back(std::move(index));
     dims.push_back({hold.back().get(), grouping[i]});
   }

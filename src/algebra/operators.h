@@ -306,10 +306,20 @@ struct StreamProbe {
   /// Cross-product of live grouping-category cardinalities; 0 when it
   /// overflowed or a live dimension is not indexed.
   std::uint64_t slot_product = 0;
+  /// Live dimensions with a flat table, and argument dimensions, whose
+  /// relation has a dense-id column under the current numbering
+  /// (docs/groupby_kernel.md). Facts are gathered only when every live and
+  /// argument dimension is listed.
+  std::vector<std::size_t> live_columns;
+  std::vector<std::size_t> arg_columns;
 };
 
+/// Probes the scan over `grouping` with accumulators on `arg_dims`. Never
+/// touches stats; may build a relation's dense column, as the scan's first
+/// use would.
 StreamProbe AggregateStreamProbe(const MdObject& mo,
                                  const std::vector<CategoryTypeIndex>& grouping,
+                                 const std::vector<std::size_t>& arg_dims,
                                  ExecContext* exec = nullptr);
 
 /// Runs the group-by scan AggregateFormation runs, returning only what a

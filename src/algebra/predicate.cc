@@ -1,6 +1,9 @@
 #include "algebra/predicate.h"
 
+#include <cstdint>
+
 #include "common/strings.h"
+#include "engine/rollup_index.h"
 
 namespace mddc {
 
@@ -87,6 +90,28 @@ Result<bool> EvaluateHasValueInCategory(const Node& node, const MdObject& mo,
   return false;
 }
 
+/// Whether one directly related value satisfies a numeric comparison:
+/// top and non-numeric values never match.
+bool NumericMatches(const Node& node, const Dimension& dimension,
+                    ValueId value) {
+  if (value == dimension.top_value()) return false;
+  auto numeric = dimension.NumericValueOf(value, node.at);
+  if (!numeric.ok()) return false;
+  switch (node.comparison) {
+    case Predicate::Comparison::kLess:
+      return *numeric < node.bound;
+    case Predicate::Comparison::kLessEq:
+      return *numeric <= node.bound;
+    case Predicate::Comparison::kEq:
+      return *numeric == node.bound;
+    case Predicate::Comparison::kGreaterEq:
+      return *numeric >= node.bound;
+    case Predicate::Comparison::kGreater:
+      return *numeric > node.bound;
+  }
+  return false;
+}
+
 Result<bool> EvaluateNumericCompare(const Node& node, const MdObject& mo,
                                     FactId fact) {
   if (node.dim >= mo.dimension_count()) {
@@ -94,31 +119,11 @@ Result<bool> EvaluateNumericCompare(const Node& node, const MdObject& mo,
         StrCat("predicate references dimension ", node.dim, " of a ",
                mo.dimension_count(), "-dimensional MO"));
   }
-  const Dimension& dimension = mo.dimension(node.dim);
   for (const FactDimRelation::Entry* entry :
        mo.relation(node.dim).ForFact(fact)) {
-    if (entry->value == dimension.top_value()) continue;
-    auto value = dimension.NumericValueOf(entry->value, node.at);
-    if (!value.ok()) continue;  // non-numeric characterizations do not match
-    bool matches = false;
-    switch (node.comparison) {
-      case Predicate::Comparison::kLess:
-        matches = *value < node.bound;
-        break;
-      case Predicate::Comparison::kLessEq:
-        matches = *value <= node.bound;
-        break;
-      case Predicate::Comparison::kEq:
-        matches = *value == node.bound;
-        break;
-      case Predicate::Comparison::kGreaterEq:
-        matches = *value >= node.bound;
-        break;
-      case Predicate::Comparison::kGreater:
-        matches = *value > node.bound;
-        break;
+    if (NumericMatches(node, mo.dimension(node.dim), entry->value)) {
+      return true;
     }
-    if (matches) return true;
   }
   return false;
 }
@@ -254,6 +259,201 @@ std::string NodeToString(const Node& node) {
   return "?";
 }
 
+// ---- Keep masks ------------------------------------------------------------
+
+/// True when evaluating `node` on some fact could return an error (a
+/// dimension index out of range); such a predicate keeps the per-fact
+/// loop, whose And/Or short-circuits decide which error surfaces first.
+bool MayFail(const Node& node, const MdObject& mo) {
+  const std::size_t n = mo.dimension_count();
+  switch (node.kind) {
+    case Node::Kind::kTrue:
+    case Node::Kind::kMinProbability:
+      return false;
+    case Node::Kind::kAnd:
+    case Node::Kind::kOr:
+      return MayFail(*node.left, mo) || MayFail(*node.right, mo);
+    case Node::Kind::kNot:
+      return MayFail(*node.left, mo);
+    case Node::Kind::kCharacterizedBy:
+    case Node::Kind::kCharacterizedThroughout:
+    case Node::Kind::kHasValueInCategory:
+    case Node::Kind::kNumericCompare:
+      return node.dim >= n;
+    case Node::Kind::kSameRepresentedValue:
+      return node.dim >= n || node.dim_b >= n;
+  }
+  return true;
+}
+
+/// The snapshot a leaf is decided per value under, or null when the leaf
+/// runs per fact: any-time characterizations and category tests need the
+/// flat rollup table (their closure is then one array read), numeric
+/// comparisons read only the numbering.
+std::shared_ptr<const RollupIndex> ValueLevelIndex(const Node& node,
+                                                   const MdObject& mo) {
+  const bool per_value =
+      (node.kind == Node::Kind::kCharacterizedBy && node.any_time &&
+       !node.needs_rep_resolution) ||
+      node.kind == Node::Kind::kHasValueInCategory ||
+      node.kind == Node::Kind::kNumericCompare;
+  if (!per_value || node.dim >= mo.dimension_count()) return nullptr;
+  std::shared_ptr<const RollupIndex> index =
+      RollupIndex::For(mo.dimension(node.dim));
+  if (node.kind != Node::Kind::kNumericCompare && !index->has_flat_table()) {
+    return nullptr;
+  }
+  return index;
+}
+
+/// One sweep of dimension `dim`'s CSR rows in lockstep with mo.facts():
+/// a fact is kept when some pair's value passes `hit(dense, value)`
+/// (dense is kNone for a value outside the snapshot). A column hit is one
+/// array read; any other fact resolves each pair through DenseOf.
+template <typename Hit>
+std::vector<bool> SweepValues(const MdObject& mo, std::size_t dim,
+                              const RollupIndex& index, Hit&& hit) {
+  const std::vector<FactId>& facts = mo.facts();
+  const FactDimRelation& relation = mo.relation(dim);
+  const std::vector<FactDimRelation::FactSpan>& spans = relation.FactSpans();
+  const std::vector<std::size_t>& span_entries = relation.SpanEntryIndexes();
+  const std::vector<std::uint32_t>* column =
+      relation.DenseColumn(index.numbering());
+  std::vector<bool> mask(facts.size(), false);
+  std::size_t f = 0;
+  for (std::size_t row = 0; row < spans.size() && f < facts.size(); ++row) {
+    while (f < facts.size() && facts[f] < spans[row].fact) ++f;
+    if (f == facts.size() || facts[f] != spans[row].fact) continue;
+    if (column != nullptr && (*column)[row] != FactDimRelation::kNoDense) {
+      const std::uint32_t d = (*column)[row];
+      mask[f] = hit(d, index.ValueOf(d));
+      continue;
+    }
+    for (std::uint32_t k = spans[row].begin; k < spans[row].end; ++k) {
+      const ValueId value = relation.entries()[span_entries[k]].value;
+      if (hit(index.DenseOf(value), value)) {
+        mask[f] = true;
+        break;
+      }
+    }
+  }
+  return mask;
+}
+
+/// A value-level leaf's mask (see ValueLevelIndex).
+std::vector<bool> ValueMask(const Node& node, const MdObject& mo,
+                            const RollupIndex& index) {
+  const Dimension& dimension = mo.dimension(node.dim);
+  const ValueId top = dimension.top_value();
+  const std::uint32_t top_dense = index.top_dense();
+  switch (node.kind) {
+    case Node::Kind::kCharacterizedBy: {
+      // Every pair characterizes its fact by top.
+      if (node.value == top) {
+        return SweepValues(mo, node.dim, index,
+                           [](std::uint32_t, ValueId) { return true; });
+      }
+      // f ~> target iff some pair's value rolls up to it: under the flat
+      // table's gate every closure is Always, so a pair's (nonempty)
+      // lifespan carries over, and probabilities do not matter.
+      const std::uint32_t target = index.DenseOf(node.value);
+      std::vector<bool> below(index.value_count(), false);
+      if (target != RollupIndex::kNone) {
+        const CategoryTypeIndex category = index.CategoryOfDense(target);
+        for (std::uint32_t d = 0; d < index.value_count(); ++d) {
+          below[d] = index.AncestorAt(d, category) == target;
+        }
+      }
+      return SweepValues(mo, node.dim, index,
+                         [&](std::uint32_t d, ValueId value) {
+                           return d != RollupIndex::kNone ? below[d]
+                                                          : value == node.value;
+                         });
+    }
+    case Node::Kind::kHasValueInCategory: {
+      std::vector<bool> in_category(index.value_count(), false);
+      for (std::uint32_t d = 0; d < index.value_count(); ++d) {
+        const std::uint32_t ancestor = index.AncestorAt(d, node.category);
+        in_category[d] =
+            ancestor != RollupIndex::kNone && ancestor != top_dense;
+      }
+      return SweepValues(mo, node.dim, index,
+                         [&](std::uint32_t d, ValueId) {
+                           return d != RollupIndex::kNone && in_category[d];
+                         });
+    }
+    default: {  // kNumericCompare: each distinct value parsed once
+      enum : std::uint8_t { kUnknown, kMatch, kNoMatch };
+      std::vector<std::uint8_t> state(index.value_count(), kUnknown);
+      return SweepValues(
+          mo, node.dim, index, [&](std::uint32_t d, ValueId value) {
+            if (d == RollupIndex::kNone) {
+              return NumericMatches(node, dimension, value);
+            }
+            if (state[d] == kUnknown) {
+              state[d] =
+                  NumericMatches(node, dimension, value) ? kMatch : kNoMatch;
+            }
+            return state[d] == kMatch;
+          });
+    }
+  }
+}
+
+Result<std::vector<bool>> MaskOf(const Node& node, const MdObject& mo) {
+  const std::vector<FactId>& facts = mo.facts();
+  switch (node.kind) {
+    case Node::Kind::kTrue:
+      return std::vector<bool>(facts.size(), true);
+    case Node::Kind::kAnd:
+    case Node::Kind::kOr: {
+      MDDC_ASSIGN_OR_RETURN(std::vector<bool> left, MaskOf(*node.left, mo));
+      MDDC_ASSIGN_OR_RETURN(std::vector<bool> right, MaskOf(*node.right, mo));
+      for (std::size_t f = 0; f < facts.size(); ++f) {
+        left[f] = node.kind == Node::Kind::kAnd ? left[f] && right[f]
+                                                : left[f] || right[f];
+      }
+      return left;
+    }
+    case Node::Kind::kNot: {
+      MDDC_ASSIGN_OR_RETURN(std::vector<bool> inner, MaskOf(*node.left, mo));
+      inner.flip();
+      return inner;
+    }
+    default:
+      break;
+  }
+  if (std::shared_ptr<const RollupIndex> index = ValueLevelIndex(node, mo)) {
+    return ValueMask(node, mo, *index);
+  }
+  std::vector<bool> mask(facts.size());
+  for (std::size_t f = 0; f < facts.size(); ++f) {
+    MDDC_ASSIGN_OR_RETURN(bool match, EvaluateNode(node, mo, facts[f]));
+    mask[f] = match;
+  }
+  return mask;
+}
+
+void CollectLeaves(const Node& node, const MdObject& mo,
+                   std::vector<std::string>& value_level,
+                   std::vector<std::string>& per_fact) {
+  switch (node.kind) {
+    case Node::Kind::kTrue:
+      return;
+    case Node::Kind::kAnd:
+    case Node::Kind::kOr:
+      CollectLeaves(*node.left, mo, value_level, per_fact);
+      CollectLeaves(*node.right, mo, value_level, per_fact);
+      return;
+    case Node::Kind::kNot:
+      CollectLeaves(*node.left, mo, value_level, per_fact);
+      return;
+    default:
+      (ValueLevelIndex(node, mo) != nullptr ? value_level : per_fact)
+          .push_back(NodeToString(node));
+  }
+}
+
 }  // namespace
 
 Predicate Predicate::True() {
@@ -381,6 +581,26 @@ Predicate Predicate::Not() const {
 
 Result<bool> Predicate::Evaluate(const MdObject& mo, FactId fact) const {
   return EvaluateNode(*root_, mo, fact);
+}
+
+Result<std::vector<bool>> Predicate::EvaluateMask(const MdObject& mo) const {
+  if (!MayFail(*root_, mo)) return MaskOf(*root_, mo);
+  std::vector<bool> mask;
+  mask.reserve(mo.facts().size());
+  for (FactId fact : mo.facts()) {
+    MDDC_ASSIGN_OR_RETURN(bool match, EvaluateNode(*root_, mo, fact));
+    mask.push_back(match);
+  }
+  return mask;
+}
+
+std::string Predicate::DescribeMask(const MdObject& mo) const {
+  if (MayFail(*root_, mo)) return "per fact (an atom can fail)";
+  std::vector<std::string> value_level;
+  std::vector<std::string> per_fact;
+  CollectLeaves(*root_, mo, value_level, per_fact);
+  return StrCat("value masks [", Join(value_level, ", "), "], per fact [",
+                Join(per_fact, ", "), "]");
 }
 
 std::string Predicate::ToString() const { return NodeToString(*root_); }

@@ -80,6 +80,23 @@ class Predicate {
   /// Evaluates the predicate for one fact of `mo`.
   Result<bool> Evaluate(const MdObject& mo, FactId fact) const;
 
+  /// Evaluates the predicate for every fact of `mo`: a keep mask aligned
+  /// with mo.facts(), equal to calling Evaluate per fact (the first error
+  /// included). Atoms that are properties of a value are decided once per
+  /// distinct value and swept over each relation's dense column
+  /// (docs/mdql_compiler.md): an any-time characterization or category
+  /// test on a dimension with a flat rollup table becomes a bitmap over
+  /// dense ids, a numeric comparison is evaluated once per value. PROB,
+  /// time-restricted, representation-resolved and flat-table-less atoms
+  /// run per fact; NOT, AND and OR combine masks. A predicate that could
+  /// fail runs the per-fact loop whole.
+  Result<std::vector<bool>> EvaluateMask(const MdObject& mo) const;
+
+  /// EvaluateMask's plan for `mo`, for EXPLAIN: which atoms are value
+  /// masks and which run per fact, e.g.
+  /// "value masks [char(1,42)], per fact [prob(0,7 >= 0.8)]".
+  std::string DescribeMask(const MdObject& mo) const;
+
   /// Human-readable form, e.g. "(char(0,9) AND NOT num(1 >= 65))".
   std::string ToString() const;
 

@@ -40,6 +40,18 @@ void FactDimRelation::CopyFrom(const FactDimRelation& other) {
     sealed_entry_count_ = 0;
     csr_valid_.store(false, std::memory_order_release);
   }
+  // The dense column rides along under the same rule: a valid column is
+  // final, an invalid one may be mid-build on another thread.
+  if (csr_valid_.load(std::memory_order_relaxed) &&
+      other.column_valid_.load(std::memory_order_acquire)) {
+    with_headroom(column_, other.column_);
+    column_generation_ = other.column_generation_;
+    column_valid_.store(true, std::memory_order_release);
+  } else {
+    column_.clear();
+    column_generation_ = 0;
+    column_valid_.store(false, std::memory_order_release);
+  }
 }
 
 void FactDimRelation::MoveFrom(FactDimRelation&& other) {
@@ -54,6 +66,11 @@ void FactDimRelation::MoveFrom(FactDimRelation&& other) {
   csr_valid_.store(other.csr_valid_.load(std::memory_order_acquire),
                    std::memory_order_release);
   other.csr_valid_.store(false, std::memory_order_release);
+  column_ = std::move(other.column_);
+  column_generation_ = other.column_generation_;
+  column_valid_.store(other.column_valid_.load(std::memory_order_acquire),
+                      std::memory_order_release);
+  other.column_valid_.store(false, std::memory_order_release);
 }
 
 FactDimRelation::FactDimRelation(const FactDimRelation& other) {
@@ -139,11 +156,13 @@ void FactDimRelation::ReindexAll() {
     by_fact_.ListFor(entries_[i].fact).push_back(i);
     by_value_.ListFor(entries_[i].value).push_back(i);
   }
-  // Entry indexes were rewritten wholesale, so the kept CSR layout is
-  // meaningless: drop it and force the next seal to rebuild.
+  // Entry indexes were rewritten wholesale, so the kept CSR layout (and
+  // the column aligned with it) is meaningless: drop it and force the
+  // next seal to rebuild.
   spans_.clear();
   span_entries_.clear();
   sealed_entry_count_ = 0;
+  column_.clear();
   InvalidateCsr();
 }
 
@@ -260,12 +279,17 @@ FactDimRelation::SealOutcome FactDimRelation::SealIndexesReporting() const {
   if (csr_valid_.load(std::memory_order_relaxed)) {
     return SealOutcome::kReused;
   }
+  return SealCsrLocked();
+}
+
+FactDimRelation::SealOutcome FactDimRelation::SealCsrLocked() const {
   if (TryExtendCsrTailLocked()) {
     csr_valid_.store(true, std::memory_order_release);
     return SealOutcome::kExtended;
   }
   spans_.clear();
   span_entries_.clear();
+  column_.clear();
   std::vector<std::uint32_t> order(by_fact_.keys.size());
   for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
@@ -286,6 +310,59 @@ FactDimRelation::SealOutcome FactDimRelation::SealIndexesReporting() const {
   sealed_entry_count_ = entries_.size();
   csr_valid_.store(true, std::memory_order_release);
   return SealOutcome::kRebuilt;
+}
+
+std::uint32_t FactDimRelation::DenseSlotOf(
+    std::size_t row, const DenseNumbering& numbering) const {
+  const FactSpan& span = spans_[row];
+  if (span.end - span.begin != 1) return kNoDense;
+  const Entry& entry = entries_[span_entries_[span.begin]];
+  if (entry.prob != 1.0 || entry.value == numbering.top ||
+      !entry.life.IsAlways()) {
+    return kNoDense;
+  }
+  const auto it = std::lower_bound(numbering.values.begin(),
+                                   numbering.values.end(), entry.value);
+  if (it == numbering.values.end() || *it != entry.value) return kNoDense;
+  return static_cast<std::uint32_t>(it - numbering.values.begin());
+}
+
+void FactDimRelation::SealDenseColumnLocked(
+    const DenseNumbering& numbering) const {
+  if (!csr_valid_.load(std::memory_order_relaxed)) (void)SealCsrLocked();
+  // A column of this numbering covers a prefix of the rows: a tail
+  // extension only appends rows and grows the last sealed one, so the
+  // extension recomputes from that row on — O(batch), not O(|F|).
+  std::size_t from = 0;
+  if (column_generation_ == numbering.generation && !column_.empty() &&
+      column_.size() <= spans_.size()) {
+    from = column_.size() - 1;
+  }
+  column_.resize(spans_.size());
+  for (std::size_t row = from; row < spans_.size(); ++row) {
+    column_[row] = DenseSlotOf(row, numbering);
+  }
+  column_generation_ = numbering.generation;
+  column_valid_.store(true, std::memory_order_release);
+}
+
+const std::vector<std::uint32_t>* FactDimRelation::DenseColumn(
+    const DenseNumbering& numbering) const {
+  if (!column_valid_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(CsrMutex());
+    if (!column_valid_.load(std::memory_order_relaxed)) {
+      SealDenseColumnLocked(numbering);
+    }
+  }
+  return column_generation_ == numbering.generation ? &column_ : nullptr;
+}
+
+void FactDimRelation::SealDenseColumn(const DenseNumbering& numbering) const {
+  std::lock_guard<std::mutex> lock(CsrMutex());
+  if (!column_valid_.load(std::memory_order_relaxed) ||
+      column_generation_ != numbering.generation) {
+    SealDenseColumnLocked(numbering);
+  }
 }
 
 bool FactDimRelation::HasFact(FactId fact) const {

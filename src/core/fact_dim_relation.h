@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,6 +112,42 @@ class FactDimRelation {
   /// this so published epochs never build indexes under readers).
   void SealIndexes() const;
 
+  /// A numbering of one dimension's values into dense ids: the engine's
+  /// rollup snapshot (engine/rollup_index.h), handed in so core stays
+  /// free of the engine. `values` ascend and a value's dense id is its
+  /// index. `generation` names the numbering: a snapshot patched from
+  /// another keeps every non-top id and inherits its generation; a full
+  /// build may renumber and mints a new one.
+  struct DenseNumbering {
+    std::uint64_t generation = 0;
+    std::span<const ValueId> values;
+    ValueId top;
+  };
+
+  /// Column slot of a fact that is not gather-eligible.
+  static constexpr std::uint32_t kNoDense = 0xffffffffu;
+
+  /// The dense-id column beside the CSR view (docs/memory_layout.md): one
+  /// slot per FactSpans() row, holding the dense id under `numbering` of
+  /// the fact's only pair when that pair is Always, has probability 1 and
+  /// is not top; kNoDense otherwise. Built on first use (double-checked
+  /// under the CSR mutex) or by SealDenseColumn, carried by copies while
+  /// valid, invalidated by Add and extended with the CSR tail (the last
+  /// sealed row is recomputed, as an append may have grown it), dropped
+  /// when the view is rebuilt. In-place coalesces only widen lifespans,
+  /// so a slot can go conservatively stale, never wrong. Null when the
+  /// valid column was compiled under another numbering generation: a
+  /// reader never recompiles a valid column, so published epochs stay
+  /// lock-free.
+  const std::vector<std::uint32_t>* DenseColumn(
+      const DenseNumbering& numbering) const;
+
+  /// Seals the column under `numbering` now, recompiling a valid column
+  /// of another generation. For the owner of the relation only (the
+  /// publication seal): unlike DenseColumn it may rewrite a column that
+  /// readers could be holding.
+  void SealDenseColumn(const DenseNumbering& numbering) const;
+
   /// What one SealIndexes call actually did — the serve layer's telemetry
   /// hook for the incremental-ingestion path (docs/ingestion.md).
   enum class SealOutcome {
@@ -201,6 +238,7 @@ class FactDimRelation {
   void ReindexAll();
   void InvalidateCsr() {
     csr_valid_.store(false, std::memory_order_release);
+    column_valid_.store(false, std::memory_order_release);
   }
   void CopyFrom(const FactDimRelation& other);
   void MoveFrom(FactDimRelation&& other);
@@ -214,6 +252,15 @@ class FactDimRelation {
   /// false when the delta is not a pure in-order append and a full
   /// rebuild is needed. Caller holds CsrMutex.
   bool TryExtendCsrTailLocked() const;
+  /// Revalidates the CSR view (tail extension or full rebuild). Caller
+  /// holds CsrMutex and has seen csr_valid_ false.
+  SealOutcome SealCsrLocked() const;
+  /// (Re)compiles the dense column under `numbering`, extending a column
+  /// of the same generation from its last row. Caller holds CsrMutex.
+  void SealDenseColumnLocked(const DenseNumbering& numbering) const;
+  /// The column slot of spans_[row] under `numbering`.
+  std::uint32_t DenseSlotOf(std::size_t row,
+                            const DenseNumbering& numbering) const;
 
   // Lazily-built CSR by-fact view. `csr_valid_` is the publication flag:
   // set with release after the arrays are final, read with acquire before
@@ -226,6 +273,14 @@ class FactDimRelation {
   mutable std::vector<FactSpan> spans_;
   mutable std::vector<std::size_t> span_entries_;
   mutable std::size_t sealed_entry_count_ = 0;
+
+  // The dense-id column (see DenseColumn), published like the CSR view:
+  // `column_valid_` set with release once `column_` covers every span
+  // under `column_generation_`. Invalid but non-empty, `column_` covers a
+  // prefix of the rows of a tail-extended view and is extended in place.
+  mutable std::atomic<bool> column_valid_{false};
+  mutable std::vector<std::uint32_t> column_;
+  mutable std::uint64_t column_generation_ = 0;
 };
 
 }  // namespace mddc

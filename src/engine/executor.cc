@@ -154,10 +154,12 @@ void ExecStats::MergeFrom(const ExecStats& other) {
   csr_tail_extends += other.csr_tail_extends;
   preagg_folds += other.preagg_folds;
   preagg_fold_invalidations += other.preagg_fold_invalidations;
+  facts_gathered += other.facts_gathered;
+  facts_walked += other.facts_walked;
 }
 
 std::string ExecStats::ToJson() const {
-  char buffer[1792];
+  char buffer[2048];
   std::snprintf(
       buffer, sizeof(buffer),
       "{\"parallel_runs\": %zu, \"sequential_fallbacks\": %zu, "
@@ -171,7 +173,8 @@ std::string ExecStats::ToJson() const {
       "\"interner_misses\": %zu, \"rewrites_applied\": %zu, "
       "\"fused_pipelines\": %zu, \"plan_fallbacks\": %zu, "
       "\"rollup_patches\": %zu, \"csr_tail_extends\": %zu, "
-      "\"preagg_folds\": %zu, \"preagg_fold_invalidations\": %zu}",
+      "\"preagg_folds\": %zu, \"preagg_fold_invalidations\": %zu, "
+      "\"facts_gathered\": %zu, \"facts_walked\": %zu}",
       parallel_runs, sequential_fallbacks, partitions, tasks,
       static_cast<unsigned long long>(merge_nanos), pool_reuses,
       join_parallel_runs, timeslice_parallel_runs, index_builds, index_hits,
@@ -179,7 +182,7 @@ std::string ExecStats::ToJson() const {
       dense_slot_fallbacks, arena_bytes, arena_resets, interner_hits,
       interner_misses, rewrites_applied, fused_pipelines, plan_fallbacks,
       rollup_patches, csr_tail_extends, preagg_folds,
-      preagg_fold_invalidations);
+      preagg_fold_invalidations, facts_gathered, facts_walked);
   return buffer;
 }
 

@@ -183,6 +183,15 @@ struct ExecStats {
   /// rollup-derived entry without a capture) and were re-materialized
   /// from scratch instead.
   std::size_t preagg_fold_invalidations = 0;
+  /// Visited facts a group-by scan resolved by gathering from the
+  /// relations' dense-id columns (docs/groupby_kernel.md): one plain pair
+  /// in every live and argument dimension, so no coordinate list and no
+  /// contribution was built.
+  std::size_t facts_gathered = 0;
+  /// Visited facts a group-by scan resolved through per-fact coordinate
+  /// lists and contributions (several, temporal, uncertain or unknown
+  /// pairs, or no usable column).
+  std::size_t facts_walked = 0;
 
   /// Adds every counter of `other` into this one. Server sessions use it
   /// to accumulate per-query contexts into per-session totals.

@@ -1,6 +1,7 @@
 #include "engine/rollup_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 
 #include "core/properties.h"
@@ -16,6 +17,13 @@ namespace {
 std::mutex& SlotMutex() {
   static std::mutex mutex;
   return mutex;
+}
+
+/// Numbering generations: process-unique, never 0 (a relation's empty
+/// column stamp).
+std::uint64_t MintNumberingGeneration() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -147,6 +155,7 @@ std::shared_ptr<const RollupIndex> RollupIndex::Build(
   auto index = std::shared_ptr<RollupIndex>(new RollupIndex());
   index->version_ = dimension.version();
   index->structural_version_ = dimension.structural_version();
+  index->numbering_generation_ = MintNumberingGeneration();
   index->category_count_ = dimension.type().category_count();
 
   // Dense remapping: AllValues() iterates the dimension's value map in
@@ -234,6 +243,7 @@ std::shared_ptr<const RollupIndex> RollupIndex::Patch(
   auto index = std::shared_ptr<RollupIndex>(new RollupIndex());
   index->version_ = dimension.version();
   index->structural_version_ = dimension.structural_version();
+  index->numbering_generation_ = old.numbering_generation_;
   index->category_count_ = old.category_count_;
   index->value_of_ = values;
   index->top_dense_ = n - 1;

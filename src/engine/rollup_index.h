@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/dimension.h"
+#include "core/fact_dim_relation.h"
 #include "engine/executor.h"
 
 namespace mddc {
@@ -75,6 +76,19 @@ class RollupIndex {
   }
 
   // ---- Dense value remapping ---------------------------------------------
+
+  /// The numbering stamp of the dense ids below: Build mints a fresh
+  /// generation (it may renumber), Patch inherits its source's (it keeps
+  /// every non-top id). A relation's dense column compiled under one
+  /// snapshot is readable through any snapshot of the same generation.
+  std::uint64_t numbering_generation() const { return numbering_generation_; }
+
+  /// The dense numbering as the relation layer takes it, for
+  /// FactDimRelation::DenseColumn / SealDenseColumn.
+  FactDimRelation::DenseNumbering numbering() const {
+    return {numbering_generation_, value_of_,
+            top_dense_ == kNone ? ValueId() : value_of_[top_dense_]};
+  }
 
   std::uint32_t value_count() const {
     return static_cast<std::uint32_t>(value_of_.size());
@@ -176,6 +190,7 @@ class RollupIndex {
 
   std::uint64_t version_ = 0;
   std::uint64_t structural_version_ = 0;
+  std::uint64_t numbering_generation_ = 0;
   /// dimension.edges().size() at compile time; a patch classifies
   /// edges beyond this as appended.
   std::size_t edge_count_ = 0;

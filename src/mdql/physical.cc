@@ -112,17 +112,14 @@ Result<QueryResult> ExecuteFused(const MdObject& source,
   }
 
   // Selection pushdown: sigma's fact scan, recorded as a mask instead of
-  // a materialized MO (a kept fact's coordinates are identical in both).
+  // a materialized MO (a kept fact's coordinates are identical in both),
+  // with value-level atoms decided once per distinct value.
   std::vector<bool> keep;
   const std::vector<bool>* keep_ptr = nullptr;
   if (select.where != nullptr) {
     MDDC_ASSIGN_OR_RETURN(Predicate predicate,
                           BuildWhere(mo, *select.where, exec));
-    keep.reserve(mo.facts().size());
-    for (FactId fact : mo.facts()) {
-      MDDC_ASSIGN_OR_RETURN(bool match, predicate.Evaluate(mo, fact));
-      keep.push_back(match);
-    }
+    MDDC_ASSIGN_OR_RETURN(keep, predicate.EvaluateMask(mo));
     keep_ptr = &keep;
   }
 
@@ -339,17 +336,41 @@ Result<QueryResult> ExplainStatement(const MdObject& source,
     auto level = Resolve(source, group.level);
     if (level.ok()) grouping[level->dim] = level->category;
   }
-  const StreamProbe probe = AggregateStreamProbe(source, grouping, exec);
+  std::vector<std::size_t> arg_dims;
+  for (const AggRef& aggregate : agg->aggregates) {
+    auto function = BuildAggFunction(source, aggregate);
+    if (function.ok() && !function->args().empty() &&
+        std::find(arg_dims.begin(), arg_dims.end(),
+                  function->args().front()) == arg_dims.end()) {
+      arg_dims.push_back(function->args().front());
+    }
+  }
+  const StreamProbe probe =
+      AggregateStreamProbe(source, grouping, arg_dims, exec);
   line(StrCat("  fused pipeline: scan",
               select.as_of.has_value() ? " -> timeslice" : "",
               select.where != nullptr ? " -> select [pushed-down keep mask]"
                                       : "",
               " -> stream group-by"));
+  if (select.where != nullptr) {
+    // Binding counts interner probes; EXPLAIN passes no context.
+    auto predicate = BuildWhere(source, *select.where, /*exec=*/nullptr);
+    line(StrCat("  where: ", predicate.ok()
+                                 ? predicate->DescribeMask(source)
+                                 : predicate.status().ToString()));
+  }
+  auto names = [&source](const std::vector<std::size_t>& dims) {
+    std::vector<std::string> parts;
+    for (std::size_t dim : dims) parts.push_back(source.dimension(dim).name());
+    return Join(parts, ", ");
+  };
   line(StrCat("  stream: ", agg->aggregates.size(), " function(s), ",
               probe.live.size(), " live dim(s), engine=",
               probe.dense ? "dense-slots" : "flat-hash",
               probe.all_indexed ? "" : " (rollup index unavailable)",
-              ", slot product=", probe.slot_product));
+              ", slot product=", probe.slot_product, ", columns: live [",
+              names(probe.live_columns), "] arguments [",
+              names(probe.arg_columns), "]"));
   return result;
 }
 

@@ -57,6 +57,22 @@ bool IsPureAppend(const MdObject& published, const MdObject& draft,
   return true;
 }
 
+/// Compiles `mo`'s rollup snapshots (cached in the still-unfrozen
+/// dimensions' slots) and seals every relation's CSR view and dense-id
+/// column under them, so readers of the published epoch build neither.
+/// A relation whose column was carried over from the published epoch is
+/// extended over its appended tail only.
+std::vector<std::shared_ptr<const RollupIndex>> CompileForReaders(
+    const MdObject& mo, ExecStats* stats) {
+  std::vector<std::shared_ptr<const RollupIndex>> rollups;
+  rollups.reserve(mo.dimension_count());
+  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
+    rollups.push_back(RollupIndex::For(mo.dimension(i), stats));
+    mo.relation(i).SealDenseColumn(rollups.back()->numbering());
+  }
+  return rollups;
+}
+
 }  // namespace
 
 const PublishedMo* MoSnapshot::Find(const std::string& name) const {
@@ -95,11 +111,10 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
   // Compile the rollup snapshots while the dimensions are still
   // unfrozen, so For() caches each one into the dimension's slot; after
   // the freeze below, readers serve that slot without the slot mutex.
-  std::vector<std::shared_ptr<const RollupIndex>> rollups;
-  rollups.reserve(mo.dimension_count());
-  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    rollups.push_back(RollupIndex::For(mo.dimension(i)));
-  }
+  // The dense columns sealed with them serve the warm materialization
+  // below as well as every reader.
+  std::vector<std::shared_ptr<const RollupIndex>> rollups =
+      CompileForReaders(mo, nullptr);
 
   std::shared_ptr<const PreAggregateCache> preagg;
   if (!specs.empty()) {
@@ -115,6 +130,7 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
     // they get the same treatment as the base MO.
     for (const WarmSpec& spec : specs) {
       if (const MdObject* cached = cache->Peek(spec.function, spec.grouping)) {
+        (void)CompileForReaders(*cached, nullptr);
         cached->WarmAndFreezeForPublish();
       }
     }
@@ -142,16 +158,6 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::SealAppend(
     mo.dimension(i).WarmClosureMemo();
   }
 
-  // Rollup snapshots: each dimension's slot still holds the published
-  // snapshot. Untouched dimensions (version unchanged) reuse it outright;
-  // appended-to dimensions patch it — dense remap extended, fresh-value
-  // closure rows computed, old rows copied (exec.stats.rollup_patches).
-  std::vector<std::shared_ptr<const RollupIndex>> rollups;
-  rollups.reserve(mo.dimension_count());
-  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    rollups.push_back(RollupIndex::For(mo.dimension(i), &exec.stats));
-  }
-
   // Reseal the by-fact CSR span views: a batched fact append lands at the
   // entry tail with fresh (maximal) fact ids, so the sealed layout is
   // extended in place rather than re-sorted.
@@ -161,6 +167,15 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::SealAppend(
       ++exec.stats.csr_tail_extends;
     }
   }
+
+  // Rollup snapshots: each dimension's slot still holds the published
+  // snapshot. Untouched dimensions (version unchanged) reuse it outright;
+  // appended-to dimensions patch it — dense remap extended, fresh-value
+  // closure rows computed, old rows copied (exec.stats.rollup_patches).
+  // A patch keeps the numbering, so each relation's carried-over dense
+  // column is extended over the appended rows only.
+  std::vector<std::shared_ptr<const RollupIndex>> rollups =
+      CompileForReaders(mo, &exec.stats);
 
   std::shared_ptr<const PreAggregateCache> preagg;
   if (!specs.empty()) {
@@ -181,6 +196,7 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::SealAppend(
     }
     for (const WarmSpec& spec : specs) {
       if (const MdObject* cached = cache->Peek(spec.function, spec.grouping)) {
+        (void)CompileForReaders(*cached, nullptr);
         cached->WarmAndFreezeForPublish();
       }
     }

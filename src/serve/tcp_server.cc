@@ -97,12 +97,13 @@ void TcpServer::Stop() {
     for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> threads;
+  std::map<std::thread::id, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     threads.swap(conn_threads_);
+    finished_.clear();
   }
-  for (std::thread& t : threads) {
+  for (auto& [id, t] : threads) {
     if (t.joinable()) t.join();
   }
   ::close(listen_fd_);
@@ -110,8 +111,25 @@ void TcpServer::Stop() {
   port_ = 0;
 }
 
+void TcpServer::ReapFinished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    for (std::thread::id id : finished_) {
+      auto it = conn_threads_.find(id);
+      if (it == conn_threads_.end()) continue;
+      done.push_back(std::move(it->second));
+      conn_threads_.erase(it);
+    }
+    finished_.clear();
+  }
+  // Each has filed itself as its last act, so the joins are immediate.
+  for (std::thread& t : done) t.join();
+}
+
 void TcpServer::AcceptLoop() {
   while (!stopping_.load(std::memory_order_acquire)) {
+    ReapFinished();
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
@@ -123,7 +141,11 @@ void TcpServer::AcceptLoop() {
       break;
     }
     conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    // Registered under conn_mu_, which the thread needs to file itself
+    // as finished, so the id is in the map before it can be filed.
+    std::thread thread([this, fd] { ServeConnection(fd); });
+    const std::thread::id id = thread.get_id();
+    conn_threads_.emplace(id, std::move(thread));
   }
 }
 
@@ -192,9 +214,12 @@ void TcpServer::ServeConnection(int fd) {
       buffer.clear();
     }
   }
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
+    finished_.push_back(std::this_thread::get_id());
+  }
   ::close(fd);
-  // The thread object stays in conn_threads_ until Stop() joins it;
-  // closed-connection threads are cheap (they are done running).
 }
 
 }  // namespace serve

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -70,15 +71,22 @@ class TcpServer {
  private:
   void AcceptLoop();
   void ServeConnection(int fd);
+  /// Joins the threads of connections that have finished.
+  void ReapFinished();
 
   MdqlServer* server_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
+  // Connection bookkeeping, under conn_mu_. A finished connection
+  // removes its fd before closing it (so Stop() never shuts down a
+  // reused fd number) and files its thread id for the accept loop to
+  // join, so neither container outgrows the open connections.
   std::mutex conn_mu_;
-  std::vector<int> conn_fds_;          // open connections, for Stop()
-  std::vector<std::thread> conn_threads_;
+  std::vector<int> conn_fds_;  // open connections, for Stop()
+  std::map<std::thread::id, std::thread> conn_threads_;
+  std::vector<std::thread::id> finished_;
 };
 
 }  // namespace serve

@@ -165,7 +165,11 @@ Result<ClinicalMo> GenerateClinicalWorkload(
   std::uniform_int_distribution<std::size_t> pick_family_dist(
       0, families.size() - 1);
   std::uniform_int_distribution<std::size_t> pick_area(0, areas.size() - 1);
-  std::poisson_distribution<int> extra(params.mean_extra_diagnoses);
+  // poisson_distribution requires a positive mean. At mean 0 no extra
+  // diagnosis is drawn, so the placeholder mean is never used.
+  const bool draw_extra = params.mean_extra_diagnoses > 0;
+  std::poisson_distribution<int> extra(
+      draw_extra ? params.mean_extra_diagnoses : 1.0);
   const Chronon epoch = *ParseDate("01/01/80");
   std::uniform_int_distribution<Chronon> onset(*ParseDate("01/01/70"),
                                                *ParseDate("01/01/95"));
@@ -174,7 +178,7 @@ Result<ClinicalMo> GenerateClinicalWorkload(
     FactId patient = registry->Atom(p + 1);
     MDDC_RETURN_NOT_OK(mo.AddFact(patient));
 
-    const int diagnosis_count = 1 + extra(rng);
+    const int diagnosis_count = 1 + (draw_extra ? extra(rng) : 0);
     std::set<ValueId> chosen;
     for (int d = 0; d < diagnosis_count; ++d) {
       bool coarse = unit(rng) < params.coarse_granularity_rate;

@@ -152,6 +152,8 @@ TEST(ExecStatsTest, MergeFromSumsEveryCounter) {
   b.sequential_fallbacks = 3;
   b.merge_nanos = 50;
   b.dense_groupby_runs = 1;
+  b.facts_gathered = 5;
+  b.facts_walked = 6;
   a.MergeFrom(b);
   EXPECT_EQ(a.parallel_runs, 3u);
   EXPECT_EQ(a.sequential_fallbacks, 3u);
@@ -159,6 +161,8 @@ TEST(ExecStatsTest, MergeFromSumsEveryCounter) {
   EXPECT_EQ(a.merge_nanos, 150u);
   EXPECT_EQ(a.index_hits, 2u);
   EXPECT_EQ(a.dense_groupby_runs, 1u);
+  EXPECT_EQ(a.facts_gathered, 5u);
+  EXPECT_EQ(a.facts_walked, 6u);
 }
 
 TEST(ExecStatsTest, ToJsonListsEveryCounter) {
@@ -174,6 +178,8 @@ TEST(ExecStatsTest, ToJsonListsEveryCounter) {
       << json;
   EXPECT_NE(json.find("\"index_builds\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"dense_slot_fallbacks\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"facts_gathered\": 0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"facts_walked\": 0}"), std::string::npos) << json;
 }
 
 TEST(SharedThreadPoolTest, ContextsCountReusesNotCreations) {

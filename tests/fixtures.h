@@ -6,10 +6,14 @@
 
 #include <memory>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/date.h"
 #include "core/dimension.h"
 #include "core/dimension_type.h"
 #include "core/md_object.h"
+#include "engine/rollup_index.h"
 #include "temporal/lifespan.h"
 
 namespace mddc {
@@ -106,6 +110,30 @@ inline MdObject BuildPatientDiagnosisMo() {
   (void)mo.Relate(0, p2, ValueId(5), During("[01/01/82-30/09/82]"));
   (void)mo.Relate(0, p2, ValueId(9), During("[01/01/82-NOW]"));
   return mo;
+}
+
+/// A from-scratch dense-id column of `relation` under `index`: the
+/// relation rebuilt entry by entry, so no sealed state carries over.
+inline std::vector<std::uint32_t> FreshColumn(const FactDimRelation& relation,
+                                              const RollupIndex& index) {
+  FactDimRelation fresh;
+  for (const FactDimRelation::Entry& entry : relation.entries()) {
+    (void)fresh.Add(entry.fact, entry.value, entry.life, entry.prob);
+  }
+  return *fresh.DenseColumn(index.numbering());
+}
+
+/// True when `relation` already holds a valid dense column under
+/// `index`'s numbering, decided without building one: a copy carries
+/// only a valid column, and a carried column of another generation
+/// answers null rather than being rebuilt.
+inline bool HasSealedColumn(const FactDimRelation& relation,
+                            const RollupIndex& index) {
+  const FactDimRelation copy = relation;
+  const ValueId none[1] = {ValueId()};
+  const FactDimRelation::DenseNumbering other{0, none, ValueId()};
+  return copy.DenseColumn(other) == nullptr &&
+         copy.DenseColumn(index.numbering()) != nullptr;
 }
 
 }  // namespace testing_fixtures

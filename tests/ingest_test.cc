@@ -10,6 +10,8 @@
 #include "common/date.h"
 #include "common/strings.h"
 #include "engine/executor.h"
+#include "engine/rollup_index.h"
+#include "fixtures.h"
 #include "io/serialize.h"
 #include "mdql/mdql.h"
 #include "mdql/parser.h"
@@ -133,6 +135,32 @@ void ExpectWarmEntriesMatch(serve::MoStore& incremental,
       << context << ": warm " << function.name() << " entries differ";
 }
 
+/// Asserts every relation of the incremental store's published epoch
+/// carries a dense-id column sealed at publication that equals both a
+/// from-scratch build and the fully resealed store's column.
+void ExpectColumnsMatch(serve::MoStore& incremental, serve::MoStore& rebuilt,
+                        const std::string& context) {
+  const auto inc_snapshot = incremental.Pin();
+  const auto full_snapshot = rebuilt.Pin();
+  const serve::PublishedMo* inc = inc_snapshot->Find("clinical");
+  const serve::PublishedMo* full = full_snapshot->Find("clinical");
+  ASSERT_NE(inc, nullptr);
+  ASSERT_NE(full, nullptr);
+  for (std::size_t i = 0; i < inc->mo().dimension_count(); ++i) {
+    const FactDimRelation& relation = inc->mo().relation(i);
+    const RollupIndex& index = *inc->rollups[i];
+    ASSERT_TRUE(testing_fixtures::HasSealedColumn(relation, index))
+        << context << ": dimension " << i;
+    const std::vector<std::uint32_t>& column =
+        *relation.DenseColumn(index.numbering());
+    EXPECT_EQ(column, testing_fixtures::FreshColumn(relation, index))
+        << context << ": dimension " << i;
+    EXPECT_EQ(column, *full->mo().relation(i).DenseColumn(
+                          full->rollups[i]->numbering()))
+        << context << ": dimension " << i;
+  }
+}
+
 TEST(IngestDifferentialTest, AppendedEpochsMatchFullRebuild) {
   const ClinicalWorkloadParams params = SmallParams(300);
   ClinicalMo clinical = Build(params);
@@ -203,6 +231,7 @@ TEST(IngestDifferentialTest, AppendedEpochsMatchFullRebuild) {
     ExpectReadsMatch(incremental, rebuilt, StrCat("batch ", batch));
     ExpectWarmEntriesMatch(incremental, rebuilt, AggFunction::SetCount(),
                            grouping, StrCat("batch ", batch));
+    ExpectColumnsMatch(incremental, rebuilt, StrCat("batch ", batch));
   }
 
   // Every batch took the fast path...

@@ -528,6 +528,43 @@ TEST(ExplainTest, RendersPlansRulesAndPhysicalChoice) {
   EXPECT_NE(text.find("fused"), std::string::npos) << text;
 }
 
+TEST(ExplainTest, NamesGatherColumnsAndValueMasks) {
+  RetailMo retail = BuildRetail(300);
+  Session session;
+  ASSERT_TRUE(session.Register("retail", std::move(retail.mo)).ok());
+  auto result = session.Execute(
+      "EXPLAIN SELECT SUM(Amount), COUNT, MAX(Amount) FROM retail "
+      "BY Store.City "
+      "WHERE Store.Store = 'Store-1' AND Price >= 100 "
+      "OR PROB(Store.Store = 'Store-2') >= 0.5");
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::string text = result->ToString();
+  // Both name and numeric atoms are decided per value; PROB runs per fact.
+  EXPECT_NE(text.find("where: value masks [char(1,"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find(", num(4 >= "), std::string::npos) << text;
+  EXPECT_NE(text.find("], per fact [prob(1,"), std::string::npos) << text;
+  EXPECT_NE(text.find("columns: live [Store] arguments [Amount]"),
+            std::string::npos)
+      << text;
+
+  // The clinical Diagnosis hierarchy is non-strict and temporal: no flat
+  // table, so its atoms run per fact and its facts are never gathered.
+  ClinicalMo clinical = BuildClinical(200);
+  ASSERT_TRUE(session.Register("clinical", std::move(clinical.mo)).ok());
+  auto fallback = session.Execute(
+      "EXPLAIN SELECT COUNT FROM clinical BY Diagnosis.\"Diagnosis Group\" "
+      "WHERE Diagnosis.\"Diagnosis Family\" = 'F1'");
+  ASSERT_TRUE(fallback.ok()) << fallback.status();
+  const std::string fallback_text = fallback->ToString();
+  EXPECT_NE(fallback_text.find("where: value masks [], per fact [char(0,"),
+            std::string::npos)
+      << fallback_text;
+  EXPECT_NE(fallback_text.find("columns: live [] arguments []"),
+            std::string::npos)
+      << fallback_text;
+}
+
 TEST(ExplainTest, ExplainNeverExecutesOrMutates) {
   ClinicalMo clinical = BuildClinical(200);
   const std::size_t facts_before = clinical.mo.facts().size();

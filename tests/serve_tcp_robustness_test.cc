@@ -232,6 +232,35 @@ TEST_F(TcpRobustnessTest, StatsAndReadsDuringActiveWrites) {
   ::close(fd);
 }
 
+TEST_F(TcpRobustnessTest, StopLeavesReusedFdNumbersAlone) {
+  // Clients that .quit: the server closes its end of each connection and
+  // so releases those fd numbers, while the clients keep theirs open.
+  std::vector<int> clients;
+  for (int i = 0; i < 3; ++i) {
+    const int fd = ConnectTo(tcp_.port());
+    ASSERT_GE(fd, 0);
+    clients.push_back(fd);
+    std::string buffer;
+    ExpectServiceable(fd, &buffer);
+    ASSERT_TRUE(SendLine(fd, ".quit"));
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "expected EOF";
+  }
+  // A socketpair takes the lowest free fd numbers: the ones the server
+  // just closed. Stop() must not shut them down.
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  tcp_.Stop();
+  const char out = 'x';
+  EXPECT_EQ(::send(pair[0], &out, 1, MSG_NOSIGNAL), 1);
+  char in = 0;
+  EXPECT_EQ(::recv(pair[1], &in, 1, MSG_DONTWAIT), 1);
+  EXPECT_EQ(in, 'x');
+  ::close(pair[0]);
+  ::close(pair[1]);
+  for (int fd : clients) ::close(fd);
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace mddc
