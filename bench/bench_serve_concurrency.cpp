@@ -2,9 +2,10 @@
 // MDQL aggregate against an MoStore while one background writer keeps
 // publishing new epochs (serve/mo_store.h, serve/mdql_server.h). The
 // interesting numbers are aggregate read throughput and tail latency as
-// sessions pile on — reads pin epochs with one atomic load and never
-// take a lock, so throughput should degrade only with CPU
-// oversubscription, not with writer activity.
+// sessions pile on — a read pins its epoch with one pointer copy under a
+// mutex held for nothing else and then runs on the shared sealed MO, so
+// throughput should degrade only with CPU oversubscription, not with
+// writer activity.
 //
 //   $ ./bench/bench_serve_concurrency
 //

@@ -113,15 +113,15 @@ class MdObject {
   /// previously published fact is already covered.
   Status CoverWithTop(const std::vector<FactId>& facts);
 
-  // ---- Snapshot views (the MVCC serving tier, src/serve) -------------------
+  // ---- Registry isolation (the MVCC serving tier, src/serve) ---------------
 
   /// A copy of this MO whose derived facts intern into `registry` instead
-  /// of the shared one. This is the reader/writer isolation hook of the
-  /// serving tier: a published (immutable) MO is never executed against
-  /// directly — each session takes a view carrying a FactRegistry fork, so
-  /// the set/pair facts its queries create never touch the shared
-  /// registry. `registry` must resolve every id this MO references
-  /// (a fork or flat copy of the current registry does, id-stably).
+  /// of the shared one. Writers draft on a copy carrying a FactRegistry
+  /// fork, and the MDQL tree walk works on one (ExecuteSelectTreeWalk),
+  /// so neither the facts a draft adds nor the set facts a read derives
+  /// ever touch a published MO's sealed registry. `registry` must
+  /// resolve every id this MO references (a fork or flat copy of the
+  /// current registry does, id-stably).
   MdObject WithRegistry(std::shared_ptr<FactRegistry> registry) const;
 
   /// Prepares this MO for lock-free concurrent reads and marks every

@@ -206,7 +206,7 @@ struct ExecStats {
 
 /// Execution context threaded through AggregateFormation, Join, the
 /// timeslice operators, PreAggregateCache::Query/Materialize,
-/// relational::Aggregate and mdql::Session::Execute. The default context
+/// relational::Aggregate and mdql::ExecuteRead. The default context
 /// (num_threads = 1) is the sequential engine; the aggregation entry
 /// points (AggregateFormation, FoldAggregateAppend, AggregateStream)
 /// treat a null context as a fresh default one. A context is owned by one

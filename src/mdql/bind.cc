@@ -165,7 +165,10 @@ Result<AggFunction> BuildAggFunction(const MdObject& mo, const AggRef& agg) {
 Result<QueryResult> ExecuteSelectTreeWalk(const MdObject& source,
                                           const SelectStatement& select,
                                           ExecContext* exec) {
-  MdObject mo = source;
+  // The working copy interns into a private fork of the source registry:
+  // formation's set facts never reach the input, which may be a sealed
+  // epoch shared by concurrent readers.
+  MdObject mo = source.WithRegistry(FactRegistry::ForkOf(source.registry()));
   if (select.as_of.has_value()) {
     // ASOF 'NOW' slices at the growing NOW sentinel: memberships and
     // characterizations whose valid time runs to NOW survive, anything

@@ -55,7 +55,10 @@ Result<AggFunction> BuildAggFunction(const MdObject& mo, const AggRef& agg);
 /// The tree-walk interpreter for SELECT: timeslice, then a materialized
 /// Select, then one full AggregateFormation per aggregate, merged by
 /// group labels. The compiled pipeline's differential baseline and its
-/// automatic fallback for uncovered plan shapes.
+/// automatic fallback for uncovered plan shapes. It works on a copy of
+/// `source` whose registry is a fork of the source's, so the set facts
+/// formation interns never reach `source` and concurrent readers may
+/// share it.
 Result<QueryResult> ExecuteSelectTreeWalk(const MdObject& source,
                                           const SelectStatement& select,
                                           ExecContext* exec);

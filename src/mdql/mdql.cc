@@ -135,6 +135,29 @@ Result<QueryResult> ApplyDelete(MdObject& mo, const DeleteStatement& del) {
   return ack;
 }
 
+Result<QueryResult> ExecuteRead(const MdObject& mo, const Statement& statement,
+                                const CompileOptions& options,
+                                ExecContext* exec) {
+  if (IsMutating(statement)) {
+    return Status::InvalidArgument(
+        "INSERT and DELETE mutate their MO; ExecuteRead runs reads only");
+  }
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+    if (statement.explain) {
+      return ExplainStatement(mo, statement, options, exec);
+    }
+    if (statement.show.has_value()) return ExecuteShow(mo, *statement.show);
+    if (options.enable_compiler) {
+      return ExecuteCompiledSelect(mo, *statement.select, options, exec);
+    }
+    return ExecuteSelectTreeWalk(mo, *statement.select, exec);
+  }();
+  // Statement boundary: rewind the query-lifetime arenas (a no-op when
+  // the statement's operators reclaimed their scratch already).
+  if (exec != nullptr) exec->ResetQueryArenas();
+  return result;
+}
+
 std::string QueryResult::ToString() const {
   TablePrinter printer(columns);
   for (const auto& row : rows) printer.AddRow(row);
@@ -173,38 +196,19 @@ Result<QueryResult> Session::Execute(const std::string& query,
 
 Result<QueryResult> Session::Execute(const Statement& statement,
                                      ExecContext* exec) {
-  Result<QueryResult> result = ExecuteImpl(statement, exec);
-  // Statement boundary: rewind the query-lifetime arenas (a no-op when
-  // the statement's operators reclaimed their scratch already).
-  if (exec != nullptr) exec->ResetQueryArenas();
-  return result;
-}
-
-Result<QueryResult> Session::ExecuteImpl(const Statement& statement,
-                                         ExecContext* exec) {
   const std::string_view mo_name = StatementMoName(statement);
   auto it = catalog_.find(mo_name);
   if (it == catalog_.end()) {
     return Status::NotFound(StrCat("no MO named '", mo_name,
                                    "' is registered in this session"));
   }
-  if (statement.explain) {
-    return ExplainStatement(it->second, statement, compile_options_, exec);
-  }
-  if (statement.select.has_value()) {
-    if (compile_options_.enable_compiler) {
-      return ExecuteCompiledSelect(it->second, *statement.select,
-                                   compile_options_, exec);
-    }
-    return ExecuteSelectTreeWalk(it->second, *statement.select, exec);
+  if (!IsMutating(statement)) {
+    return ExecuteRead(it->second, statement, compile_options_, exec);
   }
   if (statement.insert.has_value()) {
     return ApplyInsert(it->second, *statement.insert);
   }
-  if (statement.del.has_value()) {
-    return ApplyDelete(it->second, *statement.del);
-  }
-  return ExecuteShow(it->second, *statement.show);
+  return ApplyDelete(it->second, *statement.del);
 }
 
 }  // namespace mdql

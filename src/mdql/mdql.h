@@ -81,6 +81,19 @@ Result<QueryResult> ApplyInsert(MdObject& mo, const InsertStatement& insert);
 /// scratch (docs/ingestion.md). NotFound when no such fact exists.
 Result<QueryResult> ApplyDelete(MdObject& mo, const DeleteStatement& del);
 
+/// Executes a statement that IsMutating() rejects — a SELECT, a SHOW or
+/// any EXPLAIN — on `mo`, which it never mutates: compiled SELECTs
+/// stream without interning, and the tree walk interns its derived
+/// facts into a private fork of `mo`'s registry (ExecuteSelectTreeWalk).
+/// Any number of threads may therefore read one shared MO at once, as
+/// the serving tier does with each pinned sealed epoch. `options` picks
+/// compiled or interpreted SELECTs; `exec` (optional) is threaded
+/// through the plan and its query arenas are rewound before returning.
+/// InvalidArgument for a mutating statement.
+Result<QueryResult> ExecuteRead(const MdObject& mo, const Statement& statement,
+                                const CompileOptions& options,
+                                ExecContext* exec = nullptr);
+
 /// A catalog of named MOs plus the query entry point.
 class Session {
  public:
@@ -101,9 +114,11 @@ class Session {
   Result<QueryResult> Execute(const std::string& query,
                               ExecContext* exec = nullptr);
 
-  /// Executes an already-parsed statement. The serving tier parses once,
-  /// classifies with IsMutating(), and then routes reads here against a
-  /// snapshot view while writes go through the store's writer.
+  /// Executes an already-parsed statement: reads through ExecuteRead()
+  /// with this session's compile options, INSERT and DELETE in place on
+  /// the registered MO. The serving tier does not come here; it runs
+  /// reads through ExecuteRead() on the pinned sealed MO and writes
+  /// through the store's writer.
   Result<QueryResult> Execute(const Statement& statement,
                               ExecContext* exec = nullptr);
 
@@ -117,9 +132,6 @@ class Session {
   const CompileOptions& compile_options() const { return compile_options_; }
 
  private:
-  Result<QueryResult> ExecuteImpl(const Statement& statement,
-                                  ExecContext* exec);
-
   // Transparent comparator: name lookups probe with a string_view without
   // materializing a key string.
   std::map<std::string, MdObject, std::less<>> catalog_;

@@ -190,9 +190,17 @@ class Parser {
   Result<std::shared_ptr<const WhereExpr>> ParseWherePrimary() {
     // Atoms never start with '(' (PROB consumes its own parentheses), so
     // a leading '(' unambiguously opens a grouped expression.
-    if (Accept(TokenKind::kLParen)) {
+    if (Peek().kind == TokenKind::kLParen) {
+      if (where_depth_ == kMaxWhereNesting) {
+        return Status::InvalidArgument(
+            StrCat("WHERE nests parentheses deeper than ", kMaxWhereNesting,
+                   " levels at offset ", Peek().offset));
+      }
+      Advance();
+      ++where_depth_;
       MDDC_ASSIGN_OR_RETURN(auto inner, ParseWhereExpr());
       MDDC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
+      --where_depth_;
       return inner;
     }
     MDDC_ASSIGN_OR_RETURN(WhereAtom atom, ParseAtom());
@@ -337,6 +345,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t where_depth_ = 0;  // open WHERE parentheses
 };
 
 }  // namespace

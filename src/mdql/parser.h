@@ -1,6 +1,7 @@
 #ifndef MDDC_MDQL_PARSER_H_
 #define MDDC_MDQL_PARSER_H_
 
+#include <cstddef>
 #include <string>
 
 #include "common/result.h"
@@ -15,8 +16,11 @@ namespace mdql {
 ///   statement  := select | show | insert
 ///   select     := SELECT agg (',' agg)* FROM ident
 ///                 (BY group (',' group)*)?
-///                 (WHERE atom (AND atom)*)?
+///                 (WHERE where)?
 ///                 (ASOF string)?
+///   where      := and (OR and)*
+///   and        := primary (AND primary)*
+///   primary    := '(' where ')' | atom
 ///   agg        := COUNT | fn '(' ident ')'        fn in COUNT|SUM|AVG|
 ///                                                 MIN|MAX (identifiers)
 ///   group      := ident '.' ident (AS ident)?
@@ -29,7 +33,15 @@ namespace mdql {
 ///   insert     := INSERT INTO ident FACT number
 ///                 '(' assign (',' assign)* ')'
 ///   assign     := ident '.' ident '=' string (PROB number)?
+///
+/// A WHERE nesting parentheses deeper than kMaxWhereNesting is
+/// InvalidArgument.
 Result<Statement> Parse(const std::string& source);
+
+/// The deepest WHERE parenthesis nesting Parse accepts. The parser
+/// recurses once per level, so the bound keeps a hostile request line
+/// from exhausting a connection thread's stack.
+inline constexpr std::size_t kMaxWhereNesting = 256;
 
 }  // namespace mdql
 }  // namespace mddc

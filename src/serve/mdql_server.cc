@@ -18,13 +18,11 @@ std::string SessionStats::ToJson() const {
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
                 "{\"queries\": %llu, \"reads\": %llu, \"writes\": %llu, "
-                "\"errors\": %llu, \"view_rebuilds\": %llu, "
-                "\"last_epoch\": %llu, \"exec\": ",
+                "\"errors\": %llu, \"last_epoch\": %llu, \"exec\": ",
                 static_cast<unsigned long long>(queries),
                 static_cast<unsigned long long>(reads),
                 static_cast<unsigned long long>(writes),
                 static_cast<unsigned long long>(errors),
-                static_cast<unsigned long long>(view_rebuilds),
                 static_cast<unsigned long long>(last_epoch));
   return StrCat(buffer, exec.ToJson(), "}");
 }
@@ -45,39 +43,25 @@ Result<mdql::QueryResult> ServerSession::Execute(const std::string& statement) {
 Result<mdql::QueryResult> ServerSession::ExecuteRead(
     const mdql::Statement& statement) {
   ++stats_.reads;
-  // The whole read-side synchronization: one acquire load. Everything
-  // reachable from the snapshot is immutable.
+  // The whole read-side synchronization: one Pin(). Everything reachable
+  // from the snapshot is immutable, so the statement runs on the shared
+  // sealed MO directly.
   const std::shared_ptr<const MoSnapshot> snapshot = store_->Pin();
   stats_.last_epoch = snapshot->epoch();
 
   const std::string name(mdql::StatementMoName(statement));
-  auto it = views_.find(name);
-  if (it == views_.end() || it->second.epoch != snapshot->epoch()) {
-    const PublishedMo* entry = snapshot->Find(name);
-    if (entry == nullptr) {
-      return Status::NotFound(StrCat("no MO named '", name,
-                                     "' is published at epoch ",
-                                     snapshot->epoch()));
-    }
-    // (Re)build the session's private view: the published MO with
-    // derived-fact interning redirected into a session-local registry
-    // fork, so executing on it never writes shared state.
-    View view;
-    view.epoch = snapshot->epoch();
-    MDDC_RETURN_NOT_OK(view.session.Register(
-        name,
-        entry->mo().WithRegistry(FactRegistry::ForkOf(entry->mo().registry()))));
-    it = views_.insert_or_assign(name, std::move(view)).first;
-    ++stats_.view_rebuilds;
+  const PublishedMo* entry = snapshot->Find(name);
+  if (entry == nullptr) {
+    return Status::NotFound(StrCat("no MO named '", name,
+                                   "' is published at epoch ",
+                                   snapshot->epoch()));
   }
-
   ExecContext exec(threads_per_query_, /*min_facts=*/4096);
-  auto result = it->second.session.Execute(statement, &exec);
+  auto result =
+      mdql::ExecuteRead(entry->mo(), statement, mdql::CompileOptions(), &exec);
   stats_.exec.MergeFrom(exec.stats);
   if (result.ok() && statement.select.has_value()) {
-    if (auto mo = it->second.session.Get(name); mo.ok()) {
-      LogSelect(**mo, name, *statement.select);
-    }
+    LogSelect(entry->mo(), name, *statement.select);
   }
   return result;
 }
@@ -114,8 +98,7 @@ Status ServerSession::AdviseWarmAggregates(const std::string& name,
   auto it = query_log_.find(name);
   if (it == query_log_.end() || it->second.empty()) return Status::OK();
 
-  // The advisor needs the published MO (cost model sizes); advising
-  // against a view copy would be equivalent but keeps the pin explicit.
+  // The advisor sizes its cost model from the published MO.
   const std::shared_ptr<const MoSnapshot> snapshot = store_->Pin();
   const PublishedMo* entry = snapshot->Find(name);
   if (entry == nullptr) {

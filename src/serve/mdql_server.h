@@ -23,7 +23,6 @@ struct SessionStats {
   std::uint64_t reads = 0;          ///< SELECT / SHOW
   std::uint64_t writes = 0;         ///< INSERT/DELETE (through the writer)
   std::uint64_t errors = 0;         ///< statements that returned a Status
-  std::uint64_t view_rebuilds = 0;  ///< snapshot views (re)built on epoch moves
   std::uint64_t last_epoch = 0;     ///< epoch of the last executed statement
   ExecStats exec;
 
@@ -32,18 +31,17 @@ struct SessionStats {
 };
 
 /// One client's handle on the serving tier. Reads pin the store's
-/// current snapshot (one atomic load), execute on a private view of the
-/// target MO, and never block writers or other readers; mutating
-/// statements are routed through the store's serialized writer and
-/// publish a new epoch.
+/// current snapshot and execute on the pinned sealed MO itself, shared
+/// with every other reader of that epoch; mutating statements are routed
+/// through the store's serialized writer and publish a new epoch.
 ///
-/// The private view is what keeps the read path lock-free end to end: a
-/// session caches, per MO name, a copy of the published MO whose fact
-/// registry is a session-local fork — the algebra's derived-fact
-/// interning lands in the fork, never in the shared sealed registry.
-/// Views are rebuilt only when the pinned epoch moves (counted in
-/// stats().view_rebuilds), so steady-state reads pay one atomic load
-/// plus two map lookups before query execution.
+/// No read copies the MO up front: the algebra builds every result as a
+/// new MO and never mutates its operands (paper §4.1), compiled SELECTs
+/// intern nothing, and the tree walk that uncovered shapes fall back to
+/// (`BY Dim.TOP`, unresolvable levels) interns into a private registry
+/// fork (mdql::ExecuteRead). Sealing warmed and froze everything a read
+/// touches, so a read costs one Pin() plus one catalog lookup before
+/// query execution and never blocks writers or other readers.
 ///
 /// A session is owned by one client thread and is not itself
 /// thread-safe; concurrency comes from many sessions.
@@ -81,11 +79,6 @@ class ServerSession {
   ServerSession(MoStore* store, std::size_t threads_per_query)
       : store_(store), threads_per_query_(threads_per_query) {}
 
-  struct View {
-    std::uint64_t epoch = 0;
-    mdql::Session session;
-  };
-
   /// One query-log line: a SELECT-list function over a resolved grouping
   /// (one category per dimension, top for ungrouped), and how often the
   /// session executed it.
@@ -105,7 +98,6 @@ class ServerSession {
 
   MoStore* store_;
   std::size_t threads_per_query_;
-  std::map<std::string, View, std::less<>> views_;
   std::map<std::string, std::vector<LoggedQuery>, std::less<>> query_log_;
   SessionStats stats_;
 };

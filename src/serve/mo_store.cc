@@ -87,9 +87,7 @@ std::vector<std::string> MoSnapshot::names() const {
   return result;
 }
 
-MoStore::MoStore() {
-  current_.store(std::make_shared<MoSnapshot>(), std::memory_order_release);
-}
+MoStore::MoStore() : current_(std::make_shared<MoSnapshot>()) {}
 
 Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
     MdObject draft, const std::vector<WarmSpec>& specs) {
@@ -211,8 +209,7 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::SealAppend(
 
 Status MoStore::SwapLocked(const std::string& name,
                            std::shared_ptr<const PublishedMo> entry) {
-  std::shared_ptr<const MoSnapshot> current =
-      current_.load(std::memory_order_relaxed);
+  std::shared_ptr<const MoSnapshot> current = Pin();
   auto next = std::make_shared<MoSnapshot>(*current);
   next->epoch_ = current->epoch() + 1;
   if (entry == nullptr) {
@@ -222,10 +219,15 @@ Status MoStore::SwapLocked(const std::string& name,
   }
   retired_.push_back(current);
   ++epochs_published_;
-  // The release store publishes every plain write above — including the
-  // publish_frozen flags and warmed memos — to the acquire load in
-  // Pin().
-  current_.store(std::move(next), std::memory_order_release);
+  // Unlocking pin_mu_ publishes every plain write above — including the
+  // publish_frozen flags and warmed memos — to the next Pin().
+  {
+    std::lock_guard<std::mutex> lock(pin_mu_);
+    current_ = std::move(next);
+  }
+  // `current` keeps the retired epoch alive past the lock: when it holds
+  // the last reference, the epoch is torn down here, outside pin_mu_, so
+  // a teardown never delays a Pin().
   return Status::OK();
 }
 

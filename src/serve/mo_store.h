@@ -1,7 +1,6 @@
 #ifndef MDDC_SERVE_MO_STORE_H_
 #define MDDC_SERVE_MO_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -43,7 +42,7 @@ struct PublishedMo {
 };
 
 /// An immutable, epoch-stamped catalog of published MOs. Obtained from
-/// MoStore::Pin() with a single atomic load; valid for as long as the
+/// MoStore::Pin() with one shared_ptr copy; valid for as long as the
 /// caller holds the shared_ptr, no matter how many epochs the writer
 /// publishes meanwhile.
 class MoSnapshot {
@@ -65,16 +64,17 @@ class MoSnapshot {
 
 /// The MVCC publication point of the serving tier (docs/serving.md).
 ///
-/// Readers call Pin() — one atomic shared_ptr load, no locks — and then
-/// query the pinned MoSnapshot for as long as they like; everything
-/// reachable from it is immutable. Writers are serialized on a single
-/// mutex and never touch published state: they clone-or-patch a draft
-/// off to the side (forking the fact registry so not even interning is
-/// shared), re-seal it (closure memos warmed, rollup snapshots compiled,
-/// dimensions publish-frozen, warm pre-aggregates materialized) and swap
-/// the new snapshot in with one atomic store. The store-release /
-/// load-acquire pair is the only synchronization between writers and
-/// readers.
+/// Readers call Pin() — one shared_ptr copy under a mutex that guards
+/// nothing else — and then query the pinned MoSnapshot for as long as
+/// they like; everything reachable from it is immutable. Writers are
+/// serialized on a single mutex and never touch published state: they
+/// clone-or-patch a draft off to the side (forking the fact registry so
+/// not even interning is shared), re-seal it (closure memos warmed,
+/// rollup snapshots compiled, dimensions publish-frozen, warm
+/// pre-aggregates materialized) and exchange the new snapshot in under
+/// the pin mutex, whose unlock/lock pair is the only synchronization
+/// between writers and readers (docs/serving.md says why it is not a
+/// std::atomic<std::shared_ptr>).
 ///
 /// Retired epochs are reclaimed by shared_ptr: when the last pinned
 /// reader drops its snapshot, the epoch's memory goes with it. The store
@@ -83,11 +83,13 @@ class MoStore {
  public:
   MoStore();
 
-  /// The current snapshot: one atomic load, zero locks. Hold the result
-  /// for the duration of one query (or one batch) and re-Pin to observe
+  /// The current snapshot: one shared_ptr copy under pin_mu_, which is
+  /// only ever held for one such copy or exchange. Hold the result for
+  /// the duration of one query (or one batch) and re-Pin to observe
   /// newer epochs.
   std::shared_ptr<const MoSnapshot> Pin() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(pin_mu_);
+    return current_;
   }
 
   /// Epoch of the current snapshot.
@@ -185,7 +187,8 @@ class MoStore {
       const std::vector<WarmSpec>& specs, ExecStats* stats);
 
   mutable std::mutex writer_mu_;
-  std::atomic<std::shared_ptr<const MoSnapshot>> current_;
+  mutable std::mutex pin_mu_;  // guards current_ only; never held for work
+  std::shared_ptr<const MoSnapshot> current_;  // pin_mu_
   std::map<std::string, std::vector<WarmSpec>> warm_specs_;  // writer_mu_
   mutable std::vector<std::weak_ptr<const MoSnapshot>> retired_;  // writer_mu_
   mutable std::uint64_t reclaimed_ = 0;        // writer_mu_

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "engine/executor.h"
 #include "mdql/mdql.h"
 #include "mdql/parser.h"
@@ -175,6 +176,24 @@ TEST(MdqlParserTest, Errors) {
   EXPECT_FALSE(Parse("SELECT FOO(x) FROM m").ok());
   EXPECT_FALSE(Parse("SHOW SOMETHING FROM m").ok());
   EXPECT_FALSE(Parse("DELETE FROM m").ok());
+}
+
+TEST(MdqlParserTest, WhereNestingIsBounded) {
+  auto nested = [](std::size_t depth) {
+    return StrCat("SELECT COUNT FROM m WHERE ", std::string(depth, '('),
+                  "Name.Name = 'x'", std::string(depth, ')'));
+  };
+  auto deepest = Parse(nested(kMaxWhereNesting));
+  ASSERT_TRUE(deepest.ok()) << deepest.status();
+  EXPECT_EQ(deepest->select->where->kind, WhereExpr::Kind::kAtom);
+  EXPECT_EQ(Parse(nested(kMaxWhereNesting + 1)).status().code(),
+            StatusCode::kInvalidArgument);
+  // Deep enough to overflow an 8 MB stack without the bound.
+  auto hostile = Parse(nested(10000));
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(hostile.status().message().find("nests"), std::string::npos)
+      << hostile.status();
 }
 
 class MdqlSessionTest : public ::testing::Test {
@@ -424,6 +443,26 @@ TEST_F(MdqlSessionTest, InsertResolvesNamesBeforeMutating) {
                             "(Name.Name = 'Jane Doe' PROB 2)")
                    .ok());
   EXPECT_EQ(count(), before);
+}
+
+TEST_F(MdqlSessionTest, TreeWalkReadsLeaveTheRegistryUnchanged) {
+  // The interpreter's formation interns set facts into a private fork,
+  // so reads leave the registered MO's registry as they found it.
+  CompileOptions interpreted;
+  interpreted.enable_compiler = false;
+  session_.set_compile_options(interpreted);
+  auto sales = session_.Get("sales");
+  ASSERT_TRUE(sales.ok());
+  const std::size_t before = (*sales)->registry()->size();
+  for (const char* query :
+       {"SELECT COUNT, SUM(Amount) FROM sales BY Product.Category",
+        "SELECT MAX(Price) FROM sales BY Store.Region, Product.Department",
+        "SELECT COUNT FROM sales BY Product.TOP"}) {
+    auto result = session_.Execute(query);
+    ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+    EXPECT_FALSE(result->rows.empty()) << query;
+  }
+  EXPECT_EQ((*sales)->registry()->size(), before);
 }
 
 TEST_F(MdqlSessionTest, ProbabilityThreshold) {

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -16,12 +17,16 @@
 #include "serve/mdql_server.h"
 #include "serve/mo_store.h"
 #include "serve/tcp_server.h"
+#include "stress/driver.h"
+#include "stress/mix.h"
+#include "stress/oracle.h"
 #include "workload/case_study.h"
+#include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
 // Coverage for the serving tier's session layer (serve/mdql_server.h)
 // and its line-oriented TCP front-end (serve/tcp_server.h): read/write
-// routing, epoch-driven view rebuilds, per-session stats, warm
+// routing, reads on the shared sealed MO, per-session stats, warm
 // pre-aggregate probing, and the wire protocol end to end.
 
 namespace mddc {
@@ -64,43 +69,78 @@ TEST_F(MdqlServerTest, ReadsMatchAPlainSession) {
       "SELECT COUNT FROM patients WHERE Name.Name = 'Jane Doe'",
       "SHOW DIMENSIONS FROM patients",
   };
-  for (const std::string& query : queries) {
-    auto expected = plain.Execute(query);
-    ASSERT_TRUE(expected.ok()) << query << ": " << expected.status();
-    auto served = session.Execute(query);
-    ASSERT_TRUE(served.ok()) << query << ": " << served.status();
-    EXPECT_EQ(served->ToString(), expected->ToString()) << query;
-  }
+  auto expect_same_reads = [&]() {
+    for (const std::string& query : queries) {
+      auto expected = plain.Execute(query);
+      ASSERT_TRUE(expected.ok()) << query << ": " << expected.status();
+      auto served = session.Execute(query);
+      ASSERT_TRUE(served.ok()) << query << ": " << served.status();
+      EXPECT_EQ(served->ToString(), expected->ToString()) << query;
+      EXPECT_EQ(session.pinned_epoch(), store_.epoch()) << query;
+    }
+  };
+  expect_same_reads();
   EXPECT_EQ(session.stats().queries, queries.size());
   EXPECT_EQ(session.stats().reads, queries.size());
   EXPECT_EQ(session.stats().writes, 0u);
-  // One view built for the first patients read, reused afterwards.
-  EXPECT_EQ(session.stats().view_rebuilds, 1u);
-  EXPECT_EQ(session.pinned_epoch(), store_.epoch());
+
+  // After an INSERT the next reads run on the new epoch's MO and still
+  // match the plain session holding the same fact.
+  const std::string insert =
+      "INSERT INTO patients FACT 99 (Name.Name = 'Jane Doe')";
+  ASSERT_TRUE(plain.Execute(insert).ok());
+  ServerSession writer = server_.Connect();
+  ASSERT_TRUE(writer.Execute(insert).ok());
+  expect_same_reads();
+  EXPECT_EQ(session.pinned_epoch(), writer.pinned_epoch());
 }
 
 TEST_F(MdqlServerTest, ReadsNeverGrowThePublishedRegistry) {
+  mdql::Session plain;
+  ASSERT_TRUE(plain.Register("patients", *patients_).ok());
+  ASSERT_TRUE(plain.Register("sales", retail_->mo).ok());
   const std::shared_ptr<const MoSnapshot> pinned = store_.Pin();
-  const PublishedMo* entry = pinned->Find("sales");
-  ASSERT_NE(entry, nullptr);
-  const std::size_t size_before = entry->mo().registry()->size();
+  const PublishedMo* sales = pinned->Find("sales");
+  const PublishedMo* patients = pinned->Find("patients");
+  ASSERT_NE(sales, nullptr);
+  ASSERT_NE(patients, nullptr);
+  const std::size_t sales_before = sales->mo().registry()->size();
+  const std::size_t patients_before = patients->mo().registry()->size();
   ServerSession session = server_.Connect();
-  // A BY aggregate derives set facts; they must intern into the
-  // session's fork, never into the published sealed registry.
-  auto result = session.Execute(
-      "SELECT SUM(Amount) FROM sales BY Product.Category");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_GT(result->rows.size(), 0u);
-  EXPECT_EQ(entry->mo().registry()->size(), size_before);
+  // Every read runs on the published MO itself. Formation's set facts
+  // (the TOP grouping falls back to the tree walk, which derives them)
+  // must intern into a private fork, never into the sealed registry.
+  const std::vector<std::string> reads = {
+      "SELECT SUM(Amount) FROM sales BY Product.Category",
+      "SELECT COUNT, SUM(Amount) FROM sales BY Product.TOP",
+      "EXPLAIN SELECT COUNT FROM sales BY Product.TOP",
+      "SHOW HIERARCHY Product FROM sales",
+      "SELECT COUNT FROM sales BY Store.Region "
+      "WHERE Product.Product = 'Product-3' OR Price >= 20",
+      "SELECT COUNT FROM patients ASOF '15/06/1975'",
+      "SELECT COUNT FROM patients BY Name.TOP WHERE Age >= 40 ASOF 'NOW'",
+  };
+  for (const std::string& read : reads) {
+    auto expected = plain.Execute(read);
+    ASSERT_TRUE(expected.ok()) << read << ": " << expected.status();
+    auto served = session.Execute(read);
+    ASSERT_TRUE(served.ok()) << read << ": " << served.status();
+    EXPECT_FALSE(served->rows.empty()) << read;
+    EXPECT_EQ(served->ToString(), expected->ToString()) << read;
+    EXPECT_EQ(sales->mo().registry()->size(), sales_before) << read;
+    EXPECT_EQ(patients->mo().registry()->size(), patients_before) << read;
+  }
+  EXPECT_GT(session.stats().exec.plan_fallbacks, 0u);
 }
 
-TEST_F(MdqlServerTest, InsertPublishesANewEpochAndRebuildsViews) {
+TEST_F(MdqlServerTest, InsertPublishesANewEpochThatTheNextReadSees) {
   ServerSession session = server_.Connect();
   auto before = session.Execute(
       "SELECT COUNT FROM patients WHERE Name.Name = 'Jane Doe'");
   ASSERT_TRUE(before.ok()) << before.status();
   ASSERT_EQ(before->rows[0][0], "1");
   const std::uint64_t epoch_before = store_.epoch();
+  EXPECT_EQ(session.pinned_epoch(), epoch_before);
 
   auto ack = session.Execute(
       "INSERT INTO patients FACT 99 (Name.Name = 'Jane Doe')");
@@ -108,6 +148,7 @@ TEST_F(MdqlServerTest, InsertPublishesANewEpochAndRebuildsViews) {
   ASSERT_EQ(ack->rows.size(), 1u);
   EXPECT_EQ(ack->rows[0][0], "1");
   EXPECT_EQ(store_.epoch(), epoch_before + 1);
+  EXPECT_EQ(session.pinned_epoch(), epoch_before + 1);
 
   auto after = session.Execute(
       "SELECT COUNT FROM patients WHERE Name.Name = 'Jane Doe'");
@@ -116,15 +157,16 @@ TEST_F(MdqlServerTest, InsertPublishesANewEpochAndRebuildsViews) {
 
   EXPECT_EQ(session.stats().writes, 1u);
   EXPECT_EQ(session.stats().reads, 2u);
-  // The view was rebuilt when the epoch moved under the second read.
-  EXPECT_EQ(session.stats().view_rebuilds, 2u);
+  // The read after the INSERT ran on the epoch the INSERT published.
+  EXPECT_EQ(session.pinned_epoch(), epoch_before + 1);
 
-  // Another session sees the insert too (same store, fresh view).
+  // Another session sees the insert too (same store, same epoch).
   ServerSession other = server_.Connect();
   auto cross = other.Execute(
       "SELECT COUNT FROM patients WHERE Name.Name = 'Jane Doe'");
   ASSERT_TRUE(cross.ok()) << cross.status();
   EXPECT_EQ(cross->rows[0][0], "2");
+  EXPECT_EQ(other.pinned_epoch(), epoch_before + 1);
 }
 
 TEST_F(MdqlServerTest, InsertWithProbability) {
@@ -217,6 +259,112 @@ TEST_F(MdqlServerTest, WarmAggregatesArePeekableAcrossEpochs) {
   ASSERT_NE(next->preagg, nullptr);
   EXPECT_NE(next->preagg->Peek(sum, grouping), nullptr);
   EXPECT_NE(next->preagg.get(), entry->preagg.get());
+}
+
+// The shared-MO differential (TSan target): 4 sessions read one
+// published MO concurrently — each read runs on the pinned sealed epoch
+// itself — while a writer session appends batches. The reads cover the
+// fused group-by, a WHERE mask, ASOF, PROB, SHOW and the tree-walk
+// fallback of a TOP grouping; every read must render the bytes of the
+// sequential replay at its pinned epoch.
+TEST(SharedMoDifferentialTest, ConcurrentReadsMatchSequentialReplay) {
+  constexpr std::size_t kReaders = 4;
+  constexpr std::size_t kRounds = 3;
+  constexpr std::size_t kAppends = 8;
+
+  ClinicalWorkloadParams params;
+  params.seed = 23;
+  params.num_patients = 600;
+  auto clinical =
+      GenerateClinicalWorkload(params, std::make_shared<FactRegistry>());
+  ASSERT_TRUE(clinical.ok()) << clinical.status();
+  const stress::WorkloadProfile profile =
+      stress::WorkloadProfile::For(params, *clinical, "clinical");
+  MdObject replica = clinical->mo;
+
+  MoStore store;
+  MdqlServer server(&store);
+  ASSERT_TRUE(store.Publish("clinical", std::move(clinical->mo)).ok());
+  const std::uint64_t base_epoch = store.epoch();
+
+  const std::vector<std::string> reads = {
+      "SELECT COUNT FROM clinical BY Diagnosis.\"Diagnosis Group\"",
+      "SELECT COUNT FROM clinical "
+      "BY Diagnosis.\"Diagnosis Family\", Residence.Region",
+      "SELECT COUNT FROM clinical BY Residence.Region "
+      "WHERE Diagnosis.\"Diagnosis Group\" = 'G1' OR Residence.County = "
+      "'CO2'",
+      "SELECT COUNT FROM clinical BY Diagnosis.\"Diagnosis Group\" "
+      "ASOF '01/06/75'",
+      "SELECT COUNT FROM clinical BY Residence.Region "
+      "WHERE PROB(Diagnosis.\"Diagnosis Family\" = 'F1') >= 0.7",
+      "SELECT COUNT FROM clinical BY Residence.TOP "
+      "WHERE Residence.Region = 'R0'",
+      "SHOW DIMENSIONS FROM clinical",
+  };
+
+  std::atomic<std::size_t> ready{0};
+  auto start_together = [&ready] {
+    ready.fetch_add(1);
+    while (ready.load() < kReaders + 1) std::this_thread::yield();
+  };
+  stress::StressReport report;
+  std::vector<std::vector<stress::StatementRecord>> recorded(kReaders);
+  std::vector<std::size_t> errors(kReaders, 0);
+  std::vector<std::uint64_t> fallbacks(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      ServerSession session = server.Connect();
+      start_together();
+      for (std::size_t i = 0; i < kRounds * reads.size(); ++i) {
+        const std::string& read = reads[(i + r) % reads.size()];
+        auto result = session.Execute(read);
+        if (!result.ok()) {
+          ++errors[r];
+          continue;
+        }
+        recorded[r].push_back(stress::StatementRecord{
+            session.pinned_epoch(), read, result->ToString()});
+      }
+      fallbacks[r] = session.stats().exec.plan_fallbacks;
+    });
+  }
+
+  ServerSession writer = server.Connect();
+  stress::StatementGenerator generator(profile, /*seed=*/9,
+                                       /*session_index=*/0);
+  start_together();
+  for (std::size_t a = 0; a < kAppends; ++a) {
+    for (const std::string& insert :
+         generator.Generate(stress::QueryClass::kAppendBatch)) {
+      auto ack = writer.Execute(insert);
+      ASSERT_TRUE(ack.ok()) << insert << ": " << ack.status();
+      report.write_records.push_back(stress::StatementRecord{
+          writer.pinned_epoch(), insert, ack->ToString()});
+    }
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(store.epoch(), base_epoch + kAppends);
+  EXPECT_GT(writer.stats().exec.csr_tail_extends, 0u);  // patched seals
+
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(errors[r], 0u) << "reader " << r;
+    EXPECT_EQ(fallbacks[r], kRounds) << "reader " << r;  // the TOP read
+    for (stress::StatementRecord& record : recorded[r]) {
+      report.read_records.push_back(std::move(record));
+    }
+  }
+  ASSERT_EQ(report.read_records.size(), kReaders * kRounds * reads.size());
+
+  auto oracle = stress::VerifySequentialReplay(std::move(replica), "clinical",
+                                               base_epoch, report);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  EXPECT_EQ(oracle->mismatches, 0u) << oracle->first_mismatch;
+  EXPECT_EQ(oracle->reads_checked, report.read_records.size());
+  EXPECT_EQ(oracle->writes_replayed, kAppends);
+  // No reader holds a pin once its statement returns.
+  EXPECT_EQ(store.CollectStats().live_snapshots, 1u);
 }
 
 // ---- TCP front-end ---------------------------------------------------------

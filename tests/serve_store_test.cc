@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,7 +14,8 @@
 // publication and pinning, snapshot immutability, registry forking,
 // reclamation, and — under ThreadSanitizer — the N-readers/1-writer
 // hammer whose every observation must be byte-identical to a sequential
-// replay of the same mutation batches.
+// replay of the same mutation batches, plus readers that only Pin()
+// racing 200 swaps.
 
 namespace mddc {
 namespace serve {
@@ -270,6 +272,56 @@ TEST(MoStoreConcurrencyTest, ReadersSeeSingleConsistentEpochs) {
                               << " observed bytes not matching its epoch";
   }
   EXPECT_EQ(store.epoch(), base_epoch + kBatches);
+}
+
+// The publication point itself under ThreadSanitizer: readers that do
+// nothing but Pin() in a tight loop, racing every one of 200 swaps. Each
+// pinned snapshot's contents are read, and the last reference to a
+// retired epoch is often dropped on a reader thread, so a Pin() that
+// does not happen-after the swap it observes is reported.
+TEST(MoStoreConcurrencyTest, PinIsOrderedWithEverySwap) {
+  constexpr int kEpochs = 200;
+  constexpr int kPinners = 3;
+
+  MoStore store;
+  ASSERT_TRUE(store.Publish("sales", BuildSales(10)).ok());
+  const std::uint64_t base_epoch = store.epoch();
+  const std::size_t facts = store.Pin()->Find("sales")->mo().fact_count();
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> pinners;
+  std::vector<int> failures(kPinners, 0);
+  std::vector<std::uint64_t> pins(kPinners, 0);
+  for (int p = 0; p < kPinners; ++p) {
+    pinners.emplace_back([&, p] {
+      std::uint64_t last = base_epoch;
+      while (!done.load(std::memory_order_relaxed)) {
+        const std::shared_ptr<const MoSnapshot> snapshot = store.Pin();
+        const PublishedMo* entry = snapshot->Find("sales");
+        // Epochs never go backwards for one reader, and every one of
+        // them carries the published MO whole.
+        if (snapshot->epoch() < last || entry == nullptr ||
+            entry->mo().fact_count() != facts) {
+          ++failures[p];
+        }
+        last = snapshot->epoch();
+        ++pins[p];
+      }
+    });
+  }
+  for (int e = 0; e < kEpochs; ++e) {
+    ASSERT_TRUE(
+        store.Mutate("sales", [](MdObject&) { return Status::OK(); }).ok());
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& t : pinners) t.join();
+
+  EXPECT_EQ(store.epoch(), base_epoch + kEpochs);
+  for (int p = 0; p < kPinners; ++p) {
+    EXPECT_EQ(failures[p], 0) << "pinner " << p;
+    EXPECT_GT(pins[p], 0u) << "pinner " << p;
+  }
+  EXPECT_EQ(store.CollectStats().live_snapshots, 1u);
 }
 
 }  // namespace

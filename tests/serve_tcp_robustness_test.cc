@@ -16,7 +16,8 @@
 
 // Robustness of the TCP front-end (serve/tcp_server.h) against hostile
 // or broken clients: malformed statements, oversized request lines,
-// mid-statement disconnects, and meta commands racing active writers.
+// deeply nested WHERE clauses, mid-statement disconnects, and meta
+// commands racing active writers.
 // The invariant throughout: the server replies ERR (never crashes or
 // stalls) and the connection — or at least the server — stays
 // serviceable for the next well-formed request.
@@ -141,6 +142,28 @@ TEST_F(TcpRobustnessTest, OversizedCompleteLineIsRejected) {
   EXPECT_EQ(reply[0].rfind("ERR ", 0), 0u) << reply[0];
   EXPECT_NE(reply[0].find("exceeds"), std::string::npos) << reply[0];
 
+  ExpectServiceable(fd, &buffer);
+  ::close(fd);
+}
+
+TEST_F(TcpRobustnessTest, DeeplyNestedWhereGetsErr) {
+  const int fd = ConnectTo(tcp_.port());
+  ASSERT_GE(fd, 0);
+  std::string buffer;
+
+  // 10^4 nested parentheses: ~20 KB, well under the line cap, and deep
+  // enough to overflow a connection thread's stack without the parser's
+  // nesting bound.
+  const std::size_t depth = 10000;
+  const std::string nested = "SELECT COUNT FROM patients WHERE " +
+                             std::string(depth, '(') +
+                             "Name.Name = 'Jane Doe'" +
+                             std::string(depth, ')');
+  ASSERT_LT(nested.size(), TcpServer::kMaxLineBytes);
+  ASSERT_TRUE(SendLine(fd, nested));
+  const std::vector<std::string> reply = ReadReply(fd, &buffer);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply[0].rfind("ERR ", 0), 0u) << reply[0];
   ExpectServiceable(fd, &buffer);
   ::close(fd);
 }
