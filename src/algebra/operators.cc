@@ -753,7 +753,13 @@ struct ScanGroup {
   /// ascending dimension-index order.
   std::vector<ValueId> key;
   /// Distinct member facts, ascending (each fact joins a key at most once).
+  /// A resumed group's members are `base_fact`'s followed by these: the
+  /// seed's set fact and member count carry over, the scan adds only the
+  /// members it visits.
   std::vector<FactId> members;
+  FactId base_fact;
+  std::size_t base_count = 0;
+  std::size_t member_count() const { return base_count + members.size(); }
   /// Per accumulator class: the raw left-fold over the members' values,
   /// and the first contribution error (OK when none).
   std::vector<AggFunction::Accumulator> accums;
@@ -784,7 +790,7 @@ struct ScanRequest {
   /// summarizability gate.
   bool parallel = false;
   /// Groups to resume (unique keys, members below every visited fact);
-  /// the scan moves their member lists into its output.
+  /// each output group of a seed carries the seed's base fact and count.
   std::vector<ScanGroup> seeds;
 };
 
@@ -1385,9 +1391,10 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
             .count());
   }
 
-  // 9. Emission. A group's members are its seed's members followed by
-  //    the scanned incidences — every visited fact follows every seed
-  //    member, and each worker walked the facts ascending.
+  // 9. Emission. A group's members are its seed's members (kept as the
+  //    seed's set fact) followed by the scanned incidences — every
+  //    visited fact follows every seed member, and each worker walked the
+  //    facts ascending.
   std::vector<ScanGroup> out(order.size());
   std::vector<std::vector<std::uint32_t>> out_of(parts.size());
   for (std::size_t p = 0; p < parts.size(); ++p) {
@@ -1405,9 +1412,11 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
       group.key.assign(key, key + nl);
     }
     if (part.seed_of_group[g] != FlatHashGroupIndex::kNoGroup) {
-      group.members = std::move(request.seeds[part.seed_of_group[g]].members);
+      const ScanGroup& seed = request.seeds[part.seed_of_group[g]];
+      group.base_fact = seed.base_fact;
+      group.base_count = seed.base_count;
     }
-    group.members.reserve(group.members.size() + part.hits[g]);
+    group.members.reserve(part.hits[g]);
     const auto row = [g](const auto& strided, std::size_t stride) {
       return std::span(strided.data() + g * stride, stride);
     };
@@ -1460,7 +1469,7 @@ Result<MdObject> AssembleAggregateResult(
     if (!has_class) {
       values.push_back(spec.expected_counts
                            ? group.expected
-                           : static_cast<double>(group.members.size()));
+                           : static_cast<double>(group.member_count()));
       continue;
     }
     if (!group.errors.front().ok()) return group.errors.front();
@@ -1557,8 +1566,14 @@ Result<MdObject> AssembleAggregateResult(
   std::map<std::uint64_t, ValueId> auto_values;
   for (std::size_t g = 0; g < groups.size(); ++g) {
     ScanGroup& group = groups[g];
-    const std::size_t member_count = group.members.size();
-    const FactId group_fact = registry.Set(std::move(group.members));
+    // A resumed group extends its previous set fact by the members the
+    // fold visited (an untouched group keeps its fact), so a fold interns
+    // O(delta) member ids, not the group's whole history.
+    const std::size_t member_count = group.member_count();
+    const FactId group_fact =
+        group.base_fact.valid()
+            ? registry.SetExtending(group.base_fact, std::move(group.members))
+            : registry.Set(std::move(group.members));
     MDDC_RETURN_NOT_OK(result.AddFact(group_fact));
     const double value = values[g];
 
@@ -1767,9 +1782,10 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
   // Seed the scan with the captured groups: raw accumulators, lifespans,
   // probabilities and expected counts resume exactly where the captured
   // run stopped, so folding the delta replays the floating-point and
-  // temporal operation sequence a full old-then-new run performs. Member
-  // lists are read back through the registry (set terms stay resolvable
-  // through fork chains).
+  // temporal operation sequence a full old-then-new run performs. A seed
+  // carries its group's set fact and member count, never the member list:
+  // the registry answers count and largest member in O(1) (set terms stay
+  // resolvable through fork chains), so seeding costs O(groups).
   const bool has_class = !spec.function.args().empty();
   const FactRegistry& registry = *mo.registry();
   std::vector<ScanGroup> seeds;
@@ -1780,9 +1796,9 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
         old_group.prob_per_dim.size() != n) {
       return Status::InvalidArgument("fold state group shape mismatch");
     }
-    MDDC_ASSIGN_OR_RETURN(FactTerm term, registry.Get(old_group.group_fact));
-    if (term.kind != FactTerm::Kind::kSet ||
-        term.members.size() != old_group.member_count) {
+    const std::optional<FactRegistry::SetShape> shape =
+        registry.ShapeOfSet(old_group.group_fact);
+    if (!shape.has_value() || shape->count != old_group.member_count) {
       return Status::InvalidArgument("fold state group members drifted");
     }
     ScanGroup seed;
@@ -1792,11 +1808,12 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
       seed.life.emplace_back(old_group.life_per_dim[i]);
       seed.prob.push_back(old_group.prob_per_dim[i]);
     }
-    if (!term.members.empty() &&
-        (!max_old_member.valid() || max_old_member < term.members.back())) {
-      max_old_member = term.members.back();
+    if (shape->largest.valid() &&
+        (!max_old_member.valid() || max_old_member < shape->largest)) {
+      max_old_member = shape->largest;
     }
-    seed.members = std::move(term.members);
+    seed.base_fact = old_group.group_fact;
+    seed.base_count = shape->count;
     if (has_class) {
       seed.accums.push_back(old_group.accumulator);
       seed.errors.emplace_back();
@@ -1959,7 +1976,7 @@ Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
     }
     if (fn.args().empty()) {
       for (std::size_t t = 0; t < groups.size(); ++t) {
-        out[t].values.push_back(static_cast<double>(groups[t].members.size()));
+        out[t].values.push_back(static_cast<double>(groups[t].member_count()));
       }
       continue;
     }

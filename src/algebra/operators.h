@@ -128,9 +128,10 @@ struct AggregateFoldState {
   struct Group {
     /// Canonical grouping key (one ValueId per argument dimension).
     std::vector<ValueId> key;
-    /// The interned set-fact of the group's canonically sorted members;
-    /// the member list is read back through the registry at fold time
-    /// (fork chains keep old ids resolvable).
+    /// The interned set-fact of the group's canonically sorted members.
+    /// A fold never reads the list back: it checks member_count against
+    /// the registry's O(1) count and extends the fact by the group's delta
+    /// members (fork chains keep old ids resolvable).
     FactId group_fact;
     std::size_t member_count = 0;
     /// Raw left-fold of member coordinate lifespans per dimension, in
@@ -231,6 +232,12 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
 /// appends); violations, structural dimension drift, explicit result
 /// specs, or an invalid state return an error so the caller can fall
 /// back to a full re-run.
+///
+/// A fold costs O(delta + groups), not O(members): seeds carry each
+/// group's set fact and member count, the scan collects only the delta's
+/// members, an untouched group keeps its fact and a touched one is
+/// interned as FactRegistry::SetExtending(old fact, delta members) — the
+/// same id a from-scratch formation's Set of the whole list gets.
 ///
 /// Every function kind folds, AVG and expected-count SetCount included:
 /// the state holds raw accumulators and expected sums. Strict-path

@@ -73,6 +73,18 @@ class FlatHashIndex {
     }
   }
 
+  /// Records `ordinal` under `hash` without an equality probe, for a key
+  /// the caller knows is absent (it just missed a Find, or it copies the
+  /// distinct keys of another table).
+  void Insert(std::uint64_t hash, std::uint32_t ordinal) {
+    if ((size_ + 1) * 10 >= hashes_.size() * 7) Rehash(hashes_.size() * 2);
+    std::size_t pos = static_cast<std::size_t>(hash) & mask_;
+    while (ordinals_[pos] != kNone) pos = (pos + 1) & mask_;
+    ordinals_[pos] = ordinal;
+    hashes_[pos] = hash;
+    ++size_;
+  }
+
   /// Looks up `hash`; on a miss the key is recorded under `next_ordinal`
   /// and `*inserted` is set; the caller then appends the key (and any
   /// payload) to its own storage so the ordinal stays dense.

@@ -130,6 +130,9 @@ void MdObject::WarmAndFreezeForPublish() const {
   for (const FactDimRelation& relation : relations_) {
     relation.SealIndexes();
   }
+  // And the registry: a published epoch's facts are final, so any later
+  // intern call into it is a read path writing shared state.
+  registry_->Seal();
 }
 
 std::vector<MdObject::Characterization> MdObject::CharacterizedBy(

@@ -127,6 +127,8 @@ class MdObject {
   /// Prepares this MO for lock-free concurrent reads and marks every
   /// dimension publish-frozen: re-enables and fully warms each closure
   /// memo, then sets the freeze flag (see Dimension::publish_frozen).
+  /// Seals the relations' CSR views and the fact registry too, so an
+  /// intern call into the published registry aborts (FactRegistry::Seal).
   /// The caller (the publisher) must compile rollup snapshots — an engine
   /// concern — *before* freezing, and must not mutate the MO afterwards.
   /// Const because it only touches publication metadata and memos.

@@ -13,8 +13,10 @@ namespace {
 /// Fork chains longer than this are collapsed before the next draft:
 /// each mutation batch adds one overlay, and resolving a fact id walks
 /// the chain, so unbounded depth would slowly tax every reader of later
-/// epochs. Eight keeps the walk trivial while amortizing the O(facts)
-/// flatten over eight batches.
+/// epochs. Eight keeps the walk trivial while amortizing the flatten over
+/// eight batches. A flatten copies each stored term with its stored hash:
+/// the formations' member lists, but of a group a fold grew only the
+/// members its epochs appended (FactRegistry::SetExtending).
 constexpr std::size_t kMaxForkDepth = 8;
 
 /// The pure-append gate of AppendBatch: true iff `draft` is `published`
@@ -275,14 +277,7 @@ Status MoStore::AppendBatch(const std::string& name,
   if (entry == nullptr) {
     return Status::NotFound(StrCat("no MO named '", name, "' is published"));
   }
-  std::shared_ptr<FactRegistry> registry;
-  if (entry->mo().registry()->fork_depth() >= kMaxForkDepth) {
-    registry = entry->mo().registry()->Flatten();
-    ++registry_flattens_;
-  } else {
-    registry = FactRegistry::ForkOf(entry->mo().registry());
-  }
-  MdObject draft = entry->mo().WithRegistry(std::move(registry));
+  MdObject draft = DraftOf(entry->mo());
   MDDC_RETURN_NOT_OK(appender(draft));
 
   std::vector<FactId> delta;
@@ -302,6 +297,20 @@ Status MoStore::AppendBatch(const std::string& name,
   return Status::OK();
 }
 
+MdObject MoStore::DraftOf(const MdObject& published) {
+  // A fork of the sealed registry keeps the writer's interning invisible
+  // to readers pinned on any epoch.
+  const std::shared_ptr<FactRegistry>& sealed = published.registry();
+  std::shared_ptr<FactRegistry> registry;
+  if (sealed->fork_depth() >= kMaxForkDepth) {
+    registry = sealed->Flatten();
+    ++registry_flattens_;
+  } else {
+    registry = FactRegistry::ForkOf(sealed);
+  }
+  return published.WithRegistry(std::move(registry));
+}
+
 Status MoStore::MutateLocked(const std::string& name,
                              const std::function<Status(MdObject&)>& mutator) {
   const std::shared_ptr<const MoSnapshot> current = Pin();
@@ -309,18 +318,7 @@ Status MoStore::MutateLocked(const std::string& name,
   if (entry == nullptr) {
     return Status::NotFound(StrCat("no MO named '", name, "' is published"));
   }
-  // Draft off to the side: a copy of the published MO whose registry is
-  // a fork of the sealed one, so the mutator's interning is invisible to
-  // readers pinned on any epoch. Fork chains are collapsed every
-  // kMaxForkDepth batches.
-  std::shared_ptr<FactRegistry> registry;
-  if (entry->mo().registry()->fork_depth() >= kMaxForkDepth) {
-    registry = entry->mo().registry()->Flatten();
-    ++registry_flattens_;
-  } else {
-    registry = FactRegistry::ForkOf(entry->mo().registry());
-  }
-  MdObject draft = entry->mo().WithRegistry(std::move(registry));
+  MdObject draft = DraftOf(entry->mo());
   MDDC_RETURN_NOT_OK(mutator(draft));
   MDDC_ASSIGN_OR_RETURN(std::shared_ptr<const PublishedMo> sealed,
                         Seal(std::move(draft), warm_specs_[name]));

@@ -168,6 +168,12 @@ class MoStore {
   Status SwapLocked(const std::string& name,
                     std::shared_ptr<const PublishedMo> entry);
 
+  /// The writer's draft of a published MO: a copy whose registry is a
+  /// fork of the sealed one, or a flat copy once the fork chain reaches
+  /// kMaxForkDepth (counted in registry_flattens_). Caller holds
+  /// writer_mu_.
+  MdObject DraftOf(const MdObject& published);
+
   /// Mutate() body; caller holds writer_mu_.
   Status MutateLocked(const std::string& name,
                       const std::function<Status(MdObject&)>& mutator);

@@ -39,7 +39,9 @@ std::string Bytes(const MdObject& mo) {
 }
 
 /// Asserts `folded` serializes exactly like a from-scratch formation of
-/// `spec` over `mo` at every thread count.
+/// `spec` over `mo` at every thread count, with the very same set-fact
+/// ids: a fold interns grown groups as extensions of their previous
+/// facts, the formation as plain sets, and both must name one fact.
 void ExpectMatchesFormation(const MdObject& folded, const MdObject& mo,
                             AggregateSpec spec, const std::string& context) {
   spec.capture = nullptr;
@@ -49,6 +51,9 @@ void ExpectMatchesFormation(const MdObject& folded, const MdObject& mo,
     auto scratch = AggregateFormation(mo, spec, &ctx);
     ASSERT_TRUE(scratch.ok()) << context << ": " << scratch.status();
     EXPECT_EQ(folded_bytes, Bytes(*scratch))
+        << context << " (" << spec.function.name() << ") at " << threads
+        << " threads";
+    EXPECT_EQ(folded.facts(), scratch->facts())
         << context << " (" << spec.function.name() << ") at " << threads
         << " threads";
   }
@@ -250,10 +255,14 @@ void RunStoreDifferential(MdObject mo, const std::vector<AggregateSpec>& specs,
     const serve::PublishedMo* entry = snapshot->Find("mo");
     ASSERT_NE(entry, nullptr);
     ASSERT_NE(entry->preagg, nullptr);
+    // The published registry is sealed: the formation interns into a fork
+    // of it, where every group it forms resolves to the warm entry's id.
+    const MdObject published = entry->mo().WithRegistry(
+        FactRegistry::ForkOf(entry->mo().registry()));
     for (const AggregateSpec& spec : specs) {
       const MdObject* warm = entry->preagg->Peek(spec.function, spec.grouping);
       ASSERT_NE(warm, nullptr) << spec.function.name();
-      ExpectMatchesFormation(*warm, entry->mo(), spec,
+      ExpectMatchesFormation(*warm, published, spec,
                              StrCat("store batch ", batch));
     }
   }

@@ -411,6 +411,96 @@ TEST(IngestDifferentialTest, WidenedPublishedLifespanFallsBack) {
                          by_low, "idempotent");
 }
 
+// ---- Registry growth ------------------------------------------------------
+
+/// The (fact, group) incidences a warm entry holds: the sum of its group
+/// facts' member counts.
+std::size_t Incidences(const MdObject& entry) {
+  std::size_t total = 0;
+  for (FactId group : entry.facts()) {
+    total += entry.registry()->ShapeOfSet(group).value().count;
+  }
+  return total;
+}
+
+// An append epoch must store member ids for the batch, not the history: a
+// fold interns each grown group as an extension of its previous set fact,
+// so the published registry's stored member ids grow by at most the
+// (delta fact, group) incidences the folds added. Interning each grown
+// group's whole member list instead stores ~every warm entry's member
+// count again per epoch and fails the bound.
+TEST(IngestGrowthTest, EpochsStoreOnlyTheBatchesMemberIds) {
+  const ClinicalWorkloadParams params = SmallParams(400);
+  ClinicalMo clinical = Build(params);
+  const std::size_t lows = clinical.num_low_level;
+  const std::size_t areas =
+      params.num_regions * params.counties_per_region * params.areas_per_county;
+  std::vector<std::vector<CategoryTypeIndex>> groupings;
+  for (CategoryTypeIndex level :
+       {clinical.region, clinical.county, clinical.area}) {
+    groupings.push_back(RegionGrouping(clinical));
+    groupings.back()[clinical.residence_dim] = level;
+  }
+
+  serve::MoStore store;
+  ASSERT_TRUE(store.Publish("clinical", clinical.mo).ok());
+  for (const auto& grouping : groupings) {
+    ASSERT_TRUE(
+        store.WarmAggregate("clinical", AggFunction::SetCount(), grouping)
+            .ok());
+  }
+  auto measure = [&](std::size_t* stored, std::size_t* incidences) {
+    const auto snapshot = store.Pin();
+    const serve::PublishedMo* entry = snapshot->Find("clinical");
+    ASSERT_NE(entry, nullptr);
+    ASSERT_NE(entry->preagg, nullptr);
+    *stored = entry->mo().registry()->stored_member_ids();
+    *incidences = 0;
+    for (const auto& grouping : groupings) {
+      const MdObject* warm =
+          entry->preagg->Peek(AggFunction::SetCount(), grouping);
+      ASSERT_NE(warm, nullptr);
+      *incidences += Incidences(*warm);
+    }
+  };
+  std::size_t stored = 0;
+  std::size_t incidences = 0;
+  measure(&stored, &incidences);
+
+  constexpr std::size_t kEpochs = 20;
+  ExecStats append_stats;
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
+    auto parsed =
+        mdql::Parse(BulkInsert(93000000 + epoch * 100, 16, lows, areas));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    ASSERT_TRUE(store
+                    .AppendBatch(
+                        "clinical",
+                        [&](MdObject& draft) {
+                          return mdql::ApplyInsert(draft, *parsed->insert)
+                              .status();
+                        },
+                        /*published_epoch=*/nullptr, &append_stats)
+                    .ok())
+        << "epoch " << epoch;
+    std::size_t next_stored = 0;
+    std::size_t next_incidences = 0;
+    measure(&next_stored, &next_incidences);
+    const std::size_t added = next_incidences - incidences;
+    EXPECT_GE(added, 3 * 16u) << "epoch " << epoch;
+    EXPECT_LE(next_stored - stored, added) << "epoch " << epoch;
+    stored = next_stored;
+    incidences = next_incidences;
+  }
+  const serve::MoStore::Stats stats = store.CollectStats();
+  EXPECT_EQ(stats.append_batches, kEpochs);
+  EXPECT_EQ(stats.append_fallbacks, 0u);
+  // Flattens ran in between and kept the stored terms as they were.
+  EXPECT_GT(stats.registry_flattens, 0u);
+  EXPECT_EQ(append_stats.preagg_folds, groupings.size() * kEpochs);
+  EXPECT_EQ(append_stats.preagg_fold_invalidations, 0u);
+}
+
 TEST(ServerSessionIngestTest, RoutesInsertsThroughAppendPath) {
   const ClinicalWorkloadParams params = SmallParams(150);
   ClinicalMo clinical = Build(params);

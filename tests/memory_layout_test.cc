@@ -132,18 +132,37 @@ class ReferenceRegistry {
 };
 
 /// Replays a deterministic mixed intern sequence against both
-/// implementations, asserting id-for-id agreement.
+/// implementations, asserting id-for-id agreement. Extension ops grow a
+/// known set by a tail above its members through SetExtending (now and
+/// then a member below, which must intern the plain union) and check the
+/// id against the reference's Set of the whole list, so extension and
+/// plain storage are one identity in either interning order.
+/// The ids a replay has produced; kept across replays so a fork's ops
+/// pair, group and extend terms that live below it.
+struct ReplayHistory {
+  std::vector<FactId> known;
+  std::map<FactId, std::vector<FactId>> sets;  // set id -> sorted members
+};
+
 void ReplayAndCompare(FactRegistry& registry, ReferenceRegistry& reference,
-                      std::uint64_t seed, int operations) {
+                      ReplayHistory& history, std::uint64_t seed,
+                      int operations) {
   std::uint64_t state = seed;
   auto next_random = [&state]() {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     return state >> 33;
   };
-  std::vector<FactId> known;
+  std::vector<FactId>& known = history.known;
+  std::map<FactId, std::vector<FactId>>& sets = history.sets;
+  auto add_set = [&](FactId id, std::vector<FactId> members) {
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()),
+                  members.end());
+    sets.emplace(id, std::move(members));
+  };
   for (int op = 0; op < operations; ++op) {
     FactId got, want;
-    switch (next_random() % 3) {
+    switch (next_random() % 4) {
       case 0: {
         std::uint64_t key = next_random() % 64;  // dense: forces re-interns
         got = registry.Atom(key);
@@ -158,7 +177,7 @@ void ReplayAndCompare(FactRegistry& registry, ReferenceRegistry& reference,
         want = reference.Pair(a, b);
         break;
       }
-      default: {
+      case 2: {
         std::vector<FactId> members;
         for (std::uint64_t i = 0, n = next_random() % 5; i < n; ++i) {
           if (!known.empty()) {
@@ -166,7 +185,28 @@ void ReplayAndCompare(FactRegistry& registry, ReferenceRegistry& reference,
           }
         }
         got = registry.Set(members);
-        want = reference.Set(std::move(members));
+        want = reference.Set(members);
+        add_set(got, std::move(members));
+        break;
+      }
+      default: {
+        if (sets.empty()) continue;
+        auto base = sets.begin();
+        std::advance(base, next_random() % sets.size());
+        const std::vector<FactId>& base_members = base->second;
+        std::vector<FactId> tail;
+        for (std::uint64_t i = 0, n = next_random() % 4; i < n; ++i) {
+          const FactId member = known[next_random() % known.size()];
+          if (base_members.empty() || base_members.back() < member ||
+              next_random() % 8 == 0) {
+            tail.push_back(member);
+          }
+        }
+        std::vector<FactId> whole = base_members;
+        whole.insert(whole.end(), tail.begin(), tail.end());
+        got = registry.SetExtending(base->first, tail);
+        want = reference.Set(whole);
+        add_set(got, std::move(whole));
         break;
       }
     }
@@ -174,35 +214,44 @@ void ReplayAndCompare(FactRegistry& registry, ReferenceRegistry& reference,
     known.push_back(got);
   }
   EXPECT_EQ(registry.size(), reference.size());
+  // Every set resolves to its whole sorted member list.
+  for (const auto& [id, members] : sets) {
+    auto term = registry.Get(id);
+    ASSERT_TRUE(term.ok()) << "id " << id;
+    EXPECT_EQ(term->members, members) << "id " << id;
+  }
 }
 
 TEST(FactRegistryDifferentialTest, FlatHashMatchesOrderedMapReference) {
   FactRegistry registry;
   ReferenceRegistry reference;
-  ReplayAndCompare(registry, reference, /*seed=*/0xfeedu, /*operations=*/2000);
+  ReplayHistory history;
+  ReplayAndCompare(registry, reference, history, /*seed=*/0xfeedu,
+                   /*operations=*/2000);
 }
 
 TEST(FactRegistryDifferentialTest, ForkInternFlattenKeepsIdsStable) {
   auto root = std::make_shared<FactRegistry>();
   ReferenceRegistry reference;
-  {
-    ReplayAndCompare(*root, reference, /*seed=*/1u, /*operations=*/500);
-  }
+  ReplayHistory history;
+  ReplayAndCompare(*root, reference, history, /*seed=*/1u, /*operations=*/500);
   // Fork: the overlay must resolve base terms to their original ids and
   // continue the id sequence for new terms — exactly what the single
   // reference registry does when simply replayed further.
   std::shared_ptr<FactRegistry> fork = FactRegistry::ForkOf(root);
   EXPECT_EQ(fork->fork_depth(), 1u);
   EXPECT_EQ(fork->size(), reference.size());
-  ReplayAndCompare(*fork, reference, /*seed=*/2u, /*operations=*/500);
+  ReplayAndCompare(*fork, reference, history, /*seed=*/2u, /*operations=*/500);
 
   // A second-generation fork, then flatten: ids must survive both.
   std::shared_ptr<FactRegistry> fork2 =
       FactRegistry::ForkOf(std::shared_ptr<const FactRegistry>(fork));
-  ReplayAndCompare(*fork2, reference, /*seed=*/3u, /*operations=*/500);
+  ReplayAndCompare(*fork2, reference, history, /*seed=*/3u,
+                   /*operations=*/500);
   std::shared_ptr<FactRegistry> flat = fork2->Flatten();
   EXPECT_EQ(flat->fork_depth(), 0u);
   EXPECT_EQ(flat->size(), reference.size());
+  EXPECT_EQ(flat->stored_member_ids(), fork2->stored_member_ids());
   // Every structure resolves identically pre- and post-flatten...
   for (std::uint64_t raw = 0; raw < flat->size(); ++raw) {
     auto before = fork2->Get(FactId(raw));
@@ -211,7 +260,7 @@ TEST(FactRegistryDifferentialTest, ForkInternFlattenKeepsIdsStable) {
     EXPECT_TRUE(*before == *after) << "id " << raw;
   }
   // ...and further identical interning stays in agreement.
-  ReplayAndCompare(*flat, reference, /*seed=*/4u, /*operations=*/500);
+  ReplayAndCompare(*flat, reference, history, /*seed=*/4u, /*operations=*/500);
 }
 
 TEST(FactRegistryDifferentialTest, SiblingForksAssignTheSameNewIds) {
