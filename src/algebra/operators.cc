@@ -480,85 +480,127 @@ std::optional<Lifespan> OptLife(const Lifespan& life) {
 struct ScanRelation {
   static constexpr std::uint32_t kNoRow = 0xffffffffu;
 
-  const FactDimRelation::FactSpan* spans = nullptr;
-  const std::size_t* span_entries = nullptr;
+  const FactDimRelation* relation = nullptr;
+  const ChunkedVector<FactDimRelation::FactSpan>* spans = nullptr;
   /// Per visited fact: its CSR row, or kNoRow when it has no pairs here.
   /// Empty when the visited facts are exactly the rows from `first_row`
   /// on (every fact of an MO has pairs in every dimension, so a scan of
   /// all facts, or of an appended tail, usually is).
   std::vector<std::uint32_t> rows;
   std::size_t first_row = 0;
-  /// Per visited fact: its column slot (kNoDense without a row); null
-  /// when there is no usable column. Points into the column itself when
-  /// `rows` is empty, else into `dense_storage`.
-  const std::uint32_t* dense = nullptr;
+  /// The dense-id column; null when there is no usable one. With `rows`
+  /// empty a visited fact's slot is read from the column itself, else
+  /// from `dense_storage` (kNoDense without a row).
+  const ChunkedVector<std::uint32_t>* column = nullptr;
   std::vector<std::uint32_t> dense_storage;
+
+  bool has_dense() const { return column != nullptr; }
+
+  /// The slots of visited facts [f, f + size()), contiguous: up to the
+  /// end of the column chunk holding f's row, at most up to `n`.
+  std::span<const std::uint32_t> DenseRun(std::size_t f, std::size_t n) const {
+    if (!rows.empty()) return {dense_storage.data() + f, n - f};
+    const std::span<const std::uint32_t> run = column->RunFrom(first_row + f);
+    return run.first(std::min(run.size(), n - f));
+  }
 
   FactDimRelation::EntrySpan EntriesOf(std::size_t f) const {
     const std::size_t row = rows.empty() ? first_row + f : rows[f];
     if (row == kNoRow) return {};
-    const FactDimRelation::FactSpan& span = spans[row];
-    return {span_entries + span.begin, span.end - span.begin};
+    return relation->SpanEntries((*spans)[row]);
   }
 };
 
+/// Visits the visited facts [0, n) in blocks on which every relation's
+/// dense slots are one contiguous run — columns are chunked, and the
+/// chunks of an MO's relations break at the same rows — so the gather
+/// loops stay pointer sweeps: `fn(begin, end, slots)` gets, per
+/// relation, a pointer to the slot of visited fact `begin` (null
+/// without a column), to be read as slots[i][f - begin].
+template <typename Fn>
+void ForEachDenseBlock(const std::vector<ScanRelation>& relations,
+                       std::size_t n, const Fn& fn) {
+  std::vector<const std::uint32_t*> slots(relations.size(), nullptr);
+  for (std::size_t begin = 0; begin < n;) {
+    std::size_t end = n;
+    for (std::size_t i = 0; i < relations.size(); ++i) {
+      if (!relations[i].has_dense()) continue;
+      const std::span<const std::uint32_t> run =
+          relations[i].DenseRun(begin, n);
+      slots[i] = run.data();
+      end = std::min(end, begin + run.size());
+    }
+    fn(begin, end, slots);
+    begin = end;
+  }
+}
+
 /// Builds the ScanRelation of each dimension with a snapshot in
-/// `numberings`: one sweep of the relation's CSR rows in lockstep with the
-/// ascending visited facts, starting at the first visited fact — a fold
-/// over an appended tail sweeps only the tail's rows. With `gather` the
-/// relation's dense column is read too; `gather` turns false when some
-/// relation has no column under its snapshot's numbering.
+/// `numberings`: one sweep of the relation's CSR rows, chunk by chunk, in
+/// lockstep with the ascending visited facts, starting at the first
+/// visited fact — a fold over an appended tail sweeps only the tail's
+/// rows. With `gather` the relation's dense column is read too; `gather`
+/// turns false when some relation has no column under its snapshot's
+/// numbering.
 std::vector<ScanRelation> BuildScanRelations(
     const MdObject& mo, std::span<const FactId> facts,
     const std::vector<std::shared_ptr<const RollupIndex>>& numberings,
     bool* gather) {
+  using FactSpan = FactDimRelation::FactSpan;
   std::vector<ScanRelation> relations(mo.dimension_count());
-  std::vector<const std::uint32_t*> columns(mo.dimension_count(), nullptr);
+  std::vector<const ChunkedVector<std::uint32_t>*> columns(
+      mo.dimension_count(), nullptr);
   for (std::size_t i = 0; i < mo.dimension_count() && *gather; ++i) {
     if (numberings[i] == nullptr) continue;
-    const std::vector<std::uint32_t>* column =
-        mo.relation(i).DenseColumn(numberings[i]->numbering());
-    *gather = column != nullptr;
-    if (*gather) columns[i] = column->data();
+    columns[i] = mo.relation(i).DenseColumn(numberings[i]->numbering());
+    *gather = columns[i] != nullptr;
   }
   for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
     if (numberings[i] == nullptr) continue;
     const FactDimRelation& relation = mo.relation(i);
-    const std::vector<FactDimRelation::FactSpan>& spans =
-        relation.FactSpans();
+    const ChunkedVector<FactSpan>& spans = relation.FactSpans();
     ScanRelation& out = relations[i];
-    out.spans = spans.data();
-    out.span_entries = relation.SpanEntryIndexes().data();
-    const std::uint32_t* column = *gather ? columns[i] : nullptr;
-    auto span = facts.empty()
-                    ? spans.end()
-                    : std::lower_bound(spans.begin(), spans.end(),
-                                       facts.front(),
-                                       [](const FactDimRelation::FactSpan& s,
-                                          FactId f) { return s.fact < f; });
-    out.first_row = static_cast<std::size_t>(span - spans.begin());
-    if (static_cast<std::size_t>(spans.end() - span) >= facts.size() &&
-        std::equal(facts.begin(), facts.end(), span,
-                   [](FactId f, const FactDimRelation::FactSpan& s) {
-                     return f == s.fact;
-                   })) {
-      if (column != nullptr) out.dense = column + out.first_row;
-      continue;
+    out.relation = &relation;
+    out.spans = &spans;
+    out.column = *gather ? columns[i] : nullptr;
+    out.first_row =
+        facts.empty()
+            ? spans.size()
+            : static_cast<std::size_t>(
+                  std::lower_bound(spans.begin(), spans.end(), facts.front(),
+                                   [](const FactSpan& s, FactId f) {
+                                     return s.fact < f;
+                                   }) -
+                  spans.begin());
+    bool contiguous = spans.size() - out.first_row >= facts.size();
+    for (std::size_t f = 0; contiguous && f < facts.size();) {
+      const std::span<const FactSpan> run = spans.RunFrom(out.first_row + f);
+      const std::size_t m = std::min(run.size(), facts.size() - f);
+      for (std::size_t k = 0; k < m && contiguous; ++k) {
+        contiguous = run[k].fact == facts[f + k];
+      }
+      f += m;
     }
+    if (contiguous) continue;
     out.rows.assign(facts.size(), ScanRelation::kNoRow);
-    if (column != nullptr) {
+    if (out.column != nullptr) {
       out.dense_storage.assign(facts.size(), FactDimRelation::kNoDense);
-      out.dense = out.dense_storage.data();
     }
     std::size_t f = 0;
-    for (; span != spans.end(); ++span) {
-      while (f < facts.size() && facts[f] < span->fact) ++f;
-      if (f == facts.size()) break;
-      if (facts[f] == span->fact) {
-        const auto row = static_cast<std::uint32_t>(span - spans.begin());
-        out.rows[f] = row;
-        if (column != nullptr) out.dense_storage[f] = column[row];
+    for (std::size_t row = out.first_row;
+         row < spans.size() && f < facts.size();) {
+      // The column chunks at the same rows as the spans.
+      const std::span<const FactSpan> run = spans.RunFrom(row);
+      const std::uint32_t* column =
+          out.column != nullptr ? out.column->RunFrom(row).data() : nullptr;
+      for (std::size_t k = 0; k < run.size() && f < facts.size(); ++k) {
+        while (f < facts.size() && facts[f] < run[k].fact) ++f;
+        if (f < facts.size() && facts[f] == run[k].fact) {
+          out.rows[f] = static_cast<std::uint32_t>(row + k);
+          if (column != nullptr) out.dense_storage[f] = column[k];
+        }
       }
+      row += run.size();
     }
   }
   return relations;
@@ -980,7 +1022,6 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   // empty coordinate list would), its key value (flat hash), and its
   // coordinate probability AncestorProbAt (= 1.0 x p).
   struct GatherAxis {
-    const std::uint32_t* dense = nullptr;  // per visited fact
     std::vector<std::uint32_t> digit;
     std::vector<ValueId> key;
     std::vector<double> prob;
@@ -993,7 +1034,6 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
     const RollupIndex& index = *indexes[live[j]];
     const CategoryTypeIndex category = grouping[live[j]];
     GatherAxis& axis = axes[j];
-    axis.dense = relations[live[j]].dense;
     axis.digit.assign(index.value_count(), RollupIndex::kNone);
     if (!dense) axis.key.resize(index.value_count());
     axis.prob.resize(index.value_count());
@@ -1010,33 +1050,44 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   // or the fact's index among the walked facts.
   constexpr std::uint32_t kSkipped = 0xffffffffu;
   constexpr std::uint32_t kGathered = 0xfffffffeu;
-  std::vector<const std::uint32_t*> wanted_slots;
-  for (const ScanRelation& relation : relations) {
-    if (relation.dense != nullptr) wanted_slots.push_back(relation.dense);
+  std::vector<std::size_t> wanted;  // relations with a column
+  for (std::size_t i = 0; i < relations.size(); ++i) {
+    if (relations[i].has_dense()) wanted.push_back(i);
   }
   std::vector<std::uint32_t> route(facts.size(), kSkipped);
   std::vector<std::uint32_t> walked;
   std::size_t gathered = 0;
   std::size_t gathered_joins = 0;
-  for (std::size_t f = 0; f < facts.size(); ++f) {
-    if (request.keep != nullptr && !(*request.keep)[f]) continue;
-    bool hit = gather;
-    for (const std::uint32_t* slots : wanted_slots) {
-      hit &= slots[f] != FactDimRelation::kNoDense;
+  std::vector<const std::uint32_t*> wanted_slots(wanted.size());
+  std::vector<const std::uint32_t*> axis_slots(nl);
+  ForEachDenseBlock(relations, facts.size(), [&](std::size_t begin,
+                                                 std::size_t end,
+                                                 const auto& slots) {
+    for (std::size_t k = 0; k < wanted.size(); ++k) {
+      wanted_slots[k] = slots[wanted[k]];
     }
-    if (!hit) {
-      route[f] = static_cast<std::uint32_t>(walked.size());
-      walked.push_back(static_cast<std::uint32_t>(f));
-      continue;
+    for (std::size_t j = 0; j < nl; ++j) axis_slots[j] = slots[live[j]];
+    for (std::size_t f = begin; f < end; ++f) {
+      if (request.keep != nullptr && !(*request.keep)[f]) continue;
+      const std::size_t o = f - begin;
+      bool hit = gather;
+      for (const std::uint32_t* slot : wanted_slots) {
+        hit &= slot[o] != FactDimRelation::kNoDense;
+      }
+      if (!hit) {
+        route[f] = static_cast<std::uint32_t>(walked.size());
+        walked.push_back(static_cast<std::uint32_t>(f));
+        continue;
+      }
+      bool joins = true;
+      for (std::size_t j = 0; j < nl; ++j) {
+        joins &= axes[j].digit[axis_slots[j][o]] != RollupIndex::kNone;
+      }
+      route[f] = joins ? kGathered : kSkipped;
+      ++gathered;
+      gathered_joins += joins ? 1 : 0;
     }
-    bool joins = true;
-    for (const GatherAxis& axis : axes) {
-      joins &= axis.digit[axis.dense[f]] != RollupIndex::kNone;
-    }
-    route[f] = joins ? kGathered : kSkipped;
-    ++gathered;
-    gathered_joins += joins ? 1 : 0;
-  }
+  });
   exec.stats.facts_gathered += gathered;
   exec.stats.facts_walked += walked.size();
 
@@ -1099,14 +1150,19 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
         cache.dense.resize(numbering.value_count());
         cache.state.assign(numbering.value_count(),
                            NumericValueCache::kUnknown);
-        for (std::size_t f = 0; f < facts.size(); ++f) {
-          if (route[f] == kGathered) {
-            cache.FillDense(dimension, numbering, relation.dense[f],
-                            request.prob_at);
+        ForEachDenseBlock(relations, facts.size(), [&](std::size_t begin,
+                                                       std::size_t end,
+                                                       const auto& slots) {
+          const std::uint32_t* dense = slots[cls.dim];
+          for (std::size_t f = begin; f < end; ++f) {
+            if (route[f] == kGathered) {
+              cache.FillDense(dimension, numbering, dense[f - begin],
+                              request.prob_at);
+            }
           }
-        }
+        });
       }
-      const std::vector<FactDimRelation::Entry>& entries =
+      const ChunkedVector<FactDimRelation::Entry>& entries =
           mo.relation(cls.dim).entries();
       for (std::size_t w = 0; w < walked.size(); ++w) {
         if (!coords[w].has_value()) continue;
@@ -1228,126 +1284,132 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   //    flat table, probability AncestorProbAt (= 1.0 x p), Always
   //    lifespans (the identity), and its one value from the cache.
   if (!parallel) parts[0].incidences.reserve(gathered_joins + walked.size());
-  std::vector<const std::uint32_t*> class_dense(nclasses, nullptr);
-  for (std::size_t c = 0; c < nclasses; ++c) {
-    if (!classes[c].bad_dim) class_dense[c] = relations[classes[c].dim].dense;
-  }
   auto scan_partition = [&](std::size_t p) {
     ScanPartition& part = parts[p];
     std::vector<std::size_t> cursor(nl);
     std::vector<ValueId> scratch(nl);
     std::vector<std::uint32_t> base(nl);  // a gathered fact's dense ids
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      const std::uint32_t r = route[f];
-      if (r == kSkipped) continue;
-      if (r == kGathered) {
-        std::uint64_t slot = 0;
-        std::uint64_t hash = 0;
-        for (std::size_t j = 0; j < nl; ++j) {
-          base[j] = axes[j].dense[f];
-          if (dense) {
-            slot = slot * space.cardinality(j) + axes[j].digit[base[j]];
-          } else {
-            scratch[j] = axes[j].key[base[j]];
-          }
-        }
-        if (!dense) hash = HashValueIds(scratch.data(), nl);
-        bool inserted = false;
-        const std::uint32_t g = group_in(p, slot, scratch, hash,
-                                         FlatHashGroupIndex::kNoGroup,
-                                         &inserted);
-        if (g == FlatHashGroupIndex::kNoGroup) continue;
-        part.AddIncidence(g, f);
-        double member_prob = 1.0;
-        for (std::size_t j = 0; j < nl && !unit_prob; ++j) {
-          const double prob = axes[j].prob[base[j]];
-          part.prob[g * nl + j] *= prob;
-          member_prob *= prob;
-        }
-        part.expected[g] += member_prob;
-        for (std::size_t c = 0; c < nclasses; ++c) {
-          const std::size_t slot_c = g * nclasses + c;
-          if (classes[c].bad_dim || !part.errors[slot_c].ok()) continue;
-          if (classes[c].counts) {
-            part.accums[slot_c].AddCounted(1);
-            continue;
-          }
-          const std::uint32_t d = class_dense[c][f];
-          const NumericValueCache& cache = caches[c];
-          if (cache.state[d] == NumericValueCache::kKnown) {
-            part.accums[slot_c].Add(cache.dense[d]);
-          } else {
-            part.errors[slot_c] =
-                cache.by_value
-                    .at(numberings[classes[c].dim]->ValueOf(d).raw())
-                    .status();
-          }
-        }
-        continue;
+    std::vector<const std::uint32_t*> live_slots(nl);
+    std::vector<const std::uint32_t*> class_slots(nclasses, nullptr);
+    ForEachDenseBlock(relations, facts.size(), [&](std::size_t begin,
+                                                   std::size_t end,
+                                                   const auto& slots) {
+      for (std::size_t j = 0; j < nl; ++j) live_slots[j] = slots[live[j]];
+      for (std::size_t c = 0; c < nclasses; ++c) {
+        if (!classes[c].bad_dim) class_slots[c] = slots[classes[c].dim];
       }
-      if (!coords[r].has_value()) continue;
-      const CoordLists& per_dim = *coords[r];
-      std::fill(cursor.begin(), cursor.end(), 0);
-      // Enumerate the cross product of the fact's live coordinate lists
-      // (one iteration — the single global group — when nl == 0).
-      while (true) {
-        // Row-major slot, lowest dimension index most significant; each
-        // digit is the coordinate's rank in its grouping category.
-        std::uint64_t slot = 0;
-        std::uint64_t hash = 0;
-        if (dense) {
+      for (std::size_t f = begin; f < end; ++f) {
+        const std::uint32_t r = route[f];
+        if (r == kSkipped) continue;
+        if (r == kGathered) {
+          std::uint64_t slot = 0;
+          std::uint64_t hash = 0;
           for (std::size_t j = 0; j < nl; ++j) {
-            slot = slot * space.cardinality(j) +
-                   space.OrdinalOf(j, per_dim[j][cursor[j]].dense);
+            base[j] = live_slots[j][f - begin];
+            if (dense) {
+              slot = slot * space.cardinality(j) + axes[j].digit[base[j]];
+            } else {
+              scratch[j] = axes[j].key[base[j]];
+            }
           }
-        } else {
-          for (std::size_t j = 0; j < nl; ++j) {
-            scratch[j] = per_dim[j][cursor[j]].value;
-          }
-          hash = HashValueIds(scratch.data(), nl);
-        }
-        bool inserted = false;
-        const std::uint32_t g = group_in(p, slot, scratch, hash,
-                                         FlatHashGroupIndex::kNoGroup,
-                                         &inserted);
-        if (g != FlatHashGroupIndex::kNoGroup) {
+          if (!dense) hash = HashValueIds(scratch.data(), nl);
+          bool inserted = false;
+          const std::uint32_t g = group_in(p, slot, scratch, hash,
+                                           FlatHashGroupIndex::kNoGroup,
+                                           &inserted);
+          if (g == FlatHashGroupIndex::kNoGroup) continue;
           part.AddIncidence(g, f);
           double member_prob = 1.0;
-          for (std::size_t j = 0; j < nl; ++j) {
-            const Coordinate& c = per_dim[j][cursor[j]];
-            if (c.life.has_value()) {
-              IntersectInto(part.life[g * nl + j], *c.life);
-            }
-            part.prob[g * nl + j] *= c.prob;
-            member_prob *= c.prob;
+          for (std::size_t j = 0; j < nl && !unit_prob; ++j) {
+            const double prob = axes[j].prob[base[j]];
+            part.prob[g * nl + j] *= prob;
+            member_prob *= prob;
           }
           part.expected[g] += member_prob;
           for (std::size_t c = 0; c < nclasses; ++c) {
-            if (classes[c].bad_dim) continue;
-            const FactContribution& fc = contribs[c][r];
             const std::size_t slot_c = g * nclasses + c;
-            if (fc.arg_life.has_value()) {
-              IntersectInto(part.result_life[slot_c], *fc.arg_life);
+            if (classes[c].bad_dim || !part.errors[slot_c].ok()) continue;
+            if (classes[c].counts) {
+              part.accums[slot_c].AddCounted(1);
+              continue;
             }
-            if (!part.errors[slot_c].ok()) continue;
-            if (fc.failed) {
-              part.errors[slot_c] = fc.error;
-            } else if (classes[c].counts) {
-              part.accums[slot_c].AddCounted(fc.counted);
+            const std::uint32_t d = class_slots[c][f - begin];
+            const NumericValueCache& cache = caches[c];
+            if (cache.state[d] == NumericValueCache::kKnown) {
+              part.accums[slot_c].Add(cache.dense[d]);
             } else {
-              for (double value : fc.values) part.accums[slot_c].Add(value);
+              part.errors[slot_c] =
+                  cache.by_value
+                      .at(numberings[classes[c].dim]->ValueOf(d).raw())
+                      .status();
             }
           }
+          continue;
         }
-        // Advance the cross-product cursor.
-        std::size_t j = 0;
-        while (j < nl && ++cursor[j] == per_dim[j].size()) {
-          cursor[j] = 0;
-          ++j;
+        if (!coords[r].has_value()) continue;
+        const CoordLists& per_dim = *coords[r];
+        std::fill(cursor.begin(), cursor.end(), 0);
+        // Enumerate the cross product of the fact's live coordinate lists
+        // (one iteration — the single global group — when nl == 0).
+        while (true) {
+          // Row-major slot, lowest dimension index most significant; each
+          // digit is the coordinate's rank in its grouping category.
+          std::uint64_t slot = 0;
+          std::uint64_t hash = 0;
+          if (dense) {
+            for (std::size_t j = 0; j < nl; ++j) {
+              slot = slot * space.cardinality(j) +
+                     space.OrdinalOf(j, per_dim[j][cursor[j]].dense);
+            }
+          } else {
+            for (std::size_t j = 0; j < nl; ++j) {
+              scratch[j] = per_dim[j][cursor[j]].value;
+            }
+            hash = HashValueIds(scratch.data(), nl);
+          }
+          bool inserted = false;
+          const std::uint32_t g = group_in(p, slot, scratch, hash,
+                                           FlatHashGroupIndex::kNoGroup,
+                                           &inserted);
+          if (g != FlatHashGroupIndex::kNoGroup) {
+            part.AddIncidence(g, f);
+            double member_prob = 1.0;
+            for (std::size_t j = 0; j < nl; ++j) {
+              const Coordinate& c = per_dim[j][cursor[j]];
+              if (c.life.has_value()) {
+                IntersectInto(part.life[g * nl + j], *c.life);
+              }
+              part.prob[g * nl + j] *= c.prob;
+              member_prob *= c.prob;
+            }
+            part.expected[g] += member_prob;
+            for (std::size_t c = 0; c < nclasses; ++c) {
+              if (classes[c].bad_dim) continue;
+              const FactContribution& fc = contribs[c][r];
+              const std::size_t slot_c = g * nclasses + c;
+              if (fc.arg_life.has_value()) {
+                IntersectInto(part.result_life[slot_c], *fc.arg_life);
+              }
+              if (!part.errors[slot_c].ok()) continue;
+              if (fc.failed) {
+                part.errors[slot_c] = fc.error;
+              } else if (classes[c].counts) {
+                part.accums[slot_c].AddCounted(fc.counted);
+              } else {
+                for (double value : fc.values) part.accums[slot_c].Add(value);
+              }
+            }
+          }
+          // Advance the cross-product cursor.
+          std::size_t j = 0;
+          while (j < nl && ++cursor[j] == per_dim[j].size()) {
+            cursor[j] = 0;
+            ++j;
+          }
+          if (j == nl) break;
         }
-        if (j == nl) break;
       }
-    }
+    });
   };
   if (parallel) {
     exec.pool().ParallelFor(num_partitions, scan_partition);

@@ -306,34 +306,40 @@ std::shared_ptr<const RollupIndex> ValueLevelIndex(const Node& node,
   return index;
 }
 
-/// One sweep of dimension `dim`'s CSR rows in lockstep with mo.facts():
-/// a fact is kept when some pair's value passes `hit(dense, value)`
-/// (dense is kNone for a value outside the snapshot). A column hit is one
-/// array read; any other fact resolves each pair through DenseOf.
+/// One sweep of dimension `dim`'s CSR rows, chunk by chunk, in lockstep
+/// with mo.facts(): a fact is kept when some pair's value passes
+/// `hit(dense, value)` (dense is kNone for a value outside the snapshot).
+/// A column hit is one array read; any other fact resolves each pair
+/// through DenseOf.
 template <typename Hit>
 std::vector<bool> SweepValues(const MdObject& mo, std::size_t dim,
                               const RollupIndex& index, Hit&& hit) {
   const std::vector<FactId>& facts = mo.facts();
   const FactDimRelation& relation = mo.relation(dim);
-  const std::vector<FactDimRelation::FactSpan>& spans = relation.FactSpans();
-  const std::vector<std::size_t>& span_entries = relation.SpanEntryIndexes();
-  const std::vector<std::uint32_t>* column =
+  const ChunkedVector<FactDimRelation::FactSpan>& spans =
+      relation.FactSpans();
+  const ChunkedVector<std::uint32_t>* column =
       relation.DenseColumn(index.numbering());
   std::vector<bool> mask(facts.size(), false);
   std::size_t f = 0;
-  for (std::size_t row = 0; row < spans.size() && f < facts.size(); ++row) {
-    while (f < facts.size() && facts[f] < spans[row].fact) ++f;
-    if (f == facts.size() || facts[f] != spans[row].fact) continue;
-    if (column != nullptr && (*column)[row] != FactDimRelation::kNoDense) {
-      const std::uint32_t d = (*column)[row];
-      mask[f] = hit(d, index.ValueOf(d));
-      continue;
-    }
-    for (std::uint32_t k = spans[row].begin; k < spans[row].end; ++k) {
-      const ValueId value = relation.entries()[span_entries[k]].value;
-      if (hit(index.DenseOf(value), value)) {
-        mask[f] = true;
-        break;
+  for (std::size_t k = 0; k < spans.chunk_count() && f < facts.size(); ++k) {
+    // The column chunks at the same rows as the spans.
+    const std::span<const FactDimRelation::FactSpan> rows = spans.Chunk(k);
+    const std::uint32_t* slots =
+        column != nullptr ? column->Chunk(k).data() : nullptr;
+    for (std::size_t r = 0; r < rows.size() && f < facts.size(); ++r) {
+      while (f < facts.size() && facts[f] < rows[r].fact) ++f;
+      if (f == facts.size() || facts[f] != rows[r].fact) continue;
+      if (slots != nullptr && slots[r] != FactDimRelation::kNoDense) {
+        mask[f] = hit(slots[r], index.ValueOf(slots[r]));
+        continue;
+      }
+      for (std::size_t e : relation.SpanEntries(rows[r])) {
+        const ValueId value = relation.entries()[e].value;
+        if (hit(index.DenseOf(value), value)) {
+          mask[f] = true;
+          break;
+        }
       }
     }
   }

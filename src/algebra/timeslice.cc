@@ -149,7 +149,7 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
   //    slots and appends them in chunk order: byte-identical, no merge.
   std::vector<FactDimRelation> sliced(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<FactDimRelation::Entry>& entries =
+    const ChunkedVector<FactDimRelation::Entry>& entries =
         mo.relation(i).entries();
     const Dimension& dimension = result.dimension(i);
     if (parallel && !entries.empty()) {

@@ -242,11 +242,12 @@ class Dimension {
   /// its closure memo is fully warmed, and its compiled-snapshot slot is
   /// filled and final. Under that promise RollupIndex::For serves the
   /// slot without taking the process-wide slot mutex — the lock-free read
-  /// path of published epochs. The flag travels with copies (a copy of a
-  /// frozen dimension has identical, equally-final contents) and is
-  /// cleared automatically by every structural mutation, so a writer
-  /// draft cloned from a published epoch unfreezes exactly the dimensions
-  /// it touches.
+  /// path of published epochs. A copied MdObject shares a frozen
+  /// dimension instead of copying it, and MdObject::dimension_mutable
+  /// hands out a private clone with the flag cleared, so a writer draft
+  /// of a published epoch unfreezes exactly the dimensions it touches.
+  /// A Dimension copied directly keeps the flag (identical, equally-final
+  /// contents), and every structural mutation clears it.
   ///
   /// Setters are const (the flag is publication metadata, like the
   /// snapshot slot): callers mark dimensions frozen only from the single
@@ -433,9 +434,11 @@ class Dimension {
   mutable std::shared_ptr<const void> compiled_snapshot_;
 
   // Publication freeze (see publish_frozen). Plain bool, not atomic: it is
-  // written only by the single publisher thread before the owning MO is
-  // published through an atomic shared_ptr store (which orders the write
-  // before every reader's acquire load), and never written afterwards.
+  // written only by the single writer thread before the owning MO is
+  // published, and MoStore's swap under pin_mu_ orders that write before
+  // every reader's Pin(). It is never written afterwards: a frozen
+  // dimension may be shared by several epochs' MOs, so the seals skip it
+  // and dimension_mutable clears the flag only on a private clone.
   mutable bool publish_frozen_ = false;
 };
 

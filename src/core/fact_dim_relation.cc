@@ -8,17 +8,10 @@
 namespace mddc {
 
 void FactDimRelation::CopyFrom(const FactDimRelation& other) {
-  // Copy with append headroom: vector copy-assignment allocates exactly
-  // size(), so a cloned draft's first Add would reallocate — and re-copy
-  // — the whole entry array. The clone is the one full copy the
-  // continuous-ingestion path pays per batch; the slack keeps it the
-  // only one (docs/ingestion.md).
-  const auto with_headroom = [](auto& dst, const auto& src) {
-    dst.clear();
-    dst.reserve(src.size() + src.size() / 8 + 1024);
-    dst.insert(dst.end(), src.begin(), src.end());
-  };
-  with_headroom(entries_, other.entries_);
+  // Every chunked array is shared, chunk by chunk: the copy costs the
+  // index tables' slot arrays plus O(chunks), and the copy's first write
+  // into a chunk clones that chunk only (docs/ingestion.md).
+  entries_ = other.entries_;
   first_edited_entry_ = kNoEdit;
   by_fact_ = other.by_fact_;
   by_value_ = other.by_value_;
@@ -30,8 +23,8 @@ void FactDimRelation::CopyFrom(const FactDimRelation& other) {
   // may be half-written by another thread, so the copy rebuilds on
   // demand.
   if (other.csr_valid_.load(std::memory_order_acquire)) {
-    with_headroom(spans_, other.spans_);
-    with_headroom(span_entries_, other.span_entries_);
+    spans_ = other.spans_;
+    span_entries_ = other.span_entries_;
     sealed_entry_count_ = other.sealed_entry_count_;
     csr_valid_.store(true, std::memory_order_release);
   } else {
@@ -44,7 +37,7 @@ void FactDimRelation::CopyFrom(const FactDimRelation& other) {
   // final, an invalid one may be mid-build on another thread.
   if (csr_valid_.load(std::memory_order_relaxed) &&
       other.column_valid_.load(std::memory_order_acquire)) {
-    with_headroom(column_, other.column_);
+    column_ = other.column_;
     column_generation_ = other.column_generation_;
     column_valid_.store(true, std::memory_order_release);
   } else {
@@ -110,7 +103,7 @@ Status FactDimRelation::Add(FactId fact, ValueId value, const Lifespan& life,
   if (const std::uint32_t ordinal = by_fact_.FindOrdinal(fact);
       ordinal != FlatHashIndex::kNone) {
     for (std::size_t index : by_fact_.ListAt(ordinal)) {
-      Entry& entry = entries_[index];
+      const Entry& entry = entries_[index];
       if (entry.value != value) continue;
       if (entry.prob != prob) {
         return Status::InvariantViolation(
@@ -122,19 +115,18 @@ Status FactDimRelation::Add(FactId fact, ValueId value, const Lifespan& life,
       // of the bitemporal regions when the operands agree on one axis.
       // Bitemporal corrections (same pair, different rectangles) keep
       // separate entries.
-      TemporalElement* widened = nullptr;
-      const TemporalElement* addition = nullptr;
+      TemporalElement Lifespan::*widened = nullptr;
       if (entry.life.valid == life.valid) {
-        widened = &entry.life.transaction;
-        addition = &life.transaction;
+        widened = &Lifespan::transaction;
       } else if (entry.life.transaction == life.transaction) {
-        widened = &entry.life.valid;
-        addition = &life.valid;
+        widened = &Lifespan::valid;
       }
       if (widened != nullptr) {
-        TemporalElement merged = widened->Union(*addition);
-        if (!(merged == *widened)) {
-          *widened = std::move(merged);
+        TemporalElement merged = (entry.life.*widened).Union(life.*widened);
+        if (!(merged == entry.life.*widened)) {
+          // The one write into an existing entry: it clones the entry's
+          // chunk when a copy shares it.
+          entries_.Mut(index).life.*widened = std::move(merged);
           first_edited_entry_ = std::min(first_edited_entry_, index);
         }
         InvalidateCsr();
@@ -167,11 +159,10 @@ void FactDimRelation::ReindexAll() {
 }
 
 void FactDimRelation::RestrictToFacts(const std::vector<FactId>& facts) {
-  std::vector<Entry> kept;
-  kept.reserve(entries_.size());
-  for (Entry& entry : entries_) {
+  ChunkedVector<Entry> kept;
+  for (const Entry& entry : entries_) {
     if (std::binary_search(facts.begin(), facts.end(), entry.fact)) {
-      kept.push_back(std::move(entry));
+      kept.push_back(entry);
     }
   }
   entries_ = std::move(kept);
@@ -202,8 +193,6 @@ std::vector<const FactDimRelation::Entry*> FactDimRelation::ForValue(
 }
 
 namespace {
-const std::vector<std::size_t> kNoEntryIndexes;
-
 // Guards lazy CSR builds on unsealed relations (the RollupIndex SlotMutex
 // idiom): one process-wide mutex, never destroyed, so sealing races from
 // multiple contexts serialize without per-relation storage.
@@ -213,21 +202,28 @@ std::mutex& CsrMutex() {
 }
 }  // namespace
 
-const std::vector<std::size_t>& FactDimRelation::EntryIndexesForFact(
+FactDimRelation::EntrySpan FactDimRelation::EntryIndexesForFact(
     FactId fact) const {
   const std::uint32_t ordinal = by_fact_.FindOrdinal(fact);
-  return ordinal == FlatHashIndex::kNone ? kNoEntryIndexes
+  return ordinal == FlatHashIndex::kNone ? EntrySpan{}
                                          : by_fact_.ListAt(ordinal);
 }
 
-const std::vector<std::size_t>& FactDimRelation::EntryIndexesForValue(
+FactDimRelation::EntrySpan FactDimRelation::EntryIndexesForValue(
     ValueId value) const {
   const std::uint32_t ordinal = by_value_.FindOrdinal(value);
-  return ordinal == FlatHashIndex::kNone ? kNoEntryIndexes
+  return ordinal == FlatHashIndex::kNone ? EntrySpan{}
                                          : by_value_.ListAt(ordinal);
 }
 
 void FactDimRelation::SealIndexes() const { (void)SealIndexesReporting(); }
+
+std::uint32_t FactDimRelation::AppendRunLocked(EntrySpan run) const {
+  const auto begin =
+      static_cast<std::uint32_t>(span_entries_.AlignForRun(run.size()));
+  for (std::size_t index : run) span_entries_.push_back(index);
+  return begin;
+}
 
 bool FactDimRelation::TryExtendCsrTailLocked() const {
   // Nothing sealed yet (or the layout was dropped): only a rebuild can
@@ -253,19 +249,36 @@ bool FactDimRelation::TryExtendCsrTailLocked() const {
                      return entries_[a].fact < entries_[b].fact;
                    });
   if (entries_[tail.front()].fact < spans_.back().fact) return false;
-  for (std::size_t index : tail) {
-    const FactId fact = entries_[index].fact;
-    if (spans_.back().fact == fact) {
-      span_entries_.push_back(index);
-      ++spans_.back().end;
+  std::size_t k = 0;
+  if (entries_[tail.front()].fact == spans_.back().fact) {
+    // The last sealed fact grew: its run is the by-fact list, re-laid
+    // whole at the tail (the old slots are abandoned) unless the new
+    // entries still fit its chunk.
+    const FactSpan last = spans_.back();
+    while (k < tail.size() && entries_[tail[k]].fact == last.fact) ++k;
+    FactSpan& grown = spans_.MutBack();
+    if (last.end == span_entries_.size() &&
+        ((last.end + k - 1) >> kIndexChunkShift) ==
+            (last.begin >> kIndexChunkShift)) {
+      for (std::size_t i = 0; i < k; ++i) span_entries_.push_back(tail[i]);
     } else {
-      FactSpan span;
-      span.fact = fact;
-      span.begin = static_cast<std::uint32_t>(span_entries_.size());
-      span_entries_.push_back(index);
-      span.end = static_cast<std::uint32_t>(span_entries_.size());
-      spans_.push_back(span);
+      grown.begin = AppendRunLocked(
+          by_fact_.ListAt(by_fact_.FindOrdinal(last.fact)));
     }
+    grown.end = grown.begin + static_cast<std::uint32_t>(last.end -
+                                                         last.begin + k);
+  }
+  while (k < tail.size()) {
+    const FactId fact = entries_[tail[k]].fact;
+    std::size_t next = k;
+    while (next < tail.size() && entries_[tail[next]].fact == fact) ++next;
+    FactSpan span;
+    span.fact = fact;
+    span.begin = AppendRunLocked(
+        EntrySpan{tail.data() + k, next - k});
+    span.end = span.begin + static_cast<std::uint32_t>(next - k);
+    spans_.push_back(span);
+    k = next;
   }
   sealed_entry_count_ = entries_.size();
   return true;
@@ -296,15 +309,12 @@ FactDimRelation::SealOutcome FactDimRelation::SealCsrLocked() const {
             [&](std::uint32_t a, std::uint32_t b) {
               return by_fact_.keys[a] < by_fact_.keys[b];
             });
-  spans_.reserve(order.size());
-  span_entries_.reserve(entries_.size());
   for (std::uint32_t ordinal : order) {
+    const EntrySpan list = by_fact_.ListAt(ordinal);
     FactSpan span;
     span.fact = by_fact_.keys[ordinal];
-    span.begin = static_cast<std::uint32_t>(span_entries_.size());
-    const std::vector<std::size_t>& list = by_fact_.ListAt(ordinal);
-    span_entries_.insert(span_entries_.end(), list.begin(), list.end());
-    span.end = static_cast<std::uint32_t>(span_entries_.size());
+    span.begin = AppendRunLocked(list);
+    span.end = span.begin + static_cast<std::uint32_t>(list.size());
     spans_.push_back(span);
   }
   sealed_entry_count_ = entries_.size();
@@ -331,22 +341,30 @@ void FactDimRelation::SealDenseColumnLocked(
     const DenseNumbering& numbering) const {
   if (!csr_valid_.load(std::memory_order_relaxed)) (void)SealCsrLocked();
   // A column of this numbering covers a prefix of the rows: a tail
-  // extension only appends rows and grows the last sealed one, so the
-  // extension recomputes from that row on — O(batch), not O(|F|).
+  // extension only appends rows and may grow the last sealed one, so the
+  // extension recomputes that row and fills the appended ones — O(batch),
+  // not O(|F|). The last row is written only when it changed, so a copy
+  // keeps sharing its chunk.
   std::size_t from = 0;
   if (column_generation_ == numbering.generation && !column_.empty() &&
       column_.size() <= spans_.size()) {
-    from = column_.size() - 1;
+    const std::size_t last = column_.size() - 1;
+    const std::uint32_t slot = DenseSlotOf(last, numbering);
+    if (column_[last] != slot) column_.Mut(last) = slot;
+    from = column_.size();
   }
   column_.resize(spans_.size());
-  for (std::size_t row = from; row < spans_.size(); ++row) {
-    column_[row] = DenseSlotOf(row, numbering);
+  // Chunk by chunk: each writable run clones its chunk once if a copy
+  // shares it (the tail a draft extends), then is a plain pointer sweep.
+  for (std::size_t row = from; row < spans_.size();) {
+    const std::span<std::uint32_t> run = column_.MutableRun(row);
+    for (std::uint32_t& slot : run) slot = DenseSlotOf(row++, numbering);
   }
   column_generation_ = numbering.generation;
   column_valid_.store(true, std::memory_order_release);
 }
 
-const std::vector<std::uint32_t>* FactDimRelation::DenseColumn(
+const ChunkedVector<std::uint32_t>* FactDimRelation::DenseColumn(
     const DenseNumbering& numbering) const {
   if (!column_valid_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(CsrMutex());
@@ -363,6 +381,25 @@ void FactDimRelation::SealDenseColumn(const DenseNumbering& numbering) const {
       column_generation_ != numbering.generation) {
     SealDenseColumnLocked(numbering);
   }
+}
+
+std::size_t FactDimRelation::chunk_count() const {
+  return entries_.chunk_count() + by_fact_.keys.chunk_count() +
+         by_fact_.lists.chunk_count() + by_value_.keys.chunk_count() +
+         by_value_.lists.chunk_count() + spans_.chunk_count() +
+         span_entries_.chunk_count() + column_.chunk_count();
+}
+
+std::size_t FactDimRelation::SharedChunksWith(
+    const FactDimRelation& other) const {
+  return entries_.SharedChunksWith(other.entries_) +
+         by_fact_.keys.SharedChunksWith(other.by_fact_.keys) +
+         by_fact_.lists.SharedChunksWith(other.by_fact_.lists) +
+         by_value_.keys.SharedChunksWith(other.by_value_.keys) +
+         by_value_.lists.SharedChunksWith(other.by_value_.lists) +
+         spans_.SharedChunksWith(other.spans_) +
+         span_entries_.SharedChunksWith(other.span_entries_) +
+         column_.SharedChunksWith(other.column_);
 }
 
 bool FactDimRelation::HasFact(FactId fact) const {

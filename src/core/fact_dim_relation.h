@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/chunked_vector.h"
 #include "common/flat_hash.h"
 #include "common/id.h"
 #include "common/result.h"
@@ -30,7 +31,11 @@ namespace mddc {
 /// Storage is flat (docs/memory_layout.md): the by-fact / by-value
 /// indexes are open-addressing hash tables over dense key arrays (no
 /// tree nodes), and sorted-lockstep consumers read a CSR span view built
-/// once per freeze (`FactSpans`).
+/// once per freeze (`FactSpans`). The entries, the key arrays, the CSR
+/// arrays and the dense column are ChunkedVectors: a copy shares their
+/// chunks, and a write clones only the chunk it lands in, so a draft
+/// cloned from a published relation and extended by a batch owns just
+/// the chunks the batch touched.
 class FactDimRelation {
  public:
   struct Entry {
@@ -40,8 +45,9 @@ class FactDimRelation {
     double prob = 1.0;
   };
 
-  /// One row of the CSR by-fact view: the entries of `fact` are
-  /// `SpanEntryIndexes()[begin..end)`, facts ascending.
+  /// One row of the CSR by-fact view, facts ascending: the entries of
+  /// `fact` are the run [begin, end) of the CSR entry-index array, read
+  /// through SpanEntries.
   struct FactSpan {
     FactId fact;
     std::uint32_t begin = 0;
@@ -50,7 +56,7 @@ class FactDimRelation {
 
   /// A borrowed contiguous run of entry indexes — the uniform shape hot
   /// loops consume whether the run comes from the CSR view or from a
-  /// per-fact list.
+  /// per-fact or per-value list.
   struct EntrySpan {
     const std::size_t* data = nullptr;
     std::size_t count = 0;
@@ -81,7 +87,7 @@ class FactDimRelation {
   void RestrictToFacts(const std::vector<FactId>& facts);
 
   /// All pairs, in insertion order.
-  const std::vector<Entry>& entries() const { return entries_; }
+  const ChunkedVector<Entry>& entries() const { return entries_; }
 
   /// The pairs for one fact.
   std::vector<const Entry*> ForFact(FactId fact) const;
@@ -92,20 +98,30 @@ class FactDimRelation {
   /// No-copy variants of the above for read-only hot loops: indices into
   /// entries() (empty when the fact/value has no pairs). Invalidated by
   /// Add and RestrictToFacts.
-  const std::vector<std::size_t>& EntryIndexesForFact(FactId fact) const;
-  const std::vector<std::size_t>& EntryIndexesForValue(ValueId value) const;
+  EntrySpan EntryIndexesForFact(FactId fact) const;
+  EntrySpan EntryIndexesForValue(ValueId value) const;
 
   /// The CSR by-fact view, facts ascending — for hot loops that walk a
-  /// sorted fact list in lockstep as a pointer sweep instead of issuing
-  /// one lookup per fact. Built lazily (thread-safe, double-checked) or
+  /// sorted fact list in lockstep, chunk by chunk, instead of issuing one
+  /// lookup per fact. Built lazily (thread-safe, double-checked) or
   /// eagerly by SealIndexes; Add and RestrictToFacts invalidate it.
-  const std::vector<FactSpan>& FactSpans() const {
+  const ChunkedVector<FactSpan>& FactSpans() const {
     SealIndexes();
     return spans_;
   }
-  const std::vector<std::size_t>& SpanEntryIndexes() const {
-    SealIndexes();
-    return span_entries_;
+
+  /// The entry indexes of one FactSpans() row, in insertion order. A run
+  /// never straddles a chunk of the CSR entry-index array (the seal pads
+  /// to the next chunk instead), so this is a pointer into one chunk; a
+  /// run longer than a chunk is served from the fact's by-fact list,
+  /// which holds the same indexes.
+  EntrySpan SpanEntries(const FactSpan& span) const {
+    if (span.end == span.begin) return {};
+    if ((span.begin >> kIndexChunkShift) ==
+        ((span.end - 1) >> kIndexChunkShift)) {
+      return EntrySpan{&span_entries_[span.begin], span.end - span.begin};
+    }
+    return by_fact_.ListAt(by_fact_.FindOrdinal(span.fact));
   }
 
   /// Builds the CSR view now (the seal step of snapshot publication calls
@@ -139,7 +155,7 @@ class FactDimRelation {
   /// valid column was compiled under another numbering generation: a
   /// reader never recompiles a valid column, so published epochs stay
   /// lock-free.
-  const std::vector<std::uint32_t>* DenseColumn(
+  const ChunkedVector<std::uint32_t>* DenseColumn(
       const DenseNumbering& numbering) const;
 
   /// Seals the column under `numbering` now, recompiling a valid column
@@ -181,38 +197,49 @@ class FactDimRelation {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
+  /// Storage chunks over every chunked array (entries, key and list
+  /// arrays of both indexes, CSR arrays, dense column), and how many of
+  /// them are the very same chunks `other` holds at the same positions:
+  /// what a copy shares and its writes since un-shared (tests and
+  /// docs/memory_layout.md measure it).
+  std::size_t chunk_count() const;
+  std::size_t SharedChunksWith(const FactDimRelation& other) const;
+
   /// Set-union of two relations with pairwise lifespan coalescing (the
   /// temporal union rule of Section 4.2).
   static Result<FactDimRelation> UnionWith(const FactDimRelation& a,
                                            const FactDimRelation& b);
 
  private:
+  static constexpr std::size_t kIndexChunkShift =
+      ChunkedVector<std::size_t>::kChunkShift;
+
   /// One side (by-fact or by-value) of the flat index: open-addressing
   /// table over dense parallel (key, entry-index-list) arrays.
   ///
-  /// The per-key lists are copy-on-write: a copied relation (the MVCC
-  /// draft clone, or a reader's WithRegistry view) shares every list with
-  /// its source — |keys| refcount bumps instead of |keys| heap
-  /// allocations — and ListFor un-shares one list only when a writer
-  /// actually mutates it. Retired epochs then free only the lists they
-  /// uniquely own, which is what keeps continuous-ingestion clone and
-  /// teardown O(batch), not O(|F|) (docs/ingestion.md). Sharing is safe
-  /// because relation mutation is single-writer (the store's draft) while
-  /// concurrent readers only copy shared_ptrs: a list with use_count() 1
-  /// is provably private — no other thread holds a handle to copy from.
+  /// A copy shares the key and list arrays chunk by chunk and copies the
+  /// table's slot arrays flat (12 bytes a slot: a hash table filled in
+  /// random order does not chunk). The per-key lists are copy-on-write
+  /// on top: ListFor clones the chunk of list handles it writes into
+  /// (which makes every handle in it shared), then un-shares the one list
+  /// it mutates. A copy then costs the slot arrays plus O(chunks), and a
+  /// retired epoch frees only the chunks and lists it uniquely owns
+  /// (docs/ingestion.md). Deciding by use_count() is sound because
+  /// relation mutation is single-writer (the store's draft) and a shared
+  /// source stays alive until the draft is sealed (see ChunkedVector).
   template <typename Key>
   struct FlatListIndex {
     FlatHashIndex table;
-    std::vector<Key> keys;
-    std::vector<std::shared_ptr<std::vector<std::size_t>>> lists;
+    ChunkedVector<Key> keys;
+    ChunkedVector<std::shared_ptr<std::vector<std::size_t>>> lists;
 
     std::uint32_t FindOrdinal(Key key) const {
       return table.Find(Fnv1a64Word(key.raw()), [&](std::uint32_t ordinal) {
         return keys[ordinal] == key;
       });
     }
-    const std::vector<std::size_t>& ListAt(std::uint32_t ordinal) const {
-      return *lists[ordinal];
+    EntrySpan ListAt(std::uint32_t ordinal) const {
+      return EntrySpan::Of(*lists[ordinal]);
     }
     std::vector<std::size_t>& ListFor(Key key) {
       bool inserted = false;
@@ -222,11 +249,13 @@ class FactDimRelation {
       if (inserted) {
         keys.push_back(key);
         lists.push_back(std::make_shared<std::vector<std::size_t>>());
-      } else if (lists[ordinal].use_count() > 1) {
-        lists[ordinal] =
-            std::make_shared<std::vector<std::size_t>>(*lists[ordinal]);
+        return *lists.MutBack();
       }
-      return *lists[ordinal];
+      std::shared_ptr<std::vector<std::size_t>>& list = lists.Mut(ordinal);
+      if (list.use_count() > 1) {
+        list = std::make_shared<std::vector<std::size_t>>(*list);
+      }
+      return *list;
     }
     void Clear() {
       table.Clear();
@@ -243,7 +272,7 @@ class FactDimRelation {
   void CopyFrom(const FactDimRelation& other);
   void MoveFrom(FactDimRelation&& other);
 
-  std::vector<Entry> entries_;
+  ChunkedVector<Entry> entries_;
   std::size_t first_edited_entry_ = kNoEdit;
   FlatListIndex<FactId> by_fact_;
   FlatListIndex<ValueId> by_value_;
@@ -262,6 +291,11 @@ class FactDimRelation {
   std::uint32_t DenseSlotOf(std::size_t row,
                             const DenseNumbering& numbering) const;
 
+  /// Appends one fact's run of entry indexes to span_entries_, padding
+  /// first so that the run does not straddle a chunk; returns its begin.
+  /// Caller holds CsrMutex.
+  std::uint32_t AppendRunLocked(EntrySpan run) const;
+
   // Lazily-built CSR by-fact view. `csr_valid_` is the publication flag:
   // set with release after the arrays are final, read with acquire before
   // touching them (the RollupIndex slot idiom), so sealed snapshots serve
@@ -269,9 +303,11 @@ class FactDimRelation {
   // false, `sealed_entry_count_` > 0) is the append-patch state: entries
   // [0, sealed_entry_count_) are still laid out in the arrays, and a
   // reseal extends the tail instead of re-sorting when the delta allows.
+  // span_entries_ may hold padding and abandoned runs between the runs
+  // the spans name.
   mutable std::atomic<bool> csr_valid_{false};
-  mutable std::vector<FactSpan> spans_;
-  mutable std::vector<std::size_t> span_entries_;
+  mutable ChunkedVector<FactSpan> spans_;
+  mutable ChunkedVector<std::size_t> span_entries_;
   mutable std::size_t sealed_entry_count_ = 0;
 
   // The dense-id column (see DenseColumn), published like the CSR view:
@@ -279,7 +315,7 @@ class FactDimRelation {
   // under `column_generation_`. Invalid but non-empty, `column_` covers a
   // prefix of the rows of a tail-extended view and is extended in place.
   mutable std::atomic<bool> column_valid_{false};
-  mutable std::vector<std::uint32_t> column_;
+  mutable ChunkedVector<std::uint32_t> column_;
   mutable std::uint64_t column_generation_ = 0;
 };
 

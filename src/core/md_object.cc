@@ -17,6 +17,16 @@ std::vector<std::shared_ptr<const DimensionType>> TypesOf(
   return types;
 }
 
+std::vector<std::shared_ptr<Dimension>> Owned(
+    std::vector<Dimension> dimensions) {
+  std::vector<std::shared_ptr<Dimension>> owned;
+  owned.reserve(dimensions.size());
+  for (Dimension& dimension : dimensions) {
+    owned.push_back(std::make_shared<Dimension>(std::move(dimension)));
+  }
+  return owned;
+}
+
 }  // namespace
 
 std::string_view TemporalTypeName(TemporalType type) {
@@ -37,10 +47,52 @@ MdObject::MdObject(std::string fact_type, std::vector<Dimension> dimensions,
                    std::shared_ptr<FactRegistry> registry,
                    TemporalType temporal_type)
     : schema_(std::move(fact_type), TypesOf(dimensions)),
-      dimensions_(std::move(dimensions)),
+      dimensions_(Owned(std::move(dimensions))),
       relations_(dimensions_.size()),
       registry_(std::move(registry)),
       temporal_type_(temporal_type) {}
+
+MdObject::MdObject(const MdObject& other)
+    : schema_(other.schema_),
+      relations_(other.relations_),
+      facts_(other.facts_),
+      registry_(other.registry_),
+      temporal_type_(other.temporal_type_) {
+  // A frozen dimension is never written again (dimension_mutable clones
+  // it, Seal and WarmAndFreezeForPublish skip it), so sharing it is
+  // sharing an immutable value. An unfrozen one may still warm memos
+  // lazily, so each copy gets its own.
+  dimensions_.reserve(other.dimensions_.size());
+  for (const std::shared_ptr<Dimension>& dimension : other.dimensions_) {
+    dimensions_.push_back(dimension->publish_frozen()
+                              ? dimension
+                              : std::make_shared<Dimension>(*dimension));
+  }
+}
+
+MdObject& MdObject::operator=(const MdObject& other) {
+  if (this != &other) {
+    MdObject copy(other);
+    *this = std::move(copy);
+  }
+  return *this;
+}
+
+Dimension& MdObject::dimension_mutable(std::size_t index) {
+  std::shared_ptr<Dimension>& dimension = dimensions_[index];
+  // use_count() > 1 means another MO holds this very object, which the
+  // copy constructor allows only for a frozen dimension; its readers must
+  // never see a store, the freeze flag's included. The count cannot drop
+  // to 1 under us while the other holder is alive (see ChunkedVector on
+  // why a relaxed count suffices for a draft).
+  if (dimension.use_count() > 1) {
+    dimension = std::make_shared<Dimension>(*dimension);
+  }
+  // A private dimension handed out for writing is no longer final: the
+  // next publication warms and freezes it again.
+  dimension->set_publish_frozen(false);
+  return *dimension;
+}
 
 bool MdObject::HasFact(FactId fact) const {
   return std::binary_search(facts_.begin(), facts_.end(), fact);
@@ -82,9 +134,9 @@ Status MdObject::Relate(std::size_t dim, FactId fact, ValueId value,
     return Status::NotFound(
         StrCat("fact ", fact, " is not in the fact set of this MO"));
   }
-  if (!dimensions_[dim].HasValue(value)) {
+  if (!dimensions_[dim]->HasValue(value)) {
     return Status::NotFound(StrCat("value ", value, " is not in dimension '",
-                                   dimensions_[dim].name(), "'"));
+                                   dimensions_[dim]->name(), "'"));
   }
   return relations_[dim].Add(fact, value, life, prob);
 }
@@ -94,7 +146,7 @@ Status MdObject::CoverWithTop() {
     for (FactId fact : facts_) {
       if (!relations_[i].HasFact(fact)) {
         MDDC_RETURN_NOT_OK(
-            relations_[i].Add(fact, dimensions_[i].top_value()));
+            relations_[i].Add(fact, dimensions_[i]->top_value()));
       }
     }
   }
@@ -106,7 +158,7 @@ Status MdObject::CoverWithTop(const std::vector<FactId>& facts) {
     for (FactId fact : facts) {
       if (!relations_[i].HasFact(fact)) {
         MDDC_RETURN_NOT_OK(
-            relations_[i].Add(fact, dimensions_[i].top_value()));
+            relations_[i].Add(fact, dimensions_[i]->top_value()));
       }
     }
   }
@@ -120,10 +172,13 @@ MdObject MdObject::WithRegistry(std::shared_ptr<FactRegistry> registry) const {
 }
 
 void MdObject::WarmAndFreezeForPublish() const {
-  for (const Dimension& dimension : dimensions_) {
-    dimension.set_memoization_enabled(true);
-    dimension.WarmClosureMemo();
-    dimension.set_publish_frozen(true);
+  for (const std::shared_ptr<Dimension>& dimension : dimensions_) {
+    // A frozen dimension may be shared with a published epoch: even a
+    // store of an equal value would race with its readers.
+    if (dimension->publish_frozen()) continue;
+    dimension->set_memoization_enabled(true);
+    dimension->WarmClosureMemo();
+    dimension->set_publish_frozen(true);
   }
   // Seal the CSR span views too: published epochs must never build
   // indexes under concurrent readers (docs/memory_layout.md).
@@ -139,7 +194,7 @@ std::vector<MdObject::Characterization> MdObject::CharacterizedBy(
     FactId fact, std::size_t dim, Chronon prob_at) const {
   std::vector<Characterization> result;
   if (dim >= dimensions_.size()) return result;
-  const Dimension& dimension = dimensions_[dim];
+  const Dimension& dimension = *dimensions_[dim];
 
   // Accumulate per characterizing value; multiple witnesses union
   // lifespans and noisy-or probabilities.
@@ -207,7 +262,7 @@ std::vector<std::pair<FactId, MdObject::Characterization>> MdObject::FactsWith(
     std::size_t dim, ValueId value, Chronon prob_at) const {
   std::vector<std::pair<FactId, Characterization>> result;
   if (dim >= dimensions_.size()) return result;
-  const Dimension& dimension = dimensions_[dim];
+  const Dimension& dimension = *dimensions_[dim];
   if (!dimension.HasValue(value)) return result;
 
   // Facts related to `value` directly or to any value contained in it.
@@ -246,17 +301,17 @@ std::vector<std::pair<FactId, MdObject::Characterization>> MdObject::FactsWith(
 
 Status MdObject::Validate() const {
   for (std::size_t i = 0; i < dimensions_.size(); ++i) {
-    MDDC_RETURN_NOT_OK(dimensions_[i].Validate());
+    MDDC_RETURN_NOT_OK(dimensions_[i]->Validate());
     for (const FactDimRelation::Entry& entry : relations_[i].entries()) {
       if (!HasFact(entry.fact)) {
         return Status::InvariantViolation(
             StrCat("relation ", i, " references fact ", entry.fact,
                    " outside the fact set"));
       }
-      if (!dimensions_[i].HasValue(entry.value)) {
+      if (!dimensions_[i]->HasValue(entry.value)) {
         return Status::InvariantViolation(
             StrCat("relation ", i, " references value ", entry.value,
-                   " outside dimension '", dimensions_[i].name(), "'"));
+                   " outside dimension '", dimensions_[i]->name(), "'"));
       }
     }
     // No missing values: every fact characterized in every dimension.
@@ -264,7 +319,7 @@ Status MdObject::Validate() const {
       if (!relations_[i].HasFact(fact)) {
         return Status::InvariantViolation(StrCat(
             "fact ", fact, " is not characterized in dimension '",
-            dimensions_[i].name(),
+            dimensions_[i]->name(),
             "'; relate it to the top value if the characterization is "
             "unknown (CoverWithTop)"));
       }
@@ -282,12 +337,12 @@ std::string MdObject::ToString() const {
   for (FactId fact : facts_) fact_names.push_back(registry_->ToString(fact));
   out += StrCat("  F = {", Join(fact_names, ", "), "}\n");
   for (std::size_t i = 0; i < dimensions_.size(); ++i) {
-    out += StrCat("  R[", dimensions_[i].name(), "] = {");
+    out += StrCat("  R[", dimensions_[i]->name(), "] = {");
     std::vector<std::string> pairs;
     for (const FactDimRelation::Entry& entry : relations_[i].entries()) {
       std::string pair =
           StrCat("(", registry_->ToString(entry.fact), ",",
-                 entry.value == dimensions_[i].top_value()
+                 entry.value == dimensions_[i]->top_value()
                      ? "T"
                      : std::to_string(entry.value.raw()),
                  ")");

@@ -54,6 +54,16 @@ class MdObject {
            std::shared_ptr<FactRegistry> registry,
            TemporalType temporal_type = TemporalType::kSnapshot);
 
+  /// A copy shares every publish-frozen dimension (memos warm, rollup
+  /// slot final: every read of it is pure) and deep-copies the others;
+  /// the relations share their chunked storage (FactDimRelation). A
+  /// writer's draft of a published MO therefore costs the relations'
+  /// hash slot arrays, the fact list and O(chunks), not O(|F|).
+  MdObject(const MdObject& other);
+  MdObject(MdObject&& other) noexcept = default;
+  MdObject& operator=(const MdObject& other);
+  MdObject& operator=(MdObject&& other) noexcept = default;
+
   const FactSchema& schema() const { return schema_; }
   TemporalType temporal_type() const { return temporal_type_; }
   void set_temporal_type(TemporalType type) { temporal_type_ = type; }
@@ -67,11 +77,13 @@ class MdObject {
 
   std::size_t dimension_count() const { return dimensions_.size(); }
   const Dimension& dimension(std::size_t index) const {
-    return dimensions_[index];
+    return *dimensions_[index];
   }
-  Dimension& dimension_mutable(std::size_t index) {
-    return dimensions_[index];
-  }
+  /// The one way to mutate a dimension. A dimension this MO shares with
+  /// a copy (see the copy constructor) is cloned first, and the clone
+  /// starts unfrozen, so no store ever lands in a dimension that readers
+  /// of another MO hold.
+  Dimension& dimension_mutable(std::size_t index);
   const FactDimRelation& relation(std::size_t index) const {
     return relations_[index];
   }
@@ -127,6 +139,8 @@ class MdObject {
   /// Prepares this MO for lock-free concurrent reads and marks every
   /// dimension publish-frozen: re-enables and fully warms each closure
   /// memo, then sets the freeze flag (see Dimension::publish_frozen).
+  /// Dimensions already frozen — shared with the epoch this MO was
+  /// drafted from — are skipped untouched.
   /// Seals the relations' CSR views and the fact registry too, so an
   /// intern call into the published registry aborts (FactRegistry::Seal).
   /// The caller (the publisher) must compile rollup snapshots — an engine
@@ -170,7 +184,9 @@ class MdObject {
 
  private:
   FactSchema schema_;
-  std::vector<Dimension> dimensions_;
+  // Shared between copies only while publish-frozen (see the copy
+  // constructor); dimension_mutable un-shares.
+  std::vector<std::shared_ptr<Dimension>> dimensions_;
   std::vector<FactDimRelation> relations_;
   std::vector<FactId> facts_;  // sorted
   std::shared_ptr<FactRegistry> registry_;

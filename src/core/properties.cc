@@ -221,7 +221,7 @@ bool HasStrictPath(const MdObject& mo, std::size_t dim,
   std::vector<ValueId> witnesses;  // distinct alive values, reused per fact
   for (FactId fact : facts != nullptr ? *facts : mo.facts()) {
     witnesses.clear();
-    const std::vector<std::size_t>& entry_indexes =
+    const FactDimRelation::EntrySpan entry_indexes =
         relation.EntryIndexesForFact(fact);
     // Top characterizes unconditionally (with AlwaysSpan) whenever the
     // fact has any pair in the dimension — the rule CharacterizedBy

@@ -251,14 +251,15 @@ Result<MdObject> PreAggregateCache::RollUpCached(
   const std::vector<FactId>& groups = cached.facts();
   auto sweep = [&groups](const FactDimRelation& relation) {
     std::vector<FactDimRelation::EntrySpan> per_fact(groups.size());
-    const std::size_t* base = relation.SpanEntryIndexes().data();
+    const ChunkedVector<FactDimRelation::FactSpan>& spans =
+        relation.FactSpans();
     std::size_t f = 0;
-    for (const FactDimRelation::FactSpan& span : relation.FactSpans()) {
-      while (f < groups.size() && groups[f] < span.fact) ++f;
-      if (f == groups.size()) break;
-      if (groups[f] == span.fact) {
-        per_fact[f] = FactDimRelation::EntrySpan{base + span.begin,
-                                                 span.end - span.begin};
+    for (std::size_t k = 0; k < spans.chunk_count() && f < groups.size();
+         ++k) {
+      for (const FactDimRelation::FactSpan& span : spans.Chunk(k)) {
+        while (f < groups.size() && groups[f] < span.fact) ++f;
+        if (f == groups.size()) break;
+        if (groups[f] == span.fact) per_fact[f] = relation.SpanEntries(span);
       }
     }
     return per_fact;

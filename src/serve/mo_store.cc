@@ -59,6 +59,19 @@ bool IsPureAppend(const MdObject& published, const MdObject& draft,
   return true;
 }
 
+/// Re-enables and warms the closure memo of every dimension the draft
+/// does not share with a published epoch. A frozen dimension is shared
+/// (MdObject's copy constructor) and already warm; no store may land in
+/// it, not even of an equal flag value.
+void WarmUnfrozenDimensions(const MdObject& mo) {
+  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
+    const Dimension& dimension = mo.dimension(i);
+    if (dimension.publish_frozen()) continue;
+    dimension.set_memoization_enabled(true);
+    dimension.WarmClosureMemo();
+  }
+}
+
 /// Compiles `mo`'s rollup snapshots (cached in the still-unfrozen
 /// dimensions' slots) and seals every relation's CSR view and dense-id
 /// column under them, so readers of the published epoch build neither.
@@ -103,10 +116,7 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
   // Warm the closure memos first: compilation and every later read then
   // find the reachability of each value precomputed, making concurrent
   // queries pure reads.
-  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    mo.dimension(i).set_memoization_enabled(true);
-    mo.dimension(i).WarmClosureMemo();
-  }
+  WarmUnfrozenDimensions(mo);
 
   // Compile the rollup snapshots while the dimensions are still
   // unfrozen, so For() caches each one into the dimension's slot; after
@@ -151,12 +161,11 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::SealAppend(
   auto shared = std::make_shared<const MdObject>(std::move(draft));
   const MdObject& mo = *shared;
 
-  // Closure memos: the draft's dimensions carried the published memos
-  // over, so warming only fills the freshly appended values' entries.
-  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    mo.dimension(i).set_memoization_enabled(true);
-    mo.dimension(i).WarmClosureMemo();
-  }
+  // Closure memos: a dimension the batch left alone is still the
+  // published (frozen, shared) object and is skipped; an appended-to one
+  // carried the published memos into its clone, so warming only fills
+  // the freshly appended values' entries.
+  WarmUnfrozenDimensions(mo);
 
   // Reseal the by-fact CSR span views: a batched fact append lands at the
   // entry tail with fresh (maximal) fact ids, so the sealed layout is
@@ -220,6 +229,14 @@ Status MoStore::SwapLocked(const std::string& name,
     next->catalog_[name] = std::move(entry);
   }
   retired_.push_back(current);
+  // Prune reclaimed observers once the list has doubled since the last
+  // prune: amortized O(1) per epoch, and the list stays within twice the
+  // epochs still pinned (each expired observer also pins its snapshot's
+  // make_shared allocation block).
+  if (retired_.size() >= 2 * retired_after_prune_) {
+    PruneRetiredLocked();
+    retired_after_prune_ = std::max<std::size_t>(retired_.size(), 8);
+  }
   ++epochs_published_;
   // Unlocking pin_mu_ publishes every plain write above — including the
   // publish_frozen flags and warmed memos — to the next Pin().
@@ -348,26 +365,28 @@ Status MoStore::WarmAggregate(const std::string& name,
   return status;
 }
 
-MoStore::Stats MoStore::CollectStats() const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  auto alive = [](const std::weak_ptr<const MoSnapshot>& w) {
-    return !w.expired();
-  };
-  std::size_t live = 0;
-  for (const auto& w : retired_) live += alive(w) ? 1 : 0;
+void MoStore::PruneRetiredLocked() const {
   const std::size_t before = retired_.size();
   retired_.erase(std::remove_if(retired_.begin(), retired_.end(),
-                                [&](const std::weak_ptr<const MoSnapshot>& w) {
-                                  return !alive(w);
+                                [](const std::weak_ptr<const MoSnapshot>& w) {
+                                  return w.expired();
                                 }),
                  retired_.end());
   reclaimed_ += before - retired_.size();
+}
 
+MoStore::Stats MoStore::CollectStats() const {
+  std::lock_guard<std::mutex> lock(writer_mu_);
   Stats stats;
+  stats.retired_observers = retired_.size();
+  PruneRetiredLocked();
+
   stats.epochs_published = epochs_published_;
   stats.registry_flattens = registry_flattens_;
   stats.reclaimed_snapshots = reclaimed_;
-  stats.live_snapshots = live + 1;  // retired-but-pinned + current
+  // Every observer left may still be released by its last reader before
+  // this returns; those count as live here and as reclaimed next time.
+  stats.live_snapshots = retired_.size() + 1;  // retired-but-pinned + current
   stats.append_batches = append_batches_;
   stats.append_fallbacks = append_fallbacks_;
   return stats;

@@ -154,12 +154,18 @@ class MoStore {
     std::uint64_t registry_flattens = 0;  ///< fork chains collapsed
     std::uint64_t reclaimed_snapshots = 0;  ///< retired epochs fully released
     std::size_t live_snapshots = 0;  ///< current + retired-but-still-pinned
+    /// Weak observers of retired epochs the store held when asked,
+    /// before this call pruned them: the pinned epochs plus reclaimed
+    /// ones since the last prune. Swaps prune once the list doubles, so
+    /// it stays within twice the pinned epochs (at least 16).
+    std::size_t retired_observers = 0;
     std::uint64_t append_batches = 0;    ///< AppendBatch fast-path seals
     std::uint64_t append_fallbacks = 0;  ///< AppendBatch full-Seal fallbacks
   };
 
   /// Current stats; prunes the retired-epoch observers as a side effect
-  /// (that is where reclaimed_snapshots advances).
+  /// (as does every swap that finds the observer list doubled since its
+  /// last prune; that is where reclaimed_snapshots advances).
   Stats CollectStats() const;
 
  private:
@@ -196,7 +202,12 @@ class MoStore {
   mutable std::mutex pin_mu_;  // guards current_ only; never held for work
   std::shared_ptr<const MoSnapshot> current_;  // pin_mu_
   std::map<std::string, std::vector<WarmSpec>> warm_specs_;  // writer_mu_
+  /// Drops the observers of fully released epochs, counting them into
+  /// reclaimed_. Caller holds writer_mu_.
+  void PruneRetiredLocked() const;
+
   mutable std::vector<std::weak_ptr<const MoSnapshot>> retired_;  // writer_mu_
+  std::size_t retired_after_prune_ = 8;        // writer_mu_
   mutable std::uint64_t reclaimed_ = 0;        // writer_mu_
   std::uint64_t epochs_published_ = 0;         // writer_mu_
   std::uint64_t registry_flattens_ = 0;        // writer_mu_

@@ -86,7 +86,7 @@ Status AddShapedFact(MdObject& mo, FactId fact, std::size_t dim,
                      Shape shape) {
   MDDC_RETURN_NOT_OK(mo.AddFact(fact));
   for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    const std::vector<FactDimRelation::Entry>& entries =
+    const ChunkedVector<FactDimRelation::Entry>& entries =
         mo.relation(i).entries();
     const std::size_t pick = fact.raw() % 11;
     const ValueId first = entries[pick].value;
@@ -515,7 +515,7 @@ TEST(ColumnGatherTest, CopiesCarryValidColumnsAndEditsDropThem) {
   const FactDimRelation& stores = retail.mo.relation(retail.store_dim);
   const auto index = RollupIndex::For(retail.mo.dimension(retail.store_dim));
   EXPECT_FALSE(HasSealedColumn(stores, *index));
-  const std::vector<std::uint32_t> column = *stores.DenseColumn(index->numbering());
+  const ChunkedVector<std::uint32_t> column = *stores.DenseColumn(index->numbering());
   EXPECT_EQ(column.size(), stores.FactSpans().size());
   EXPECT_TRUE(HasSealedColumn(stores, *index));
   for (std::uint32_t slot : column) EXPECT_NE(slot, FactDimRelation::kNoDense);
@@ -530,7 +530,7 @@ TEST(ColumnGatherTest, CopiesCarryValidColumnsAndEditsDropThem) {
                             : stores.entries()[0].value;
   ASSERT_TRUE(copy.Add(last, other).ok());
   EXPECT_FALSE(HasSealedColumn(copy, *index));
-  const std::vector<std::uint32_t> grown = *copy.DenseColumn(index->numbering());
+  const ChunkedVector<std::uint32_t> grown = *copy.DenseColumn(index->numbering());
   ASSERT_EQ(grown.size(), column.size());
   EXPECT_EQ(grown.back(), FactDimRelation::kNoDense);
   EXPECT_TRUE(std::equal(column.begin(), column.end() - 1, grown.begin()));

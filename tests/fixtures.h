@@ -114,8 +114,8 @@ inline MdObject BuildPatientDiagnosisMo() {
 
 /// A from-scratch dense-id column of `relation` under `index`: the
 /// relation rebuilt entry by entry, so no sealed state carries over.
-inline std::vector<std::uint32_t> FreshColumn(const FactDimRelation& relation,
-                                              const RollupIndex& index) {
+inline ChunkedVector<std::uint32_t> FreshColumn(
+    const FactDimRelation& relation, const RollupIndex& index) {
   FactDimRelation fresh;
   for (const FactDimRelation::Entry& entry : relation.entries()) {
     (void)fresh.Add(entry.fact, entry.value, entry.life, entry.prob);

@@ -15,12 +15,14 @@ namespace {
 
 // ---- CSR by-fact span view ------------------------------------------------
 
+std::vector<std::size_t> ToVector(FactDimRelation::EntrySpan span) {
+  return std::vector<std::size_t>(span.begin(), span.end());
+}
+
 std::vector<std::size_t> SpanToVector(const FactDimRelation& relation,
                                       FactId fact) {
   for (const FactDimRelation::FactSpan& span : relation.FactSpans()) {
-    if (span.fact != fact) continue;
-    const std::size_t* base = relation.SpanEntryIndexes().data();
-    return std::vector<std::size_t>(base + span.begin, base + span.end);
+    if (span.fact == fact) return ToVector(relation.SpanEntries(span));
   }
   return {};
 }
@@ -36,7 +38,7 @@ FactDimRelation SmallRelation() {
 
 TEST(FactDimRelationCsrTest, SpansMatchPerFactIndexAndAreSorted) {
   FactDimRelation relation = SmallRelation();
-  const std::vector<FactDimRelation::FactSpan>& spans = relation.FactSpans();
+  const ChunkedVector<FactDimRelation::FactSpan>& spans = relation.FactSpans();
   ASSERT_EQ(spans.size(), 3u);
   // Facts ascending, regardless of insertion order.
   EXPECT_TRUE(std::is_sorted(
@@ -44,7 +46,7 @@ TEST(FactDimRelationCsrTest, SpansMatchPerFactIndexAndAreSorted) {
       [](const auto& a, const auto& b) { return a.fact < b.fact; }));
   for (const FactDimRelation::FactSpan& span : spans) {
     EXPECT_EQ(SpanToVector(relation, span.fact),
-              relation.EntryIndexesForFact(span.fact))
+              ToVector(relation.EntryIndexesForFact(span.fact)))
         << "fact " << span.fact;
   }
 }
@@ -53,11 +55,11 @@ TEST(FactDimRelationCsrTest, AddInvalidatesAndRebuilds) {
   FactDimRelation relation = SmallRelation();
   ASSERT_EQ(relation.FactSpans().size(), 3u);  // build the view
   ASSERT_TRUE(relation.Add(FactId(7), ValueId(10)).ok());
-  const std::vector<FactDimRelation::FactSpan>& spans = relation.FactSpans();
+  const ChunkedVector<FactDimRelation::FactSpan>& spans = relation.FactSpans();
   ASSERT_EQ(spans.size(), 4u);
   EXPECT_EQ(spans.back().fact, FactId(7));
   EXPECT_EQ(SpanToVector(relation, FactId(7)),
-            relation.EntryIndexesForFact(FactId(7)));
+            ToVector(relation.EntryIndexesForFact(FactId(7))));
   // Coalescing Add (same pair again) also invalidates, then rebuilds to
   // the same shape.
   ASSERT_TRUE(relation.Add(FactId(7), ValueId(10)).ok());
@@ -68,12 +70,12 @@ TEST(FactDimRelationCsrTest, RestrictToFactsInvalidatesAndRebuilds) {
   FactDimRelation relation = SmallRelation();
   ASSERT_EQ(relation.FactSpans().size(), 3u);  // build the view
   relation.RestrictToFacts({FactId(2)});
-  const std::vector<FactDimRelation::FactSpan>& spans = relation.FactSpans();
+  const ChunkedVector<FactDimRelation::FactSpan>& spans = relation.FactSpans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].fact, FactId(2));
   EXPECT_EQ(spans[0].end - spans[0].begin, 2u);
   EXPECT_EQ(SpanToVector(relation, FactId(2)),
-            relation.EntryIndexesForFact(FactId(2)));
+            ToVector(relation.EntryIndexesForFact(FactId(2))));
 }
 
 TEST(FactDimRelationCsrTest, CopyGetsItsOwnView) {
@@ -93,6 +95,59 @@ TEST(FactDimRelationCsrTest, EntrySpanOfWrapsAVector) {
   EXPECT_EQ(span.front(), 4u);
   EXPECT_EQ(std::vector<std::size_t>(span.begin(), span.end()), list);
   EXPECT_TRUE(FactDimRelation::EntrySpan{}.empty());
+}
+
+/// Every CSR row's run equals its fact's by-fact list, the rows ascend
+/// and cover exactly the relation's facts.
+void ExpectRunsMatchLists(const FactDimRelation& relation,
+                          std::size_t facts) {
+  const ChunkedVector<FactDimRelation::FactSpan>& spans = relation.FactSpans();
+  ASSERT_EQ(spans.size(), facts);
+  for (std::size_t row = 0; row < spans.size(); ++row) {
+    if (row > 0) {
+      ASSERT_LT(spans[row - 1].fact, spans[row].fact);
+    }
+    ASSERT_EQ(ToVector(relation.SpanEntries(spans[row])),
+              ToVector(relation.EntryIndexesForFact(spans[row].fact)))
+        << "fact " << spans[row].fact;
+  }
+}
+
+// A fact's run never straddles a chunk of the entry-index array: runs of
+// every length are laid out around chunk boundaries, a run longer than a
+// chunk is served from its by-fact list, and a tail extension that grows
+// the last run past a boundary re-lays it whole — in a copy, while the
+// source keeps its own view.
+TEST(FactDimRelationCsrTest, RunsStayWholeAcrossChunkBoundaries) {
+  constexpr std::size_t C = ChunkedVector<std::size_t>::kChunkSize;
+  FactDimRelation relation;
+  std::uint64_t value = 1;
+  std::uint64_t fact = 1;
+  for (; fact <= 900; ++fact) {
+    const std::size_t pairs = fact == 400 ? C + 300 : 1 + fact % 7;
+    for (std::size_t k = 0; k < pairs; ++k) {
+      ASSERT_TRUE(relation.Add(FactId(fact), ValueId(value++)).ok());
+    }
+  }
+  ASSERT_GT(relation.size(), 4 * C);
+  ExpectRunsMatchLists(relation, 900);
+
+  FactDimRelation copy = relation;
+  const FactId last(fact - 1);
+  for (std::size_t grown = 0; grown < C + 10; ++grown) {
+    ASSERT_TRUE(copy.Add(last, ValueId(value++)).ok());
+    ASSERT_EQ(copy.SealIndexesReporting(),
+              FactDimRelation::SealOutcome::kExtended);
+    if (grown % 97 == 0 || grown + 1 == C + 10) {
+      ExpectRunsMatchLists(copy, 900);
+    }
+  }
+  ASSERT_TRUE(copy.Add(FactId(fact), ValueId(value++)).ok());
+  ASSERT_EQ(copy.SealIndexesReporting(),
+            FactDimRelation::SealOutcome::kExtended);
+  ExpectRunsMatchLists(copy, 901);
+  ExpectRunsMatchLists(relation, 900);
+  EXPECT_EQ(relation.EntryIndexesForFact(last).size(), 1 + (fact - 1) % 7);
 }
 
 // ---- FactRegistry flat-hash differential ----------------------------------

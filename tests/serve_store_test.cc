@@ -187,6 +187,33 @@ TEST(MoStoreTest, RetiredEpochsAreReclaimedWhenUnpinned) {
   EXPECT_EQ(released.reclaimed_snapshots, 4u);
 }
 
+// A server that never asks for stats must not keep one observer per
+// epoch forever: swaps prune the reclaimed ones once the list doubles.
+TEST(MoStoreTest, RetiredObserversStayBoundedWithoutCollectingStats) {
+  constexpr int kEpochs = 10000;
+  MoStore store;
+  ASSERT_TRUE(store.Publish("sales", BuildSales(10)).ok());
+  std::shared_ptr<const MoSnapshot> held;
+  for (int e = 0; e < kEpochs; ++e) {
+    ASSERT_TRUE(
+        store.AppendBatch("sales", [](MdObject&) { return Status::OK(); })
+            .ok());
+    if (e == kEpochs / 2) held = store.Pin();
+  }
+  MoStore::Stats stats = store.CollectStats();
+  EXPECT_EQ(stats.epochs_published, kEpochs + 1u);
+  EXPECT_LE(stats.retired_observers, 16u);
+  EXPECT_EQ(stats.live_snapshots, 2u);  // the held epoch + the current one
+  EXPECT_EQ(stats.reclaimed_snapshots + stats.live_snapshots,
+            stats.epochs_published + 1);
+
+  held.reset();
+  stats = store.CollectStats();
+  EXPECT_EQ(stats.live_snapshots, 1u);
+  EXPECT_EQ(stats.reclaimed_snapshots + stats.live_snapshots,
+            stats.epochs_published + 1);
+}
+
 TEST(MoStoreTest, WarmAggregateFailureIsWithdrawn) {
   MoStore store;
   ASSERT_TRUE(store.Publish("sales", BuildSales(60)).ok());
@@ -289,6 +316,7 @@ TEST(MoStoreConcurrencyTest, PinIsOrderedWithEverySwap) {
   const std::size_t facts = store.Pin()->Find("sales")->mo().fact_count();
 
   std::atomic<bool> done{false};
+  std::atomic<int> running{0};
   std::vector<std::thread> pinners;
   std::vector<int> failures(kPinners, 0);
   std::vector<std::uint64_t> pins(kPinners, 0);
@@ -305,10 +333,13 @@ TEST(MoStoreConcurrencyTest, PinIsOrderedWithEverySwap) {
           ++failures[p];
         }
         last = snapshot->epoch();
-        ++pins[p];
+        if (pins[p]++ == 0) running.fetch_add(1);
       }
     });
   }
+  // A swap takes microseconds: start them only once every pinner is
+  // pinning, so the pins overlap the swaps on any scheduler.
+  while (running.load() < kPinners) std::this_thread::yield();
   for (int e = 0; e < kEpochs; ++e) {
     ASSERT_TRUE(
         store.Mutate("sales", [](MdObject&) { return Status::OK(); }).ok());
