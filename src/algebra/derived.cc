@@ -197,24 +197,37 @@ Result<MdObject> StarJoin(
   return Select(mo, predicate);
 }
 
-Result<std::vector<SqlRow>> SqlAggregate(const MdObject& mo,
-                                         const std::vector<SqlGroupBy>& group_by,
-                                         const AggFunction& function,
-                                         Chronon at, ExecContext* exec) {
-  AggregateSpec spec{function, {}, ResultDimensionSpec::Auto(), at, true};
-  spec.grouping.assign(mo.dimension_count(), 0);
+Result<std::vector<CategoryTypeIndex>> SqlGrouping(
+    const MdObject& mo, const std::vector<SqlGroupBy>& group_by) {
+  std::vector<CategoryTypeIndex> grouping(mo.dimension_count(), 0);
   for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    spec.grouping[i] = mo.dimension(i).type().top();
+    grouping[i] = mo.dimension(i).type().top();
   }
   for (const SqlGroupBy& column : group_by) {
     if (column.dim >= mo.dimension_count()) {
       return Status::InvalidArgument(
           StrCat("group-by dimension ", column.dim, " out of range"));
     }
-    spec.grouping[column.dim] = column.category;
+    grouping[column.dim] = column.category;
   }
-  MDDC_ASSIGN_OR_RETURN(MdObject aggregated, AggregateFormation(mo, spec, exec));
+  return grouping;
+}
 
+Result<std::vector<SqlRow>> SqlAggregate(const MdObject& mo,
+                                         const std::vector<SqlGroupBy>& group_by,
+                                         const AggFunction& function,
+                                         Chronon at, ExecContext* exec) {
+  MDDC_ASSIGN_OR_RETURN(std::vector<CategoryTypeIndex> grouping,
+                        SqlGrouping(mo, group_by));
+  AggregateSpec spec{function, std::move(grouping),
+                     ResultDimensionSpec::Auto(), at, true};
+  MDDC_ASSIGN_OR_RETURN(MdObject aggregated, AggregateFormation(mo, spec, exec));
+  return SqlRows(aggregated, group_by, at);
+}
+
+Result<std::vector<SqlRow>> SqlRows(const MdObject& aggregated,
+                                    const std::vector<SqlGroupBy>& group_by,
+                                    Chronon at) {
   const std::size_t result_dim = aggregated.dimension_count() - 1;
   std::vector<SqlRow> rows;
   for (FactId group : aggregated.facts()) {

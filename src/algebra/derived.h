@@ -79,15 +79,32 @@ struct SqlGroupBy {
 };
 
 /// SQL-like aggregation ("SELECT r(e_1), g(..) .. GROUP BY C_1, .."):
-/// aggregate formation followed by reading the grouping values'
-/// representations. Rows are sorted by their group labels. Dimensions not
-/// listed group at top. `exec` (optional) is handed to the underlying
-/// aggregate formation so MDQL queries reach the parallel engine.
+/// aggregate formation over SqlGrouping(mo, group_by) followed by
+/// SqlRows over the formed MO. Rows are sorted by their group labels.
+/// Dimensions not listed group at top. `exec` (optional) is handed to the
+/// underlying aggregate formation so MDQL queries reach the parallel
+/// engine.
 Result<std::vector<SqlRow>> SqlAggregate(const MdObject& mo,
                                          const std::vector<SqlGroupBy>& group_by,
                                          const AggFunction& function,
                                          Chronon at = kNowChronon,
                                          ExecContext* exec = nullptr);
+
+/// The grouping SqlAggregate forms: each column's category on its
+/// dimension (the last column wins when a dimension is listed twice), top
+/// on every other dimension. InvalidArgument for a column whose dimension
+/// is out of range.
+Result<std::vector<CategoryTypeIndex>> SqlGrouping(
+    const MdObject& mo, const std::vector<SqlGroupBy>& group_by);
+
+/// SqlAggregate's rendering half: the rows of `aggregated`, an aggregate
+/// formation (auto result dimension) over SqlGrouping(mo, group_by) — one
+/// per group fact, labeled through each column's representation at `at`,
+/// sorted by (labels, value). Reads `aggregated` only, so a published
+/// warm pre-aggregate renders exactly as a fresh formation would.
+Result<std::vector<SqlRow>> SqlRows(const MdObject& aggregated,
+                                    const std::vector<SqlGroupBy>& group_by,
+                                    Chronon at = kNowChronon);
 
 }  // namespace mddc
 

@@ -192,6 +192,11 @@ struct ExecStats {
   /// lists and contributions (several, temporal, uncertain or unknown
   /// pairs, or no usable column).
   std::size_t facts_walked = 0;
+  /// SELECTs rendered straight from the pinned epoch's warm
+  /// pre-aggregates (an exact cache hit for every function; no compile,
+  /// no scan). Such a read counts neither fused_pipelines nor
+  /// plan_fallbacks.
+  std::size_t warm_reads = 0;
 
   /// Adds every counter of `other` into this one. Server sessions use it
   /// to accumulate per-query contexts into per-session totals.

@@ -181,6 +181,40 @@ Result<QueryResult> ExecuteSelectTreeWalk(const MdObject& source,
     MDDC_ASSIGN_OR_RETURN(mo, ValidTimeslice(mo, day, exec));
   }
 
+  if (select.where != nullptr) {
+    MDDC_ASSIGN_OR_RETURN(Predicate predicate,
+                          BuildWhere(mo, *select.where, exec));
+    MDDC_ASSIGN_OR_RETURN(mo, Select(mo, predicate));
+  }
+
+  // Resolve grouping columns once, then run each aggregate over the
+  // same grouping and merge by group key.
+  MDDC_ASSIGN_OR_RETURN(std::vector<SqlGroupBy> group_by,
+                        ResolveGroupBy(mo, select));
+  return MergeSelectRows(
+      select, [&](std::size_t a) -> Result<std::vector<SqlRow>> {
+        MDDC_ASSIGN_OR_RETURN(AggFunction function,
+                              BuildAggFunction(mo, select.aggregates[a]));
+        return SqlAggregate(mo, group_by, function, kNowChronon, exec);
+      });
+}
+
+Result<std::vector<SqlGroupBy>> ResolveGroupBy(const MdObject& mo,
+                                               const SelectStatement& select) {
+  std::vector<SqlGroupBy> group_by;
+  group_by.reserve(select.group_by.size());
+  for (const GroupRef& group : select.group_by) {
+    MDDC_ASSIGN_OR_RETURN(ResolvedLevel level, Resolve(mo, group.level));
+    group_by.push_back(SqlGroupBy{
+        level.dim, level.category,
+        PickRepresentation(mo, level, group.representation)});
+  }
+  return group_by;
+}
+
+Result<QueryResult> MergeSelectRows(
+    const SelectStatement& select,
+    const std::function<Result<std::vector<SqlRow>>(std::size_t)>& rows_of) {
   QueryResult result;
   for (const GroupRef& group : select.group_by) {
     result.columns.push_back(
@@ -189,30 +223,9 @@ Result<QueryResult> ExecuteSelectTreeWalk(const MdObject& source,
   for (const AggRef& agg : select.aggregates) {
     result.columns.push_back(agg.label);
   }
-
-  if (select.where != nullptr) {
-    MDDC_ASSIGN_OR_RETURN(Predicate predicate,
-                          BuildWhere(mo, *select.where, exec));
-    MDDC_ASSIGN_OR_RETURN(mo, Select(mo, predicate));
-  }
-
-  // Resolve grouping columns once.
-  std::vector<SqlGroupBy> group_by;
-  for (const GroupRef& group : select.group_by) {
-    MDDC_ASSIGN_OR_RETURN(ResolvedLevel level, Resolve(mo, group.level));
-    group_by.push_back(SqlGroupBy{
-        level.dim, level.category,
-        PickRepresentation(mo, level, group.representation)});
-  }
-
-  // Run each aggregate over the same grouping and merge by group key.
   std::map<std::vector<std::string>, std::vector<std::string>> merged;
   for (std::size_t a = 0; a < select.aggregates.size(); ++a) {
-    MDDC_ASSIGN_OR_RETURN(AggFunction function,
-                          BuildAggFunction(mo, select.aggregates[a]));
-    MDDC_ASSIGN_OR_RETURN(std::vector<SqlRow> rows,
-                          SqlAggregate(mo, group_by, function, kNowChronon,
-                                       exec));
+    MDDC_ASSIGN_OR_RETURN(std::vector<SqlRow> rows, rows_of(a));
     for (SqlRow& row : rows) {
       auto [it, inserted] = merged.try_emplace(
           row.group,

@@ -1,9 +1,12 @@
 #ifndef MDDC_MDQL_BIND_H_
 #define MDDC_MDQL_BIND_H_
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "algebra/agg_function.h"
+#include "algebra/derived.h"
 #include "algebra/predicate.h"
 #include "common/result.h"
 #include "core/md_object.h"
@@ -53,15 +56,32 @@ Result<Predicate> BuildWhere(const MdObject& mo, const WhereExpr& expr,
 Result<AggFunction> BuildAggFunction(const MdObject& mo, const AggRef& agg);
 
 /// The tree-walk interpreter for SELECT: timeslice, then a materialized
-/// Select, then one full AggregateFormation per aggregate, merged by
-/// group labels. The compiled pipeline's differential baseline and its
-/// automatic fallback for uncovered plan shapes. It works on a copy of
-/// `source` whose registry is a fork of the source's, so the set facts
-/// formation interns never reach `source` and concurrent readers may
-/// share it.
+/// Select, then one full AggregateFormation per aggregate (SqlAggregate),
+/// merged by MergeSelectRows. The compiled pipeline's differential
+/// baseline and its automatic fallback for uncovered plan shapes. It
+/// works on a copy of `source` whose registry is a fork of the source's,
+/// so the set facts formation interns never reach `source` and
+/// concurrent readers may share it.
 Result<QueryResult> ExecuteSelectTreeWalk(const MdObject& source,
                                           const SelectStatement& select,
                                           ExecContext* exec);
+
+/// The SELECT's BY columns resolved against `mo`, in statement order,
+/// each labeled by PickRepresentation.
+Result<std::vector<SqlGroupBy>> ResolveGroupBy(const MdObject& mo,
+                                               const SelectStatement& select);
+
+/// The tree walk's row merge: columns named from the statement, then
+/// `rows_of(a)` for each SELECT-list aggregate in order, merged by group
+/// labels. A group an aggregate has no row for renders "-" there; of an
+/// aggregate's rows sharing labels, the last in (labels, value) order
+/// wins. Returns the first failing `rows_of`'s Status. The warm read
+/// (physical.h) renders through it too, from SqlRows over each cached
+/// formation, so it and the tree walk differ only in where each
+/// aggregate's formed MO comes from.
+Result<QueryResult> MergeSelectRows(
+    const SelectStatement& select,
+    const std::function<Result<std::vector<SqlRow>>(std::size_t)>& rows_of);
 
 }  // namespace mdql
 }  // namespace mddc

@@ -137,20 +137,18 @@ Result<QueryResult> ApplyDelete(MdObject& mo, const DeleteStatement& del) {
 
 Result<QueryResult> ExecuteRead(const MdObject& mo, const Statement& statement,
                                 const CompileOptions& options,
-                                ExecContext* exec) {
+                                ExecContext* exec,
+                                const PreAggregateCache* preagg) {
   if (IsMutating(statement)) {
     return Status::InvalidArgument(
         "INSERT and DELETE mutate their MO; ExecuteRead runs reads only");
   }
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     if (statement.explain) {
-      return ExplainStatement(mo, statement, options, exec);
+      return ExplainStatement(mo, statement, options, exec, preagg);
     }
     if (statement.show.has_value()) return ExecuteShow(mo, *statement.show);
-    if (options.enable_compiler) {
-      return ExecuteCompiledSelect(mo, *statement.select, options, exec);
-    }
-    return ExecuteSelectTreeWalk(mo, *statement.select, exec);
+    return ExecuteSelect(mo, *statement.select, options, exec, preagg);
   }();
   // Statement boundary: rewind the query-lifetime arenas (a no-op when
   // the statement's operators reclaimed their scratch already).

@@ -14,7 +14,8 @@
 
 namespace mddc {
 
-struct ExecContext;  // engine/executor.h
+struct ExecContext;        // engine/executor.h
+class PreAggregateCache;  // engine/preagg_cache.h
 
 namespace mdql {
 
@@ -89,10 +90,15 @@ Result<QueryResult> ApplyDelete(MdObject& mo, const DeleteStatement& del);
 /// the serving tier does with each pinned sealed epoch. `options` picks
 /// compiled or interpreted SELECTs; `exec` (optional) is threaded
 /// through the plan and its query arenas are rewound before returning.
+/// `preagg` (optional) is the warm pre-aggregate cache published with
+/// `mo`: a SELECT it answers exactly renders from it without a scan
+/// (ExecuteSelect in physical.h), and EXPLAIN says so. The serving tier
+/// passes the pinned epoch's cache; Session passes none.
 /// InvalidArgument for a mutating statement.
 Result<QueryResult> ExecuteRead(const MdObject& mo, const Statement& statement,
                                 const CompileOptions& options,
-                                ExecContext* exec = nullptr);
+                                ExecContext* exec = nullptr,
+                                const PreAggregateCache* preagg = nullptr);
 
 /// A catalog of named MOs plus the query entry point.
 class Session {

@@ -15,6 +15,7 @@
 #include "common/date.h"
 #include "common/strings.h"
 #include "engine/executor.h"
+#include "engine/preagg_cache.h"
 #include "mdql/bind.h"
 
 namespace mddc {
@@ -77,6 +78,44 @@ const PlanNode* FusedShape(const PlanRef& plan, const MdObject& source,
     return nullptr;
   }
   return agg;
+}
+
+/// A SELECT the pinned epoch's warm pre-aggregates answer: the
+/// statement's BY columns and, per SELECT-list function, the cached
+/// formation over their grouping.
+struct WarmHit {
+  std::vector<SqlGroupBy> group_by;
+  std::vector<const MdObject*> formed;
+};
+
+/// Decides the warm read for `select` against `preagg`, a cache whose
+/// base is `source`: no WHERE, no ASOF, and an exact Peek hit for every
+/// function over SqlGrouping's grouping. Empty on any miss, and on any
+/// resolve or bind failure, whose Status the fused or tree-walk path then
+/// reports. Decided whole before any row renders; never computes and
+/// never touches a counter.
+std::optional<WarmHit> MatchWarm(const MdObject& source,
+                                 const SelectStatement& select,
+                                 const PreAggregateCache* preagg) {
+  if (preagg == nullptr || &preagg->base() != &source ||
+      select.where != nullptr || select.as_of.has_value() ||
+      select.aggregates.empty()) {
+    return std::nullopt;
+  }
+  auto group_by = ResolveGroupBy(source, select);
+  if (!group_by.ok()) return std::nullopt;
+  auto grouping = SqlGrouping(source, *group_by);
+  if (!grouping.ok()) return std::nullopt;
+  WarmHit hit{std::move(*group_by), {}};
+  hit.formed.reserve(select.aggregates.size());
+  for (const AggRef& agg : select.aggregates) {
+    auto function = BuildAggFunction(source, agg);
+    if (!function.ok()) return std::nullopt;
+    const MdObject* formed = preagg->Peek(*function, *grouping);
+    if (formed == nullptr) return std::nullopt;
+    hit.formed.push_back(formed);
+  }
+  return hit;
 }
 
 /// The fused pipeline: timeslice once, push the WHERE down to a keep
@@ -245,6 +284,25 @@ Result<QueryResult> ExecuteFused(const MdObject& source,
 
 }  // namespace
 
+Result<QueryResult> ExecuteSelect(const MdObject& source,
+                                  const SelectStatement& select,
+                                  const CompileOptions& options,
+                                  ExecContext* exec,
+                                  const PreAggregateCache* preagg) {
+  if (const std::optional<WarmHit> hit = MatchWarm(source, select, preagg)) {
+    if (exec != nullptr) ++exec->stats.warm_reads;
+    // The tree walk's rendering, with each formation read from the cache.
+    return MergeSelectRows(
+        select, [&hit](std::size_t a) -> Result<std::vector<SqlRow>> {
+          return SqlRows(*hit->formed[a], hit->group_by, kNowChronon);
+        });
+  }
+  if (options.enable_compiler) {
+    return ExecuteCompiledSelect(source, select, options, exec);
+  }
+  return ExecuteSelectTreeWalk(source, select, exec);
+}
+
 Result<QueryResult> ExecuteCompiledSelect(const MdObject& source,
                                           const SelectStatement& select,
                                           const CompileOptions& options,
@@ -267,7 +325,8 @@ Result<QueryResult> ExecuteCompiledSelect(const MdObject& source,
 Result<QueryResult> ExplainStatement(const MdObject& source,
                                      const Statement& statement,
                                      const CompileOptions& options,
-                                     ExecContext* exec) {
+                                     ExecContext* exec,
+                                     const PreAggregateCache* preagg) {
   QueryResult result;
   result.columns = {"explain"};
   auto line = [&result](std::string text) {
@@ -313,6 +372,13 @@ Result<QueryResult> ExplainStatement(const MdObject& source,
   plan_lines(PrintPlan(rewritten.plan));
 
   line("physical:");
+  if (const std::optional<WarmHit> hit = MatchWarm(source, select, preagg)) {
+    // Every function's formation has the grouping's groups.
+    line(StrCat("  warm pre-aggregate (exact match): ", hit->formed.size(),
+                " function(s), ", hit->formed.front()->fact_count(),
+                " group(s)"));
+    return result;
+  }
   if (!options.enable_compiler) {
     line("  tree-walk interpreter (compiler disabled)");
     return result;

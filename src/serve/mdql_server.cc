@@ -57,10 +57,14 @@ Result<mdql::QueryResult> ServerSession::ExecuteRead(
                                    snapshot->epoch()));
   }
   ExecContext exec(threads_per_query_, /*min_facts=*/4096);
-  auto result =
-      mdql::ExecuteRead(entry->mo(), statement, mdql::CompileOptions(), &exec);
+  // The epoch's warm pre-aggregates answer the SELECTs they cover
+  // exactly, without a scan (mdql::ExecuteSelect).
+  auto result = mdql::ExecuteRead(entry->mo(), statement,
+                                  mdql::CompileOptions(), &exec,
+                                  entry->preagg.get());
   stats_.exec.MergeFrom(exec.stats);
-  if (result.ok() && statement.select.has_value()) {
+  // Only executed SELECTs feed the advisor: an EXPLAINed one never ran.
+  if (result.ok() && statement.select.has_value() && !statement.explain) {
     LogSelect(entry->mo(), name, *statement.select);
   }
   return result;

@@ -33,7 +33,11 @@ struct SessionStats {
 /// One client's handle on the serving tier. Reads pin the store's
 /// current snapshot and execute on the pinned sealed MO itself, shared
 /// with every other reader of that epoch; mutating statements are routed
-/// through the store's serialized writer and publish a new epoch.
+/// through the store's serialized writer and publish a new epoch. A
+/// SELECT the epoch's warm pre-aggregates answer exactly (no WHERE, no
+/// ASOF, every function cached over its grouping) renders from them
+/// without a scan; any other read takes the fused pipeline or the tree
+/// walk (docs/serving.md, "Read path").
 ///
 /// No read copies the MO up front: the algebra builds every result as a
 /// new MO and never mutates its operands (paper §4.1), compiled SELECTs
@@ -62,8 +66,10 @@ class ServerSession {
   /// Runs the materialization advisor (engine/advisor.h) over this
   /// session's query log for `name` and registers its choices as warm
   /// pre-aggregates on the store — so every later sealed epoch keeps the
-  /// session's hottest groupings pre-computed. The log records every
-  /// successful SELECT's (function, grouping) with its frequency;
+  /// session's hottest groupings pre-computed, and the reads they cover
+  /// exactly render from them without a scan. The log records every
+  /// successfully executed SELECT's (function, grouping) with its
+  /// frequency (an EXPLAIN logs nothing);
   /// groupings the advisor rejects (non-summarizable roll-ups stay
   /// beneficial only to their exact query) are weighed by the same HRU
   /// greedy the advisor always applied offline. Registration is
@@ -91,8 +97,9 @@ class ServerSession {
   Result<mdql::QueryResult> ExecuteRead(const mdql::Statement& statement);
   Result<mdql::QueryResult> ExecuteWrite(const mdql::Statement& statement);
 
-  /// Records a successful SELECT in the query log (advisor fuel). Best
-  /// effort: unresolvable levels or unbindable functions are skipped.
+  /// Records a successfully executed SELECT in the query log (advisor
+  /// fuel). Best effort: unresolvable levels or unbindable functions are
+  /// skipped.
   void LogSelect(const MdObject& mo, const std::string& name,
                  const mdql::SelectStatement& select);
 

@@ -270,6 +270,9 @@ Status MoStore::Drop(const std::string& name) {
   if (Pin()->Find(name) == nullptr) {
     return Status::NotFound(StrCat("no MO named '", name, "' is published"));
   }
+  // The specs were bound to the dropped MO's dimensions: a later Publish
+  // under the name starts cold, whatever its schema.
+  warm_specs_.erase(name);
   return SwapLocked(name, nullptr);
 }
 

@@ -100,7 +100,8 @@ class MoStore {
   /// never shared with readers. Fails if the name is already published.
   Status Publish(std::string name, MdObject mo);
 
-  /// Removes `name` in a new epoch. Pinned snapshots still see it.
+  /// Removes `name` in a new epoch, with its warm specs. Pinned
+  /// snapshots still see it.
   Status Drop(const std::string& name);
 
   /// Applies `mutator` to a draft copy of the published MO and swaps the

@@ -154,6 +154,8 @@ TEST(ExecStatsTest, MergeFromSumsEveryCounter) {
   b.dense_groupby_runs = 1;
   b.facts_gathered = 5;
   b.facts_walked = 6;
+  a.warm_reads = 1;
+  b.warm_reads = 2;
   a.MergeFrom(b);
   EXPECT_EQ(a.parallel_runs, 3u);
   EXPECT_EQ(a.sequential_fallbacks, 3u);
@@ -163,12 +165,14 @@ TEST(ExecStatsTest, MergeFromSumsEveryCounter) {
   EXPECT_EQ(a.dense_groupby_runs, 1u);
   EXPECT_EQ(a.facts_gathered, 5u);
   EXPECT_EQ(a.facts_walked, 6u);
+  EXPECT_EQ(a.warm_reads, 3u);
 }
 
 TEST(ExecStatsTest, ToJsonListsEveryCounter) {
   ExecStats stats;
   stats.parallel_runs = 7;
   stats.merge_nanos = 12345;
+  stats.warm_reads = 3;
   const std::string json = stats.ToJson();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
@@ -179,7 +183,10 @@ TEST(ExecStatsTest, ToJsonListsEveryCounter) {
   EXPECT_NE(json.find("\"index_builds\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"dense_slot_fallbacks\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"facts_gathered\": 0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"facts_walked\": 0}"), std::string::npos) << json;
+  // warm_reads is the last key; every earlier key keeps its order.
+  EXPECT_NE(json.find("\"facts_walked\": 0, \"warm_reads\": 3}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(SharedThreadPoolTest, ContextsCountReusesNotCreations) {

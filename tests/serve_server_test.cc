@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "algebra/agg_function.h"
+#include "common/strings.h"
 #include "mdql/mdql.h"
 #include "serve/mdql_server.h"
 #include "serve/mo_store.h"
@@ -217,6 +218,92 @@ TEST_F(MdqlServerTest, StatsJsonCarriesSessionAndExecCounters) {
   EXPECT_NE(json.find("\"last_epoch\": 2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"exec\": {"), std::string::npos) << json;
   EXPECT_NE(json.find("\"parallel_runs\""), std::string::npos) << json;
+  // The warm-read counter is the last exec key, after facts_walked: no
+  // warm specs are registered, so the read took the fused pipeline.
+  const std::size_t walked = json.find("\"facts_walked\": ");
+  const std::size_t warm = json.find("\"warm_reads\": 0}");
+  ASSERT_NE(walked, std::string::npos) << json;
+  ASSERT_NE(warm, std::string::npos) << json;
+  EXPECT_LT(walked, warm) << json;
+  EXPECT_NE(json.find("\"fused_pipelines\": 1"), std::string::npos) << json;
+}
+
+TEST_F(MdqlServerTest, ExplainShowsTheWarmReadOnceTheSpecIsWarm) {
+  mdql::Session plain;
+  ASSERT_TRUE(plain.Register("sales", retail_->mo).ok());
+  ServerSession session = server_.Connect();
+  const std::string select =
+      "SELECT SUM(Amount) FROM sales BY Product.Category";
+  const std::string explain = "EXPLAIN " + select;
+
+  // Cold: the serving tier's EXPLAIN is a plain session's.
+  auto plain_before = plain.Execute(explain);
+  ASSERT_TRUE(plain_before.ok()) << plain_before.status();
+  auto cold = session.Execute(explain);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(cold->ToString(), plain_before->ToString());
+  EXPECT_NE(cold->ToString().find("fused pipeline"), std::string::npos);
+  EXPECT_EQ(cold->ToString().find("warm pre-aggregate"), std::string::npos);
+
+  std::vector<CategoryTypeIndex> grouping;
+  for (std::size_t i = 0; i < retail_->mo.dimension_count(); ++i) {
+    grouping.push_back(i == retail_->product_dim
+                           ? retail_->category
+                           : retail_->mo.dimension(i).type().top());
+  }
+  const AggFunction sum = AggFunction::Sum(retail_->amount_dim);
+  ASSERT_TRUE(store_.WarmAggregate("sales", sum, grouping).ok());
+  const std::shared_ptr<const MoSnapshot> pinned = store_.Pin();
+  const MdObject* cached = pinned->Find("sales")->preagg->Peek(sum, grouping);
+  ASSERT_NE(cached, nullptr);
+
+  // Warm: the physical section is the one warm line.
+  auto warm = session.Execute(explain);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  const std::string text = warm->ToString();
+  EXPECT_NE(text.find(StrCat("warm pre-aggregate (exact match): 1 "
+                             "function(s), ",
+                             cached->fact_count(), " group(s)")),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("fused pipeline"), std::string::npos) << text;
+  ASSERT_FALSE(warm->rows.empty());
+  EXPECT_EQ(warm->rows[warm->rows.size() - 2][0], "physical:");
+  // A plain session has no warm cache: its EXPLAIN is unchanged.
+  auto plain_after = plain.Execute(explain);
+  ASSERT_TRUE(plain_after.ok()) << plain_after.status();
+  EXPECT_EQ(plain_after->ToString(), plain_before->ToString());
+  // EXPLAIN executes nothing; the SELECT itself is the warm read.
+  EXPECT_EQ(session.stats().exec.warm_reads, 0u);
+  const std::size_t fused = session.stats().exec.fused_pipelines;
+  auto served = session.Execute(select);
+  ASSERT_TRUE(served.ok()) << served.status();
+  auto expected = plain.Execute(select);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(served->ToString(), expected->ToString());
+  EXPECT_EQ(session.stats().exec.warm_reads, 1u);
+  EXPECT_EQ(session.stats().exec.fused_pipelines, fused);
+  EXPECT_EQ(session.stats().exec.plan_fallbacks, 0u);
+}
+
+TEST_F(MdqlServerTest, ExplainedSelectsDoNotFeedTheAdvisor) {
+  ServerSession session = server_.Connect();
+  const std::string select = "SELECT COUNT FROM sales BY Store.City";
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(session.Execute("EXPLAIN " + select).ok());
+  }
+  const std::uint64_t epoch = store_.epoch();
+  ASSERT_TRUE(session.AdviseWarmAggregates("sales").ok());
+  EXPECT_EQ(store_.epoch(), epoch);
+  const std::shared_ptr<const MoSnapshot> pinned = store_.Pin();
+  EXPECT_EQ(pinned->Find("sales")->preagg, nullptr);
+
+  // An executed SELECT does.
+  ASSERT_TRUE(session.Execute(select).ok());
+  ASSERT_TRUE(session.AdviseWarmAggregates("sales").ok());
+  EXPECT_GT(store_.epoch(), epoch);
+  const std::shared_ptr<const MoSnapshot> advised = store_.Pin();
+  EXPECT_NE(advised->Find("sales")->preagg, nullptr);
 }
 
 TEST_F(MdqlServerTest, WarmAggregatesArePeekableAcrossEpochs) {
@@ -264,9 +351,10 @@ TEST_F(MdqlServerTest, WarmAggregatesArePeekableAcrossEpochs) {
 // The shared-MO differential (TSan target): 4 sessions read one
 // published MO concurrently — each read runs on the pinned sealed epoch
 // itself — while a writer session appends batches. The reads cover the
-// fused group-by, a WHERE mask, ASOF, PROB, SHOW and the tree-walk
-// fallback of a TOP grouping; every read must render the bytes of the
-// sequential replay at its pinned epoch.
+// warm reads of two specs the writer's appends fold, the fused
+// group-by, a WHERE mask, ASOF, PROB, SHOW and the tree-walk fallback of
+// a TOP grouping; every read must render the bytes of the sequential
+// replay at its pinned epoch.
 TEST(SharedMoDifferentialTest, ConcurrentReadsMatchSequentialReplay) {
   constexpr std::size_t kReaders = 4;
   constexpr std::size_t kRounds = 3;
@@ -281,10 +369,25 @@ TEST(SharedMoDifferentialTest, ConcurrentReadsMatchSequentialReplay) {
   const stress::WorkloadProfile profile =
       stress::WorkloadProfile::For(params, *clinical, "clinical");
   MdObject replica = clinical->mo;
+  // The groupings of the first two reads, kept warm in every epoch.
+  std::vector<CategoryTypeIndex> by_group;
+  for (std::size_t i = 0; i < replica.dimension_count(); ++i) {
+    by_group.push_back(replica.dimension(i).type().top());
+  }
+  std::vector<CategoryTypeIndex> by_family_region = by_group;
+  by_group[clinical->diagnosis_dim] = clinical->group;
+  by_family_region[clinical->diagnosis_dim] = clinical->family;
+  by_family_region[clinical->residence_dim] = clinical->region;
 
   MoStore store;
   MdqlServer server(&store);
   ASSERT_TRUE(store.Publish("clinical", std::move(clinical->mo)).ok());
+  ASSERT_TRUE(
+      store.WarmAggregate("clinical", AggFunction::SetCount(), by_group).ok());
+  ASSERT_TRUE(store
+                  .WarmAggregate("clinical", AggFunction::SetCount(),
+                                 by_family_region)
+                  .ok());
   const std::uint64_t base_epoch = store.epoch();
 
   const std::vector<std::string> reads = {
@@ -312,6 +415,7 @@ TEST(SharedMoDifferentialTest, ConcurrentReadsMatchSequentialReplay) {
   std::vector<std::vector<stress::StatementRecord>> recorded(kReaders);
   std::vector<std::size_t> errors(kReaders, 0);
   std::vector<std::uint64_t> fallbacks(kReaders, 0);
+  std::vector<std::uint64_t> warm_reads(kReaders, 0);
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
@@ -328,6 +432,7 @@ TEST(SharedMoDifferentialTest, ConcurrentReadsMatchSequentialReplay) {
             session.pinned_epoch(), read, result->ToString()});
       }
       fallbacks[r] = session.stats().exec.plan_fallbacks;
+      warm_reads[r] = session.stats().exec.warm_reads;
     });
   }
 
@@ -347,10 +452,12 @@ TEST(SharedMoDifferentialTest, ConcurrentReadsMatchSequentialReplay) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(store.epoch(), base_epoch + kAppends);
   EXPECT_GT(writer.stats().exec.csr_tail_extends, 0u);  // patched seals
+  EXPECT_GT(writer.stats().exec.preagg_folds, 0u);      // folded entries
 
   for (std::size_t r = 0; r < kReaders; ++r) {
     EXPECT_EQ(errors[r], 0u) << "reader " << r;
     EXPECT_EQ(fallbacks[r], kRounds) << "reader " << r;  // the TOP read
+    EXPECT_EQ(warm_reads[r], 2 * kRounds) << "reader " << r;
     for (stress::StatementRecord& record : recorded[r]) {
       report.read_records.push_back(std::move(record));
     }

@@ -8,6 +8,7 @@
 
 #include "io/serialize.h"
 #include "serve/mo_store.h"
+#include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
 // Coverage for the MVCC publication point (serve/mo_store.h): epoch
@@ -232,6 +233,41 @@ TEST(MoStoreTest, WarmAggregateFailureIsWithdrawn) {
                   .Mutate("sales",
                           [](MdObject& draft) { return ApplyBatch(draft, 0); })
                   .ok());
+}
+
+TEST(MoStoreTest, DropForgetsTheWarmSpecs) {
+  ClinicalWorkloadParams params;
+  params.seed = 5;
+  params.num_patients = 80;
+  auto clinical =
+      GenerateClinicalWorkload(params, std::make_shared<FactRegistry>());
+  ASSERT_TRUE(clinical.ok()) << clinical.status();
+  std::vector<CategoryTypeIndex> by_area;
+  for (std::size_t i = 0; i < clinical->mo.dimension_count(); ++i) {
+    by_area.push_back(clinical->mo.dimension(i).type().top());
+  }
+  by_area[clinical->residence_dim] = clinical->area;
+
+  MoStore store;
+  ASSERT_TRUE(store.Publish("mo", clinical->mo).ok());
+  ASSERT_TRUE(
+      store.WarmAggregate("mo", AggFunction::SetCount(), by_area).ok());
+  ASSERT_NE(store.Pin()->Find("mo")->preagg, nullptr);
+  ASSERT_TRUE(store.Drop("mo").ok());
+
+  // A different schema under the dropped name: the clinical spec's
+  // 2-dimension grouping is not materialized against the 5-dimension
+  // retail MO.
+  const Status republished = store.Publish("mo", BuildSales(60));
+  ASSERT_TRUE(republished.ok()) << republished;
+  std::shared_ptr<const MoSnapshot> pinned = store.Pin();
+  EXPECT_EQ(pinned->Find("mo")->preagg, nullptr);
+
+  // Nor does a same-schema re-publish inherit the spec.
+  ASSERT_TRUE(store.Drop("mo").ok());
+  ASSERT_TRUE(store.Publish("mo", std::move(clinical->mo)).ok());
+  pinned = store.Pin();
+  EXPECT_EQ(pinned->Find("mo")->preagg, nullptr);
 }
 
 // The differential hammer (TSan target): one writer publishing B
