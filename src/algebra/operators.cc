@@ -705,36 +705,24 @@ struct FactContribution {
   std::optional<Lifespan> arg_life;
 };
 
-/// Numeric values of one argument dimension, memoized per distinct value
-/// a scan reads (NumericValueOf is a function of the value id alone for a
-/// fixed prob_at), so contributions are array reads instead of
-/// representation lookups and strtod per entry. Gathered facts read
-/// `dense` by dense id; coordinate-path entries and every failure live in
-/// `by_value`, so a sticky error is NumericValueOf's own Status. Filled
-/// sequentially: NumericValueOf reads lazily memoized dimension state.
+/// Numeric values of one argument dimension for one scan. Gathered facts
+/// read the argument snapshot's numeric column by dense id
+/// (RollupIndex::Numeric); `by_value` holds what the column leaves to
+/// NumericValueOf — the timed and failing values gathered facts read, at
+/// the scan's prob_at, and every value a walked fact reads — so a sticky
+/// error is NumericValueOf's own Status. Filled sequentially before the
+/// fan-out; each NumericValueOf call counts one stats.numeric_lookups.
 struct NumericValueCache {
-  enum State : std::uint8_t { kUnknown, kKnown, kFailed };
-  std::vector<double> dense;
-  std::vector<std::uint8_t> state;
+  const RollupIndex::NumericColumn* column = nullptr;
   std::unordered_map<std::uint64_t, Result<double>> by_value;
 
-  void FillValue(const Dimension& dimension, ValueId value, Chronon at) {
+  void FillValue(const Dimension& dimension, ValueId value, Chronon at,
+                 ExecStats& stats) {
     if (value == dimension.top_value() || by_value.contains(value.raw())) {
       return;
     }
     by_value.emplace(value.raw(), dimension.NumericValueOf(value, at));
-  }
-  void FillDense(const Dimension& dimension, const RollupIndex& index,
-                 std::uint32_t d, Chronon at) {
-    if (state[d] != kUnknown) return;
-    Result<double> value = dimension.NumericValueOf(index.ValueOf(d), at);
-    if (value.ok()) {
-      dense[d] = *value;
-      state[d] = kKnown;
-    } else {
-      state[d] = kFailed;
-      by_value.emplace(index.ValueOf(d).raw(), std::move(value));
-    }
+    ++stats.numeric_lookups;
   }
 };
 
@@ -942,6 +930,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   const std::size_t n = mo.dimension_count();
   const std::size_t nclasses = classes.size();
   const bool parallel = request.parallel;
+  using NumericState = RollupIndex::NumericState;
 
   // Dead-dimension pruning: a top-grouped dimension contributes one fixed
   // coordinate (top value, Always, probability 1) to every fact, so the
@@ -1134,8 +1123,10 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
     }
   });
 
-  // 4. Per-class numeric values over exactly what the joining facts read,
-  //    then the walked facts' contributions.
+  // 4. Per-class numeric values: gathered facts read the argument
+  //    snapshot's numeric column, and what it leaves to NumericValueOf
+  //    among the values the joining facts read is resolved here; then the
+  //    walked facts' contributions.
   std::vector<std::vector<FactContribution>> contribs(nclasses);
   std::vector<NumericValueCache> caches(nclasses);
   for (std::size_t c = 0; c < nclasses; ++c) {
@@ -1147,17 +1138,19 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
       const RollupIndex& numbering = *numberings[cls.dim];
       NumericValueCache& cache = caches[c];
       if (gathered_joins > 0) {
-        cache.dense.resize(numbering.value_count());
-        cache.state.assign(numbering.value_count(),
-                           NumericValueCache::kUnknown);
+        cache.column = &numbering.Numeric(dimension);
+      }
+      if (cache.column != nullptr && !cache.column->numbers_only) {
         ForEachDenseBlock(relations, facts.size(), [&](std::size_t begin,
                                                        std::size_t end,
                                                        const auto& slots) {
           const std::uint32_t* dense = slots[cls.dim];
           for (std::size_t f = begin; f < end; ++f) {
-            if (route[f] == kGathered) {
-              cache.FillDense(dimension, numbering, dense[f - begin],
-                              request.prob_at);
+            if (route[f] != kGathered) continue;
+            const std::uint32_t d = dense[f - begin];
+            if (cache.column->state[d] != NumericState::kNumber) {
+              cache.FillValue(dimension, numbering.ValueOf(d),
+                              request.prob_at, exec.stats);
             }
           }
         });
@@ -1167,7 +1160,8 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
       for (std::size_t w = 0; w < walked.size(); ++w) {
         if (!coords[w].has_value()) continue;
         for (std::size_t e : relation.EntriesOf(walked[w])) {
-          cache.FillValue(dimension, entries[e].value, request.prob_at);
+          cache.FillValue(dimension, entries[e].value, request.prob_at,
+                          exec.stats);
         }
       }
     }
@@ -1282,7 +1276,8 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   // 7. The partitioned scan. A gathered fact replays exactly the
   //    operations its one-coordinate lists would: digit or key from the
   //    flat table, probability AncestorProbAt (= 1.0 x p), Always
-  //    lifespans (the identity), and its one value from the cache.
+  //    lifespans (the identity), and its one value from the numeric
+  //    column (by_value where the column says kFails or kTimed).
   if (!parallel) parts[0].incidences.reserve(gathered_joins + walked.size());
   auto scan_partition = [&](std::size_t p) {
     ScanPartition& part = parts[p];
@@ -1335,13 +1330,16 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
             }
             const std::uint32_t d = class_slots[c][f - begin];
             const NumericValueCache& cache = caches[c];
-            if (cache.state[d] == NumericValueCache::kKnown) {
-              part.accums[slot_c].Add(cache.dense[d]);
+            if (cache.column->state[d] == NumericState::kNumber) {
+              part.accums[slot_c].Add(cache.column->value[d]);
+              continue;
+            }
+            const Result<double>& value = cache.by_value.at(
+                numberings[classes[c].dim]->ValueOf(d).raw());
+            if (value.ok()) {
+              part.accums[slot_c].Add(*value);
             } else {
-              part.errors[slot_c] =
-                  cache.by_value
-                      .at(numberings[classes[c].dim]->ValueOf(d).raw())
-                      .status();
+              part.errors[slot_c] = value.status();
             }
           }
           continue;

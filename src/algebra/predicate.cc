@@ -90,26 +90,30 @@ Result<bool> EvaluateHasValueInCategory(const Node& node, const MdObject& mo,
   return false;
 }
 
+/// Whether a number satisfies the leaf's numeric comparison.
+bool Compares(const Node& node, double numeric) {
+  switch (node.comparison) {
+    case Predicate::Comparison::kLess:
+      return numeric < node.bound;
+    case Predicate::Comparison::kLessEq:
+      return numeric <= node.bound;
+    case Predicate::Comparison::kEq:
+      return numeric == node.bound;
+    case Predicate::Comparison::kGreaterEq:
+      return numeric >= node.bound;
+    case Predicate::Comparison::kGreater:
+      return numeric > node.bound;
+  }
+  return false;
+}
+
 /// Whether one directly related value satisfies a numeric comparison:
 /// top and non-numeric values never match.
 bool NumericMatches(const Node& node, const Dimension& dimension,
                     ValueId value) {
   if (value == dimension.top_value()) return false;
   auto numeric = dimension.NumericValueOf(value, node.at);
-  if (!numeric.ok()) return false;
-  switch (node.comparison) {
-    case Predicate::Comparison::kLess:
-      return *numeric < node.bound;
-    case Predicate::Comparison::kLessEq:
-      return *numeric <= node.bound;
-    case Predicate::Comparison::kEq:
-      return *numeric == node.bound;
-    case Predicate::Comparison::kGreaterEq:
-      return *numeric >= node.bound;
-    case Predicate::Comparison::kGreater:
-      return *numeric > node.bound;
-  }
-  return false;
+  return numeric.ok() && Compares(node, *numeric);
 }
 
 Result<bool> EvaluateNumericCompare(const Node& node, const MdObject& mo,
@@ -289,7 +293,7 @@ bool MayFail(const Node& node, const MdObject& mo) {
 /// The snapshot a leaf is decided per value under, or null when the leaf
 /// runs per fact: any-time characterizations and category tests need the
 /// flat rollup table (their closure is then one array read), numeric
-/// comparisons read only the numbering.
+/// comparisons only the numbering and the numeric column.
 std::shared_ptr<const RollupIndex> ValueLevelIndex(const Node& node,
                                                    const MdObject& mo) {
   const bool per_value =
@@ -346,9 +350,10 @@ std::vector<bool> SweepValues(const MdObject& mo, std::size_t dim,
   return mask;
 }
 
-/// A value-level leaf's mask (see ValueLevelIndex).
+/// A value-level leaf's mask (see ValueLevelIndex). `stats` (nullable)
+/// counts a numeric leaf's NumericValueOf calls.
 std::vector<bool> ValueMask(const Node& node, const MdObject& mo,
-                            const RollupIndex& index) {
+                            const RollupIndex& index, ExecStats* stats) {
   const Dimension& dimension = mo.dimension(node.dim);
   const ValueId top = dimension.top_value();
   const std::uint32_t top_dense = index.top_dense();
@@ -388,33 +393,55 @@ std::vector<bool> ValueMask(const Node& node, const MdObject& mo,
                            return d != RollupIndex::kNone && in_category[d];
                          });
     }
-    default: {  // kNumericCompare: each distinct value parsed once
+    default: {  // kNumericCompare: a compare off the numeric column
+      // A value the column decides for every chronon compares its number
+      // or never matches; a timed value asks NumericValueOf at node.at
+      // once, and a value outside the snapshot on every pair.
+      const RollupIndex::NumericColumn& column = index.Numeric(dimension);
       enum : std::uint8_t { kUnknown, kMatch, kNoMatch };
-      std::vector<std::uint8_t> state(index.value_count(), kUnknown);
-      return SweepValues(
+      std::vector<std::uint8_t> timed;  // sized on the first timed value
+      std::size_t lookups = 0;
+      std::vector<bool> mask = SweepValues(
           mo, node.dim, index, [&](std::uint32_t d, ValueId value) {
             if (d == RollupIndex::kNone) {
+              ++lookups;
               return NumericMatches(node, dimension, value);
             }
-            if (state[d] == kUnknown) {
-              state[d] =
+            if (d == top_dense) return false;
+            switch (column.state[d]) {
+              case RollupIndex::NumericState::kNumber:
+                return Compares(node, column.value[d]);
+              case RollupIndex::NumericState::kFails:
+                return false;
+              case RollupIndex::NumericState::kTimed:
+                break;
+            }
+            if (timed.empty()) timed.assign(index.value_count(), kUnknown);
+            if (timed[d] == kUnknown) {
+              ++lookups;
+              timed[d] =
                   NumericMatches(node, dimension, value) ? kMatch : kNoMatch;
             }
-            return state[d] == kMatch;
+            return timed[d] == kMatch;
           });
+      if (stats != nullptr) stats->numeric_lookups += lookups;
+      return mask;
     }
   }
 }
 
-Result<std::vector<bool>> MaskOf(const Node& node, const MdObject& mo) {
+Result<std::vector<bool>> MaskOf(const Node& node, const MdObject& mo,
+                                 ExecStats* stats) {
   const std::vector<FactId>& facts = mo.facts();
   switch (node.kind) {
     case Node::Kind::kTrue:
       return std::vector<bool>(facts.size(), true);
     case Node::Kind::kAnd:
     case Node::Kind::kOr: {
-      MDDC_ASSIGN_OR_RETURN(std::vector<bool> left, MaskOf(*node.left, mo));
-      MDDC_ASSIGN_OR_RETURN(std::vector<bool> right, MaskOf(*node.right, mo));
+      MDDC_ASSIGN_OR_RETURN(std::vector<bool> left,
+                            MaskOf(*node.left, mo, stats));
+      MDDC_ASSIGN_OR_RETURN(std::vector<bool> right,
+                            MaskOf(*node.right, mo, stats));
       for (std::size_t f = 0; f < facts.size(); ++f) {
         left[f] = node.kind == Node::Kind::kAnd ? left[f] && right[f]
                                                 : left[f] || right[f];
@@ -422,7 +449,8 @@ Result<std::vector<bool>> MaskOf(const Node& node, const MdObject& mo) {
       return left;
     }
     case Node::Kind::kNot: {
-      MDDC_ASSIGN_OR_RETURN(std::vector<bool> inner, MaskOf(*node.left, mo));
+      MDDC_ASSIGN_OR_RETURN(std::vector<bool> inner,
+                            MaskOf(*node.left, mo, stats));
       inner.flip();
       return inner;
     }
@@ -430,7 +458,7 @@ Result<std::vector<bool>> MaskOf(const Node& node, const MdObject& mo) {
       break;
   }
   if (std::shared_ptr<const RollupIndex> index = ValueLevelIndex(node, mo)) {
-    return ValueMask(node, mo, *index);
+    return ValueMask(node, mo, *index, stats);
   }
   std::vector<bool> mask(facts.size());
   for (std::size_t f = 0; f < facts.size(); ++f) {
@@ -589,8 +617,9 @@ Result<bool> Predicate::Evaluate(const MdObject& mo, FactId fact) const {
   return EvaluateNode(*root_, mo, fact);
 }
 
-Result<std::vector<bool>> Predicate::EvaluateMask(const MdObject& mo) const {
-  if (!MayFail(*root_, mo)) return MaskOf(*root_, mo);
+Result<std::vector<bool>> Predicate::EvaluateMask(const MdObject& mo,
+                                                  ExecStats* stats) const {
+  if (!MayFail(*root_, mo)) return MaskOf(*root_, mo, stats);
   std::vector<bool> mask;
   mask.reserve(mo.facts().size());
   for (FactId fact : mo.facts()) {

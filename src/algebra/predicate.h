@@ -10,6 +10,8 @@
 
 namespace mddc {
 
+struct ExecStats;
+
 /// A predicate on the dimension values characterizing a fact, used by the
 /// selection operator (paper Section 4.1): sigma[p](M) keeps the facts f
 /// for which there exist characterizing values e_1..e_n with p(e_1..e_n).
@@ -86,11 +88,15 @@ class Predicate {
   /// distinct value and swept over each relation's dense column
   /// (docs/mdql_compiler.md): an any-time characterization or category
   /// test on a dimension with a flat rollup table becomes a bitmap over
-  /// dense ids, a numeric comparison is evaluated once per value. PROB,
+  /// dense ids, a numeric comparison reads the snapshot's numeric column
+  /// (RollupIndex::Numeric) and calls NumericValueOf only for timed
+  /// values, once each, and for values outside the snapshot. PROB,
   /// time-restricted, representation-resolved and flat-table-less atoms
   /// run per fact; NOT, AND and OR combine masks. A predicate that could
-  /// fail runs the per-fact loop whole.
-  Result<std::vector<bool>> EvaluateMask(const MdObject& mo) const;
+  /// fail runs the per-fact loop whole. `stats` (nullable) counts the
+  /// numeric atoms' NumericValueOf calls in numeric_lookups.
+  Result<std::vector<bool>> EvaluateMask(const MdObject& mo,
+                                         ExecStats* stats = nullptr) const;
 
   /// EvaluateMask's plan for `mo`, for EXPLAIN: which atoms are value
   /// masks and which run per fact, e.g.

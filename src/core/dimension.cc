@@ -255,6 +255,12 @@ void Dimension::InvalidateForAppendedEdge() {
 
 Representation& Dimension::RepresentationFor(CategoryTypeIndex category,
                                              std::string_view rep_name) {
+  // Closures do not read representations, so the memos stay; compiled
+  // snapshots (their numeric column) and warm aggregates do.
+  ++version_;
+  ++structural_version_;
+  append_watermark_ = static_cast<std::uint32_t>(value_ids_.size());
+  publish_frozen_ = false;
   auto it = representations_.find(std::make_pair(category, rep_name));
   if (it == representations_.end()) {
     it = representations_
@@ -303,6 +309,15 @@ Result<double> Dimension::NumericValueOf(ValueId id, Chronon at) const {
   return Status::NotFound(
       StrCat("value ", id, " of dimension '", name(),
              "' has no numeric representation at the requested time"));
+}
+
+bool Dimension::NumericValueIsTimeless(ValueId id) const {
+  auto category = CategoryOf(id);
+  if (!category.ok()) return true;  // NumericValueOf fails at every chronon
+  for (const auto& [key, rep] : representations_) {
+    if (key.first == *category && !rep.TimelessFor(id)) return false;
+  }
+  return true;
 }
 
 bool Dimension::HasValue(ValueId id) const {

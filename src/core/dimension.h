@@ -99,7 +99,14 @@ class Dimension {
                   double prob = 1.0);
 
   /// Returns (creating on first use) the representation `rep_name` of the
-  /// category `category`.
+  /// category `category`, for writing. A representation change can change
+  /// what NumericValueOf answers, which compiled snapshots (their numeric
+  /// column) and warm aggregates may already have read, so handing out
+  /// the handle counts as a structural mutation: it bumps version() and
+  /// structural_version(), and the append gate takes the full seal. The
+  /// bump happens here, not in Representation::Set, so a handle held
+  /// across a snapshot compile or a publication and written after it is
+  /// outside this rule; take a fresh handle after either.
   Representation& RepresentationFor(CategoryTypeIndex category,
                                     std::string_view rep_name);
 
@@ -120,6 +127,13 @@ class Dimension {
   /// category is consulted first, then any representation whose text
   /// parses as a number.
   Result<double> NumericValueOf(ValueId id, Chronon at = kNowChronon) const;
+
+  /// True when NumericValueOf(id, at) answers the same at every chronon
+  /// `at` of the time domain: every representation entry of `id` in its
+  /// category is valid at all times (Representation::TimelessFor). The
+  /// rollup snapshot's numeric column (engine/rollup_index.h) decides such
+  /// a value once and leaves every other one to NumericValueOf.
+  bool NumericValueIsTimeless(ValueId id) const;
 
   // ---- Value queries ----------------------------------------------------
 
@@ -198,22 +212,24 @@ class Dimension {
   // ---- Compiled snapshots -------------------------------------------------
 
   /// Monotonically increasing total version: bumped by every mutation
-  /// that can change the value set, a membership, or the partial order
-  /// (AddValue, AddOrder — including lifespan coalescing of a repeated
-  /// edge — and the membership unions of dimension union). Compiled
-  /// rollup snapshots (engine/rollup_index.h) record the version they
-  /// were built at and are rejected once it moves.
+  /// that can change the value set, a membership, the partial order or a
+  /// representation (AddValue, AddOrder — including lifespan coalescing
+  /// of a repeated edge — the membership unions of dimension union, and
+  /// RepresentationFor). Compiled rollup snapshots (engine/rollup_index.h)
+  /// record the version they were built at and are rejected once it
+  /// moves.
   std::uint64_t version() const { return version_; }
 
   /// Monotonically increasing *structural* version (docs/ingestion.md):
   /// bumped only by mutations that can change existing values' closures
   /// or break the ascending-id append order — edge coalescing, edges
   /// whose child predates the last structural change, out-of-order value
-  /// ids, membership unions. Pure appends (AddValueAuto, a new edge from
-  /// a freshly appended child) bump only version(). An artifact built at
-  /// (version v, structural s) seeing (v' > v, s) knows every change
-  /// since v was an append and may *patch* instead of rebuild; a moved
-  /// structural version demands the full rebuild.
+  /// ids, membership unions — or change a representation (every
+  /// RepresentationFor handle). Pure appends (AddValueAuto, a new edge
+  /// from a freshly appended child) bump only version(). An artifact
+  /// built at (version v, structural s) seeing (v' > v, s) knows every
+  /// change since v was an append and may *patch* instead of rebuild; a
+  /// moved structural version demands the full rebuild.
   std::uint64_t structural_version() const { return structural_version_; }
 
   /// First dense slot appended since the last structural change; slots at

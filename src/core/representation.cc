@@ -136,6 +136,15 @@ Result<double> Representation::GetNumeric(ValueId value, Chronon at) const {
   return parsed;
 }
 
+bool Representation::TimelessFor(ValueId value) const {
+  const std::vector<Entry>* entries = EntriesFor(value);
+  if (entries == nullptr) return true;
+  for (const Entry& entry : *entries) {
+    if (!entry.life.valid.IsAlways()) return false;
+  }
+  return true;
+}
+
 std::size_t Representation::size() const {
   std::size_t total = 0;
   for (const std::vector<Entry>& entries : value_entries_) {

@@ -58,6 +58,11 @@ class Representation {
   /// (every interned string is NUL-terminated) — no string copy.
   Result<double> GetNumeric(ValueId value, Chronon at = kNowChronon) const;
 
+  /// True when every entry of `value` is valid at all times (vacuously
+  /// when it has none): Get and GetNumeric then answer the same at every
+  /// chronon of the time domain.
+  bool TimelessFor(ValueId value) const;
+
   /// Number of (value, text, lifespan) entries.
   std::size_t size() const;
 

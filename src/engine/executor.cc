@@ -157,6 +157,7 @@ void ExecStats::MergeFrom(const ExecStats& other) {
   facts_gathered += other.facts_gathered;
   facts_walked += other.facts_walked;
   warm_reads += other.warm_reads;
+  numeric_lookups += other.numeric_lookups;
 }
 
 std::string ExecStats::ToJson() const {
@@ -176,7 +177,7 @@ std::string ExecStats::ToJson() const {
       "\"rollup_patches\": %zu, \"csr_tail_extends\": %zu, "
       "\"preagg_folds\": %zu, \"preagg_fold_invalidations\": %zu, "
       "\"facts_gathered\": %zu, \"facts_walked\": %zu, "
-      "\"warm_reads\": %zu}",
+      "\"warm_reads\": %zu, \"numeric_lookups\": %zu}",
       parallel_runs, sequential_fallbacks, partitions, tasks,
       static_cast<unsigned long long>(merge_nanos), pool_reuses,
       join_parallel_runs, timeslice_parallel_runs, index_builds, index_hits,
@@ -184,8 +185,8 @@ std::string ExecStats::ToJson() const {
       dense_slot_fallbacks, arena_bytes, arena_resets, interner_hits,
       interner_misses, rewrites_applied, fused_pipelines, plan_fallbacks,
       rollup_patches, csr_tail_extends, preagg_folds,
-      preagg_fold_invalidations, facts_gathered, facts_walked,
-      warm_reads);
+      preagg_fold_invalidations, facts_gathered, facts_walked, warm_reads,
+      numeric_lookups);
   return buffer;
 }
 

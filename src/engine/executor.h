@@ -197,6 +197,13 @@ struct ExecStats {
   /// no scan). Such a read counts neither fused_pipelines nor
   /// plan_fallbacks.
   std::size_t warm_reads = 0;
+  /// Argument and filter values a fused read's group-by scan or WHERE
+  /// mask resolved through Dimension::NumericValueOf instead of the
+  /// rollup snapshot's numeric column: timed values (a representation
+  /// entry not valid at all times), values of walked facts, a failing
+  /// value's Status text. The tree walk's per-fact evaluation is not
+  /// counted.
+  std::size_t numeric_lookups = 0;
 
   /// Adds every counter of `other` into this one. Server sessions use it
   /// to accumulate per-query contexts into per-session totals.

@@ -97,6 +97,30 @@ std::shared_ptr<const RollupIndex> RollupIndex::For(const Dimension& dimension,
   return built;
 }
 
+const RollupIndex::NumericColumn& RollupIndex::Numeric(
+    const Dimension& dimension) const {
+  std::call_once(numeric_once_, [&] {
+    auto column = std::make_unique<NumericColumn>();
+    const std::uint32_t n = value_count();
+    column->value.assign(n, 0.0);
+    column->state.assign(n, NumericState::kFails);
+    for (std::uint32_t d = 0; d < n; ++d) {
+      const ValueId value = value_of_[d];
+      if (!dimension.NumericValueIsTimeless(value)) {
+        column->state[d] = NumericState::kTimed;
+      } else if (Result<double> number = dimension.NumericValueOf(value);
+                 number.ok()) {
+        column->value[d] = *number;
+        column->state[d] = NumericState::kNumber;
+      }
+      column->numbers_only &=
+          d == top_dense_ || column->state[d] == NumericState::kNumber;
+    }
+    numeric_ = std::move(column);
+  });
+  return *numeric_;
+}
+
 void RollupIndex::FillCategoryRanges() {
   // Per-category ranges, sorted by ValueId (= by dense id).
   const std::uint32_t n = value_count();

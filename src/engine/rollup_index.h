@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/dimension.h"
@@ -31,7 +32,9 @@ namespace mddc {
 ///    descendant -> ancestor-at-category table with the closure
 ///    probability, so a rollup is one array lookup instead of a graph
 ///    walk. Strictness makes the table well-defined: each value has at
-///    most one ancestor per category.
+///    most one ancestor per category; and
+///  * on first numeric use, a numeric column: each value's
+///    NumericValueOf reading, decided once (Numeric()).
 ///
 /// Snapshots are built lazily by For(), shared through the dimension's
 /// type-erased compiled-snapshot slot (so Dimension copies — e.g. the
@@ -163,6 +166,39 @@ class RollupIndex {
     return flat_prob_[dense * category_count_ + category];
   }
 
+  // ---- Numeric column ----------------------------------------------------
+
+  /// How a dense value reads under Dimension::NumericValueOf.
+  enum class NumericState : std::uint8_t {
+    /// NumericValueOf returns the column's value at every chronon.
+    kNumber,
+    /// NumericValueOf fails at every chronon.
+    kFails,
+    /// The answer may depend on the chronon (a representation entry of
+    /// the value is not valid at all times): ask NumericValueOf.
+    kTimed,
+  };
+
+  /// One double and one state per dense id.
+  struct NumericColumn {
+    std::vector<double> value;  // meaningful where state is kNumber
+    std::vector<NumericState> state;
+    /// True when every non-top value is kNumber.
+    bool numbers_only = true;
+  };
+
+  /// The numeric column over the dense ids: the measure reading of each
+  /// dimension member decided once per snapshot instead of once per read
+  /// (the paper's Section 5 special-purpose structures). Filled on the
+  /// first call, under std::call_once, from `dimension` — a dimension
+  /// this snapshot is current for (!StaleFor) — with NumericValueOf
+  /// itself; a value is kNumber or kFails only when
+  /// NumericValueIsTimeless holds, so the column answers every chronon,
+  /// ASOF included. Build and Patch leave it empty: most snapshots (a
+  /// formation's result MOs among them) are never read numerically.
+  /// Thread-safe; the returned column is immutable.
+  const NumericColumn& Numeric(const Dimension& dimension) const;
+
  private:
   RollupIndex() = default;
 
@@ -216,6 +252,11 @@ class RollupIndex {
 
   std::vector<std::uint32_t> flat_ancestor_;  // value_count() * categories
   std::vector<double> flat_prob_;
+
+  // Behind a pointer so that the many snapshots never read numerically
+  // carry one word for it, not two empty vectors.
+  mutable std::once_flag numeric_once_;
+  mutable std::unique_ptr<const NumericColumn> numeric_;
 };
 
 }  // namespace mddc

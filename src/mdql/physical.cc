@@ -158,7 +158,9 @@ Result<QueryResult> ExecuteFused(const MdObject& source,
   if (select.where != nullptr) {
     MDDC_ASSIGN_OR_RETURN(Predicate predicate,
                           BuildWhere(mo, *select.where, exec));
-    MDDC_ASSIGN_OR_RETURN(keep, predicate.EvaluateMask(mo));
+    MDDC_ASSIGN_OR_RETURN(
+        keep, predicate.EvaluateMask(
+                  mo, exec != nullptr ? &exec->stats : nullptr));
     keep_ptr = &keep;
   }
 

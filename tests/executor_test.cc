@@ -156,6 +156,8 @@ TEST(ExecStatsTest, MergeFromSumsEveryCounter) {
   b.facts_walked = 6;
   a.warm_reads = 1;
   b.warm_reads = 2;
+  a.numeric_lookups = 4;
+  b.numeric_lookups = 5;
   a.MergeFrom(b);
   EXPECT_EQ(a.parallel_runs, 3u);
   EXPECT_EQ(a.sequential_fallbacks, 3u);
@@ -166,6 +168,7 @@ TEST(ExecStatsTest, MergeFromSumsEveryCounter) {
   EXPECT_EQ(a.facts_gathered, 5u);
   EXPECT_EQ(a.facts_walked, 6u);
   EXPECT_EQ(a.warm_reads, 3u);
+  EXPECT_EQ(a.numeric_lookups, 9u);
 }
 
 TEST(ExecStatsTest, ToJsonListsEveryCounter) {
@@ -173,6 +176,7 @@ TEST(ExecStatsTest, ToJsonListsEveryCounter) {
   stats.parallel_runs = 7;
   stats.merge_nanos = 12345;
   stats.warm_reads = 3;
+  stats.numeric_lookups = 11;
   const std::string json = stats.ToJson();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
@@ -183,8 +187,9 @@ TEST(ExecStatsTest, ToJsonListsEveryCounter) {
   EXPECT_NE(json.find("\"index_builds\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"dense_slot_fallbacks\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"facts_gathered\": 0"), std::string::npos) << json;
-  // warm_reads is the last key; every earlier key keeps its order.
-  EXPECT_NE(json.find("\"facts_walked\": 0, \"warm_reads\": 3}"),
+  // numeric_lookups is the last key; every earlier key keeps its order.
+  EXPECT_NE(json.find("\"facts_walked\": 0, \"warm_reads\": 3, "
+                      "\"numeric_lookups\": 11}"),
             std::string::npos)
       << json;
 }

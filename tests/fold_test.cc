@@ -13,6 +13,7 @@
 #include "io/serialize.h"
 #include "mdql/mdql.h"
 #include "mdql/parser.h"
+#include "serve/mdql_server.h"
 #include "serve/mo_store.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
@@ -367,6 +368,101 @@ TEST(AggregateFoldTest, DirectFoldsMatchFormationForClinicalSetCounts) {
                             });
     }
   }
+}
+
+// ---- A representation change ---------------------------------------------
+
+/// A measure dimension "Price" whose value `twelve` reads as a number
+/// only through its Code representation ("12") and whose value `seven`
+/// has the Value "7", and a one-dimensional MO with one fact on each:
+/// SUM(Price) = 19.
+struct CodedPriceMo {
+  MdObject mo;
+  ValueId twelve;
+  ValueId seven;
+  CategoryTypeIndex price = 0;
+};
+
+CodedPriceMo BuildCodedPrices() {
+  DimensionTypeBuilder builder("Price");
+  builder.AddCategory("Price", AggregationType::kSum);
+  auto type = builder.Build();
+  EXPECT_TRUE(type.ok()) << type.status();
+  Dimension prices(*type);
+  const CategoryTypeIndex price = (*type)->bottom();
+  const ValueId twelve = prices.AddValueAuto(price).ValueOrDie();
+  const ValueId seven = prices.AddValueAuto(price).ValueOrDie();
+  EXPECT_TRUE(prices.RepresentationFor(price, "Code").Set(twelve, "12").ok());
+  EXPECT_TRUE(prices.RepresentationFor(price, "Value").Set(seven, "7").ok());
+  auto registry = std::make_shared<FactRegistry>();
+  MdObject mo("Purchase", {std::move(prices)}, registry);
+  for (std::uint64_t key : {1, 2}) {
+    const FactId fact = registry->Atom(key);
+    EXPECT_TRUE(mo.AddFact(fact).ok());
+    EXPECT_TRUE(mo.Relate(0, fact, key == 1 ? twelve : seven).ok());
+  }
+  return CodedPriceMo{std::move(mo), twelve, seven, price};
+}
+
+// An append that maps `twelve` to Value "3" changes what every published
+// fact on it reads (12 -> 3), so a fold resuming from the captured SUM 19
+// would serve 19 + 3 = 22 where the MO now sums 3 + 7 + 3 = 13. Handing
+// out the representation is a structural change: the gate takes the full
+// seal, and the warm read renders what a from-scratch session renders.
+TEST(AggregateFoldTest, RepresentationChangeTakesTheFullSeal) {
+  const CodedPriceMo coded = BuildCodedPrices();
+  const AggregateSpec sum = SpecFor(
+      AggFunction::Sum(0), {coded.mo.dimension(0).type().top()});
+  serve::MoStore store;
+  ASSERT_TRUE(store.Publish("mo", coded.mo).ok());
+  ASSERT_TRUE(store.WarmAggregate("mo", sum.function, sum.grouping).ok());
+  ExecStats totals;
+  ASSERT_TRUE(store
+                  .AppendBatch(
+                      "mo",
+                      [&](MdObject& draft) {
+                        MDDC_RETURN_NOT_OK(
+                            draft.dimension_mutable(0)
+                                .RepresentationFor(coded.price, "Value")
+                                .Set(coded.twelve, "3"));
+                        const FactId fact = draft.registry()->Atom(3);
+                        MDDC_RETURN_NOT_OK(draft.AddFact(fact));
+                        return draft.Relate(0, fact, coded.twelve);
+                      },
+                      /*published_epoch=*/nullptr, &totals)
+                  .ok());
+  const serve::MoStore::Stats stats = store.CollectStats();
+  EXPECT_EQ(stats.append_batches, 0u);
+  EXPECT_EQ(stats.append_fallbacks, 1u);
+  EXPECT_EQ(totals.preagg_folds, 0u);
+
+  const auto snapshot = store.Pin();
+  const serve::PublishedMo* entry = snapshot->Find("mo");
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(entry->preagg, nullptr);
+  const MdObject* warm = entry->preagg->Peek(sum.function, sum.grouping);
+  ASSERT_NE(warm, nullptr);
+  ExpectMatchesFormation(
+      *warm,
+      entry->mo().WithRegistry(FactRegistry::ForkOf(entry->mo().registry())),
+      sum, "after the representation change");
+
+  const std::string select = "SELECT SUM(Price) FROM mo";
+  serve::MdqlServer server(&store);
+  serve::ServerSession session = server.Connect();
+  auto served = session.Execute(select);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(session.stats().exec.warm_reads, 1u);
+  mdql::Session plain;
+  mdql::CompileOptions off;
+  off.enable_compiler = false;
+  plain.set_compile_options(off);
+  ASSERT_TRUE(plain.Register("mo", entry->mo()).ok());
+  auto walked = plain.Execute(select);
+  ASSERT_TRUE(walked.ok()) << walked.status();
+  EXPECT_EQ(served->ToString(), walked->ToString());
+  ASSERT_EQ(served->rows.size(), 1u);
+  EXPECT_EQ(served->rows[0].back(), "13") << served->ToString();
 }
 
 }  // namespace

@@ -218,13 +218,18 @@ TEST_F(MdqlServerTest, StatsJsonCarriesSessionAndExecCounters) {
   EXPECT_NE(json.find("\"last_epoch\": 2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"exec\": {"), std::string::npos) << json;
   EXPECT_NE(json.find("\"parallel_runs\""), std::string::npos) << json;
-  // The warm-read counter is the last exec key, after facts_walked: no
-  // warm specs are registered, so the read took the fused pipeline.
+  // The warm-read counter follows facts_walked and the numeric-lookup
+  // counter is the last exec key: no warm specs are registered, so the
+  // read took the fused pipeline, and the numeric column decided every
+  // Amount value it read.
   const std::size_t walked = json.find("\"facts_walked\": ");
-  const std::size_t warm = json.find("\"warm_reads\": 0}");
+  const std::size_t warm = json.find("\"warm_reads\": 0, ");
+  const std::size_t lookups = json.find("\"numeric_lookups\": 0}");
   ASSERT_NE(walked, std::string::npos) << json;
   ASSERT_NE(warm, std::string::npos) << json;
+  ASSERT_NE(lookups, std::string::npos) << json;
   EXPECT_LT(walked, warm) << json;
+  EXPECT_LT(warm, lookups) << json;
   EXPECT_NE(json.find("\"fused_pipelines\": 1"), std::string::npos) << json;
 }
 
