@@ -536,17 +536,24 @@ void ForEachDenseBlock(const std::vector<ScanRelation>& relations,
 }
 
 /// Builds the ScanRelation of each dimension with a snapshot in
-/// `numberings`: one sweep of the relation's CSR rows, chunk by chunk, in
-/// lockstep with the ascending visited facts, starting at the first
-/// visited fact — a fold over an appended tail sweeps only the tail's
-/// rows. With `gather` the relation's dense column is read too; `gather`
-/// turns false when some relation has no column under its snapshot's
-/// numbering.
+/// `numberings`. When the visited facts are a tail of mo.facts() (all of
+/// them, or an appended delta, as a span into mo.facts()) and the
+/// relation has one CSR row per fact, the facts are its last rows: a
+/// relation holds only facts of its MO (MdObject::Validate), so equal
+/// counts mean every fact has its row (the end rows are checked, O(1)).
+/// Otherwise one sweep of the CSR rows, chunk by chunk, in lockstep with
+/// the ascending visited facts from the first visited fact on, finds each
+/// fact's row. With `gather` the relation's dense column is read too;
+/// `gather` turns false when some relation has no column under its
+/// snapshot's numbering.
 std::vector<ScanRelation> BuildScanRelations(
     const MdObject& mo, std::span<const FactId> facts,
     const std::vector<std::shared_ptr<const RollupIndex>>& numberings,
     bool* gather) {
   using FactSpan = FactDimRelation::FactSpan;
+  const std::vector<FactId>& all = mo.facts();
+  const bool tail = !facts.empty() && facts.size() <= all.size() &&
+                    facts.data() + facts.size() == all.data() + all.size();
   std::vector<ScanRelation> relations(mo.dimension_count());
   std::vector<const ChunkedVector<std::uint32_t>*> columns(
       mo.dimension_count(), nullptr);
@@ -563,6 +570,12 @@ std::vector<ScanRelation> BuildScanRelations(
     out.relation = &relation;
     out.spans = &spans;
     out.column = *gather ? columns[i] : nullptr;
+    if (tail && spans.size() == all.size() &&
+        spans[all.size() - facts.size()].fact == facts.front() &&
+        spans.back().fact == facts.back()) {
+      out.first_row = all.size() - facts.size();
+      continue;
+    }
     out.first_row =
         facts.empty()
             ? spans.size()
@@ -782,14 +795,17 @@ struct ScanGroup {
   /// The grouping values of the live (non-top-grouped) dimensions, in
   /// ascending dimension-index order.
   std::vector<ValueId> key;
-  /// Distinct member facts, ascending (each fact joins a key at most once).
-  /// A resumed group's members are `base_fact`'s followed by these: the
-  /// seed's set fact and member count carry over, the scan adds only the
-  /// members it visits.
+  /// Distinct member facts, ascending (each fact joins a key at most once);
+  /// built only when the request asks for them or two groups may share a
+  /// member set (ScanResult::shared). A resumed group's members are
+  /// `base_fact`'s followed by these: the seed's set fact and member count
+  /// carry over, the scan adds only the members it visits.
   std::vector<FactId> members;
+  /// The visited facts that joined: members.size() when they are built.
+  std::size_t visited = 0;
   FactId base_fact;
   std::size_t base_count = 0;
-  std::size_t member_count() const { return base_count + members.size(); }
+  std::size_t member_count() const { return base_count + visited; }
   /// Per accumulator class: the raw left-fold over the members' values,
   /// and the first contribution error (OK when none).
   std::vector<AggFunction::Accumulator> accums;
@@ -809,10 +825,15 @@ struct ScanGroup {
 
 /// What one scan visits and folds.
 struct ScanRequest {
-  /// The facts to visit, ascending: all of mo.facts(), or a fold's delta.
+  /// The facts to visit, ascending: all of mo.facts(), or a fold's delta —
+  /// as a span into mo.facts() when it is the MO's last facts, which
+  /// BuildScanRelations aligns with the relations' rows without a sweep.
   std::span<const FactId> facts;
   /// Optional mask aligned with `facts`; false entries are skipped.
   const std::vector<bool>* keep = nullptr;
+  /// Build each group's member list: set facts need it, a fused read only
+  /// under StreamSpec::collect_members.
+  bool members = true;
   const std::vector<CategoryTypeIndex>* grouping = nullptr;
   Chronon prob_at = kNowChronon;
   std::vector<AccumClass> classes;
@@ -864,6 +885,7 @@ struct ScanPartition {
       const ScanGroup& s = seeds[seed];
       accums.insert(accums.end(), s.accums.begin(), s.accums.end());
       errors.insert(errors.end(), s.errors.begin(), s.errors.end());
+      for (const Status& error : s.errors) failed = failed || !error.ok();
       result_life.insert(result_life.end(), s.result_life.begin(),
                          s.result_life.end());
       life.insert(life.end(), s.life.begin(), s.life.end());
@@ -893,10 +915,17 @@ struct ScanPartition {
   /// group, since the scan walks facts ascending), each the group ordinal
   /// in the high half and the fact's position among the visited facts in
   /// the low half; scattered into per-group member lists at emission.
+  /// Recorded only under `record_members`; `hits` counts them regardless.
   ArenaVec<std::uint64_t> incidences;
+  bool record_members = false;
+  /// Some group of this partition holds an error: until then the scan
+  /// skips the per-class error probes.
+  bool failed = false;
+  /// Kept facts visited without a route pass: every one is gathered.
+  std::size_t kept = 0;
   void AddIncidence(std::uint32_t group, std::size_t f) {
     ++hits[group];
-    incidences.push_back(std::uint64_t{group} << 32 | f);
+    if (record_members) incidences.push_back(std::uint64_t{group} << 32 | f);
   }
 };
 
@@ -907,6 +936,16 @@ void IntersectInto(std::optional<Lifespan>& life, const Lifespan& with) {
   life = life.has_value() ? life->Intersect(with)
                           : Lifespan::AlwaysSpan().Intersect(with);
 }
+
+/// What one scan returns.
+struct ScanResult {
+  std::vector<ScanGroup> groups;
+  /// Some visited fact joined two groups (a walked fact with two
+  /// coordinates in a live dimension). Only then can two groups have one
+  /// member set, and the scan builds every member list even when the
+  /// request did not ask for them.
+  bool shared = false;
+};
 
 /// The one group-by scan behind AggregateFormation, FoldAggregateAppend
 /// and AggregateStream (docs/groupby_kernel.md). Groups come back in
@@ -921,9 +960,8 @@ void IntersectInto(std::optional<Lifespan>& life, const Lifespan& with) {
 /// contiguous ranges and the flat-hash engine partitions keys by hash;
 /// every worker scans all visited facts and accumulates only the groups
 /// it owns, so each group is built whole by one worker.
-Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
-                                           ScanRequest& request,
-                                           ExecContext& exec) {
+Result<ScanResult> GroupByScan(const MdObject& mo, ScanRequest& request,
+                               ExecContext& exec) {
   const std::span<const FactId> facts = request.facts;
   const std::vector<CategoryTypeIndex>& grouping = *request.grouping;
   const std::vector<AccumClass>& classes = request.classes;
@@ -1035,50 +1073,76 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
       unit_prob = unit_prob && axis.prob[d] == 1.0;
     }
   }
-  // route[f]: kSkipped (not kept, or gathered into no group), kGathered,
-  // or the fact's index among the walked facts.
+  // When every wanted column (the relations with one) hits on every
+  // visited row — the rows are in place and the columns count no misses —
+  // every kept fact is gathered and the scan reads the columns directly.
+  // Otherwise a route pass sorts the kept facts first. route[f]: kSkipped
+  // (not kept, or gathered into no group), kGathered, or the fact's index
+  // among the walked facts.
   constexpr std::uint32_t kSkipped = 0xffffffffu;
   constexpr std::uint32_t kGathered = 0xfffffffeu;
-  std::vector<std::size_t> wanted;  // relations with a column
+  std::vector<std::size_t> wanted;
+  bool all_hit = gather;
   for (std::size_t i = 0; i < relations.size(); ++i) {
-    if (relations[i].has_dense()) wanted.push_back(i);
+    if (!relations[i].has_dense()) continue;
+    wanted.push_back(i);
+    all_hit = all_hit && relations[i].rows.empty() &&
+              relations[i].relation->dense_misses() == 0;
   }
-  std::vector<std::uint32_t> route(facts.size(), kSkipped);
+  std::vector<std::uint32_t> route;
   std::vector<std::uint32_t> walked;
+  // Without a route pass the scan counts the gathered (= kept) facts, and
+  // the visited facts bound those that join.
   std::size_t gathered = 0;
-  std::size_t gathered_joins = 0;
-  std::vector<const std::uint32_t*> wanted_slots(wanted.size());
-  std::vector<const std::uint32_t*> axis_slots(nl);
-  ForEachDenseBlock(relations, facts.size(), [&](std::size_t begin,
-                                                 std::size_t end,
-                                                 const auto& slots) {
-    for (std::size_t k = 0; k < wanted.size(); ++k) {
-      wanted_slots[k] = slots[wanted[k]];
-    }
-    for (std::size_t j = 0; j < nl; ++j) axis_slots[j] = slots[live[j]];
-    for (std::size_t f = begin; f < end; ++f) {
-      if (request.keep != nullptr && !(*request.keep)[f]) continue;
-      const std::size_t o = f - begin;
-      bool hit = gather;
-      for (const std::uint32_t* slot : wanted_slots) {
-        hit &= slot[o] != FactDimRelation::kNoDense;
+  std::size_t gathered_joins = facts.size();
+  if (!all_hit) {
+    route.assign(facts.size(), kSkipped);
+    gathered_joins = 0;
+    std::vector<const std::uint32_t*> wanted_slots(wanted.size());
+    std::vector<const std::uint32_t*> axis_slots(nl);
+    ForEachDenseBlock(relations, facts.size(), [&](std::size_t begin,
+                                                   std::size_t end,
+                                                   const auto& slots) {
+      for (std::size_t k = 0; k < wanted.size(); ++k) {
+        wanted_slots[k] = slots[wanted[k]];
       }
-      if (!hit) {
-        route[f] = static_cast<std::uint32_t>(walked.size());
-        walked.push_back(static_cast<std::uint32_t>(f));
-        continue;
+      for (std::size_t j = 0; j < nl; ++j) axis_slots[j] = slots[live[j]];
+      for (std::size_t f = begin; f < end; ++f) {
+        if (request.keep != nullptr && !(*request.keep)[f]) continue;
+        const std::size_t o = f - begin;
+        bool hit = gather;
+        for (const std::uint32_t* slot : wanted_slots) {
+          hit &= slot[o] != FactDimRelation::kNoDense;
+        }
+        if (!hit) {
+          route[f] = static_cast<std::uint32_t>(walked.size());
+          walked.push_back(static_cast<std::uint32_t>(f));
+          continue;
+        }
+        bool joins = true;
+        for (std::size_t j = 0; j < nl; ++j) {
+          joins &= axes[j].digit[axis_slots[j][o]] != RollupIndex::kNone;
+        }
+        route[f] = joins ? kGathered : kSkipped;
+        ++gathered;
+        gathered_joins += joins ? 1 : 0;
       }
-      bool joins = true;
-      for (std::size_t j = 0; j < nl; ++j) {
-        joins &= axes[j].digit[axis_slots[j][o]] != RollupIndex::kNone;
-      }
-      route[f] = joins ? kGathered : kSkipped;
-      ++gathered;
-      gathered_joins += joins ? 1 : 0;
-    }
-  });
-  exec.stats.facts_gathered += gathered;
+    });
+  }
   exec.stats.facts_walked += walked.size();
+  // True when visited fact f, at offset o of the dense block whose slots
+  // are `slots`, is gathered into a group.
+  auto gathered_into_group = [&](std::size_t f, std::size_t o,
+                                 const auto& slots) {
+    if (!all_hit) return route[f] == kGathered;
+    if (request.keep != nullptr && !(*request.keep)[f]) return false;
+    for (std::size_t j = 0; j < nl; ++j) {
+      if (axes[j].digit[slots[live[j]][o]] == RollupIndex::kNone) {
+        return false;
+      }
+    }
+    return true;
+  };
 
   // Per-walked-fact passes fan out over chunks, each chunk bumping its
   // own worker arena.
@@ -1122,6 +1186,12 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
       if (joins) coords[w] = std::move(per_dim);
     }
   });
+  bool shared = false;
+  for (const std::optional<CoordLists>& per_dim : coords) {
+    if (!per_dim.has_value()) continue;
+    for (const CoordList& list : *per_dim) shared = shared || list.size() > 1;
+  }
+  const bool build_members = request.members || shared;
 
   // 4. Per-class numeric values: gathered facts read the argument
   //    snapshot's numeric column, and what it leaves to NumericValueOf
@@ -1146,7 +1216,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
                                                        const auto& slots) {
           const std::uint32_t* dense = slots[cls.dim];
           for (std::size_t f = begin; f < end; ++f) {
-            if (route[f] != kGathered) continue;
+            if (!gathered_into_group(f, f - begin, slots)) continue;
             const std::uint32_t d = dense[f - begin];
             if (cache.column->state[d] != NumericState::kNumber) {
               cache.FillValue(dimension, numbering.ValueOf(d),
@@ -1185,6 +1255,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   for (std::size_t p = 0; p < num_partitions; ++p) {
     parts.emplace_back(parallel ? &exec.worker_arena(p) : &exec.arena, nl,
                        nclasses);
+    parts.back().record_members = build_members;
   }
   if (dense) {
     const std::uint64_t slots = space.slot_count();
@@ -1200,30 +1271,33 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
     }
   }
 
-  // The group owning `slot` (dense) or the key in `scratch` with `hash`
-  // (flat hash) in partition p, created on first touch — resuming
-  // `seed` if given; kNoGroup when another partition owns it.
-  auto group_in = [&](std::size_t p, std::uint64_t slot,
-                      const std::vector<ValueId>& scratch, std::uint64_t hash,
-                      std::uint32_t seed, bool* inserted) -> std::uint32_t {
-    ScanPartition& part = parts[p];
-    *inserted = false;
-    if (dense) {
-      if (slot < part.slot_begin || slot >= part.slot_end) {
-        return FlatHashGroupIndex::kNoGroup;
-      }
-      std::uint32_t& mapped = part.group_of_slot[static_cast<std::size_t>(
-          slot - part.slot_begin)];
-      if (mapped == FlatHashGroupIndex::kNoGroup) {
-        mapped = part.AddGroup(request.seeds, seed);
-        part.slot_of_group.push_back(slot);
-        *inserted = true;
-      }
-      return mapped;
+  // The group of partition p owning `slot` (dense) or the key in
+  // `scratch` (flat hash), created on first touch — resuming `seed` if
+  // given; kNoGroup when another partition owns it. Two lambdas, so the
+  // dense scan's per-fact lookup stays a few inlined instructions.
+  auto slot_group = [&](ScanPartition& part, std::uint64_t slot,
+                        std::uint32_t seed) -> std::uint32_t {
+    // One partition owns every slot.
+    if (num_partitions > 1 &&
+        (slot < part.slot_begin || slot >= part.slot_end)) {
+      return FlatHashGroupIndex::kNoGroup;
     }
+    std::uint32_t& mapped =
+        part.group_of_slot[static_cast<std::size_t>(slot - part.slot_begin)];
+    if (mapped == FlatHashGroupIndex::kNoGroup) {
+      mapped = part.AddGroup(request.seeds, seed);
+      part.slot_of_group.push_back(slot);
+    }
+    return mapped;
+  };
+  auto key_group = [&](std::size_t p, const std::vector<ValueId>& scratch,
+                       std::uint32_t seed) -> std::uint32_t {
+    const std::uint64_t hash = HashValueIds(scratch.data(), nl);
     if (num_partitions > 1 && hash % num_partitions != p) {
       return FlatHashGroupIndex::kNoGroup;
     }
+    ScanPartition& part = parts[p];
+    bool inserted = false;
     const std::uint32_t g = part.index.FindOrInsert(
         hash, static_cast<std::uint32_t>(part.expected.size()),
         [&](std::uint32_t ordinal) {
@@ -1232,8 +1306,8 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
               part.key_storage.begin() +
                   static_cast<std::ptrdiff_t>(ordinal * nl));
         },
-        inserted);
-    if (*inserted) {
+        &inserted);
+    if (inserted) {
       part.key_storage.insert(part.key_storage.end(), scratch.begin(),
                               scratch.end());
       part.AddGroup(request.seeds, seed);
@@ -1260,11 +1334,14 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
         slot = slot * space.cardinality(j) + ordinal;
       }
     }
-    const std::uint64_t hash = dense ? 0 : HashValueIds(key.data(), nl);
+    const auto seed = static_cast<std::uint32_t>(s);
     bool inserted = false;
     for (std::size_t p = 0; p < num_partitions; ++p) {
-      if (group_in(p, slot, key, hash, static_cast<std::uint32_t>(s),
-                   &inserted) != FlatHashGroupIndex::kNoGroup) {
+      const std::size_t before = parts[p].expected.size();
+      const std::uint32_t g = dense ? slot_group(parts[p], slot, seed)
+                                    : key_group(p, key, seed);
+      if (g != FlatHashGroupIndex::kNoGroup) {
+        inserted = parts[p].expected.size() > before;
         break;
       }
     }
@@ -1278,7 +1355,9 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   //    flat table, probability AncestorProbAt (= 1.0 x p), Always
   //    lifespans (the identity), and its one value from the numeric
   //    column (by_value where the column says kFails or kTimed).
-  if (!parallel) parts[0].incidences.reserve(gathered_joins + walked.size());
+  if (!parallel && build_members) {
+    parts[0].incidences.reserve(gathered_joins + walked.size());
+  }
   auto scan_partition = [&](std::size_t p) {
     ScanPartition& part = parts[p];
     std::vector<std::size_t> cursor(nl);
@@ -1294,24 +1373,31 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
         if (!classes[c].bad_dim) class_slots[c] = slots[classes[c].dim];
       }
       for (std::size_t f = begin; f < end; ++f) {
-        const std::uint32_t r = route[f];
-        if (r == kSkipped) continue;
+        std::uint32_t r = kGathered;
+        if (all_hit) {
+          if (request.keep != nullptr && !(*request.keep)[f]) continue;
+          ++part.kept;
+        } else {
+          r = route[f];
+          if (r == kSkipped) continue;
+        }
         if (r == kGathered) {
           std::uint64_t slot = 0;
-          std::uint64_t hash = 0;
+          bool joins = true;
           for (std::size_t j = 0; j < nl; ++j) {
             base[j] = live_slots[j][f - begin];
+            const std::uint32_t digit = axes[j].digit[base[j]];
+            joins &= digit != RollupIndex::kNone;
             if (dense) {
-              slot = slot * space.cardinality(j) + axes[j].digit[base[j]];
+              slot = slot * space.cardinality(j) + digit;
             } else {
               scratch[j] = axes[j].key[base[j]];
             }
           }
-          if (!dense) hash = HashValueIds(scratch.data(), nl);
-          bool inserted = false;
-          const std::uint32_t g = group_in(p, slot, scratch, hash,
-                                           FlatHashGroupIndex::kNoGroup,
-                                           &inserted);
+          if (!joins) continue;
+          const std::uint32_t g =
+              dense ? slot_group(part, slot, FlatHashGroupIndex::kNoGroup)
+                    : key_group(p, scratch, FlatHashGroupIndex::kNoGroup);
           if (g == FlatHashGroupIndex::kNoGroup) continue;
           part.AddIncidence(g, f);
           double member_prob = 1.0;
@@ -1323,7 +1409,10 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
           part.expected[g] += member_prob;
           for (std::size_t c = 0; c < nclasses; ++c) {
             const std::size_t slot_c = g * nclasses + c;
-            if (classes[c].bad_dim || !part.errors[slot_c].ok()) continue;
+            if (classes[c].bad_dim ||
+                (part.failed && !part.errors[slot_c].ok())) {
+              continue;
+            }
             if (classes[c].counts) {
               part.accums[slot_c].AddCounted(1);
               continue;
@@ -1340,6 +1429,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
               part.accums[slot_c].Add(*value);
             } else {
               part.errors[slot_c] = value.status();
+              part.failed = true;
             }
           }
           continue;
@@ -1353,7 +1443,6 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
           // Row-major slot, lowest dimension index most significant; each
           // digit is the coordinate's rank in its grouping category.
           std::uint64_t slot = 0;
-          std::uint64_t hash = 0;
           if (dense) {
             for (std::size_t j = 0; j < nl; ++j) {
               slot = slot * space.cardinality(j) +
@@ -1363,12 +1452,10 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
             for (std::size_t j = 0; j < nl; ++j) {
               scratch[j] = per_dim[j][cursor[j]].value;
             }
-            hash = HashValueIds(scratch.data(), nl);
           }
-          bool inserted = false;
-          const std::uint32_t g = group_in(p, slot, scratch, hash,
-                                           FlatHashGroupIndex::kNoGroup,
-                                           &inserted);
+          const std::uint32_t g =
+              dense ? slot_group(part, slot, FlatHashGroupIndex::kNoGroup)
+                    : key_group(p, scratch, FlatHashGroupIndex::kNoGroup);
           if (g != FlatHashGroupIndex::kNoGroup) {
             part.AddIncidence(g, f);
             double member_prob = 1.0;
@@ -1388,9 +1475,10 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
               if (fc.arg_life.has_value()) {
                 IntersectInto(part.result_life[slot_c], *fc.arg_life);
               }
-              if (!part.errors[slot_c].ok()) continue;
+              if (part.failed && !part.errors[slot_c].ok()) continue;
               if (fc.failed) {
                 part.errors[slot_c] = fc.error;
+                part.failed = true;
               } else if (classes[c].counts) {
                 part.accums[slot_c].AddCounted(fc.counted);
               } else {
@@ -1417,6 +1505,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
   } else {
     scan_partition(0);
   }
+  exec.stats.facts_gathered += all_hit ? parts[0].kept : gathered;
 
   // 8. Canonical group order: ascending slot for the dense engine (the
   //    partitions own ascending disjoint ranges), one lexicographic key
@@ -1476,7 +1565,8 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
       group.base_fact = seed.base_fact;
       group.base_count = seed.base_count;
     }
-    group.members.reserve(part.hits[g]);
+    group.visited = part.hits[g];
+    if (build_members) group.members.reserve(group.visited);
     const auto row = [g](const auto& strided, std::size_t stride) {
       return std::span(strided.data() + g * stride, stride);
     };
@@ -1499,7 +1589,7 @@ Result<std::vector<ScanGroup>> GroupByScan(const MdObject& mo,
           facts[incidence & 0xffffffffu]);
     }
   }
-  return out;
+  return ScanResult{std::move(out), shared};
 }
 
 /// Steps 4-6 of aggregate formation, shared by AggregateFormation and
@@ -1771,9 +1861,8 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
   if (auto cls = ClassOf(mo, spec.function)) request.classes.push_back(*cls);
   request.parallel = ParallelGate(*exec, mo.facts().size(),
                                   summarizability.summarizable);
-  MDDC_ASSIGN_OR_RETURN(std::vector<ScanGroup> groups,
-                        GroupByScan(mo, request, *exec));
-  return AssembleAggregateResult(mo, spec, summarizability, groups);
+  MDDC_ASSIGN_OR_RETURN(ScanResult scan, GroupByScan(mo, request, *exec));
+  return AssembleAggregateResult(mo, spec, summarizability, scan.groups);
 }
 
 Result<MdObject> FoldAggregateAppend(const MdObject& mo,
@@ -1897,16 +1986,23 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
 
   ArenaResetGuard arena_guard{*exec};
   ScanRequest request;
-  request.facts = delta_facts;
+  // An append's delta is the MO's last facts: scanned as that tail of
+  // mo.facts(), it lines up with the relations' last rows.
+  const std::vector<FactId>& all = mo.facts();
+  const bool tail =
+      delta_facts.size() <= all.size() &&
+      std::equal(delta_facts.begin(), delta_facts.end(),
+                 all.end() - static_cast<std::ptrdiff_t>(delta_facts.size()));
+  request.facts = tail ? std::span(all).last(delta_facts.size())
+                       : std::span<const FactId>(delta_facts);
   request.grouping = &spec.grouping;
   request.prob_at = spec.prob_at;
   if (auto cls = ClassOf(mo, spec.function)) request.classes.push_back(*cls);
   request.parallel = ParallelGate(*exec, delta_facts.size(),
                                   summarizability.summarizable);
   request.seeds = std::move(seeds);
-  MDDC_ASSIGN_OR_RETURN(std::vector<ScanGroup> groups,
-                        GroupByScan(mo, request, *exec));
-  return AssembleAggregateResult(mo, spec, summarizability, groups);
+  MDDC_ASSIGN_OR_RETURN(ScanResult scan, GroupByScan(mo, request, *exec));
+  return AssembleAggregateResult(mo, spec, summarizability, scan.groups);
 }
 
 StreamProbe AggregateStreamProbe(const MdObject& mo,
@@ -2007,11 +2103,13 @@ Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
   }
 
   ArenaResetGuard arena_guard{*exec};
-  const std::size_t kept =
-      spec.keep == nullptr
-          ? facts.size()
-          : static_cast<std::size_t>(
-                std::count(spec.keep->begin(), spec.keep->end(), true));
+  // Only the parallel gate reads the kept count, and a mask count is a
+  // pass over it: count only where the gate can open.
+  std::size_t kept = facts.size();
+  if (spec.keep != nullptr && exec->WantsParallel(kept)) {
+    kept = static_cast<std::size_t>(
+        std::count(spec.keep->begin(), spec.keep->end(), true));
+  }
   bool summarizable = true;
   if (exec->WantsParallel(kept)) {
     for (const AggFunction& fn : spec.functions) {
@@ -2020,8 +2118,9 @@ Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
     }
   }
   request.parallel = ParallelGate(*exec, kept, summarizable);
-  MDDC_ASSIGN_OR_RETURN(std::vector<ScanGroup> groups,
-                        GroupByScan(mo, request, *exec));
+  request.members = spec.collect_members;
+  MDDC_ASSIGN_OR_RETURN(ScanResult scan, GroupByScan(mo, request, *exec));
+  std::vector<ScanGroup>& groups = scan.groups;
 
   // Emission, function-major: function k's errors (CheckApplicable, then
   // each group's sticky class error or Finish failure, in canonical
@@ -2058,12 +2157,29 @@ Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
       out[t].values.push_back(value);
     }
   }
-  for (std::size_t t = 0; t < groups.size(); ++t) {
-    out[t].key = std::move(groups[t].key);
-    if (spec.collect_members) {
-      out[t].member_facts = std::move(groups[t].members);
+  // The formation interns every group as a set fact, so groups with one
+  // member set are ONE result fact, rendered once under the first key in
+  // canonical order. Their values are identical (same members, same fold
+  // order); only the group count changes. Member sets can coincide only
+  // when a fact joined two groups, and then the scan built the lists.
+  std::vector<bool> first_of_set(groups.size(), true);
+  if (scan.shared) {
+    auto less = [](const std::vector<FactId>* a,
+                   const std::vector<FactId>* b) { return *a < *b; };
+    std::set<const std::vector<FactId>*, decltype(less)> seen(less);
+    for (std::size_t t = 0; t < groups.size(); ++t) {
+      first_of_set[t] = seen.insert(&groups[t].members).second;
     }
   }
+  std::size_t emitted = 0;
+  for (std::size_t t = 0; t < groups.size(); ++t) {
+    if (!first_of_set[t]) continue;
+    StreamGroup& group = out[emitted++];
+    if (&group != &out[t]) group.values = std::move(out[t].values);
+    group.key = std::move(groups[t].key);
+    if (spec.collect_members) group.member_facts = std::move(groups[t].members);
+  }
+  out.resize(emitted);
   return out;
 }
 

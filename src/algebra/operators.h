@@ -278,17 +278,17 @@ struct StreamSpec {
   /// skipped by the scan — selection pushdown without materializing the
   /// filtered MO. Null means every fact participates.
   const std::vector<bool>* keep = nullptr;
-  /// When true every StreamGroup carries its member fact list (ascending
-  /// fact order). AggregateFormation interns each group as a set-fact, so
-  /// two groups with identical member sets collapse into ONE result fact;
-  /// a renderer that must match the formation byte-for-byte needs the
-  /// member lists to replicate that collapse.
+  /// When true every StreamGroup carries its full member fact list
+  /// (ascending fact order). The scan builds the lists only then, or when
+  /// a fact joined two groups and the collapse below needs them.
   bool collect_members = false;
 };
 
 /// One output group of AggregateStream, in canonical order (ascending
 /// lexicographic ValueId key — the order AggregateFormation emits its
-/// groups in).
+/// groups in). AggregateFormation interns each group as a set fact, so
+/// groups with identical member sets are ONE result fact; the stream
+/// keeps only the first group of each member set, as that fact renders.
 struct StreamGroup {
   /// The grouping values of the live (non-top) dimensions, in ascending
   /// dimension-index order.
@@ -334,7 +334,8 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
 /// accumulated in ascending fact order, and functions sharing an
 /// argument dimension share one accumulator class, so every value (and
 /// every error, in function-major order) is bit-identical to running the
-/// functions through AggregateFormation one at a time. The parallel path
+/// functions through AggregateFormation one at a time, and groups sharing
+/// a member set collapse as the formation's result facts do. The parallel path
 /// is gated on every function passing the Section 3.4 summarizability
 /// check. Counts dense_groupby_runs / flat_hash_runs /
 /// dense_slot_fallbacks / index_hits / index_fallbacks / parallel_runs on

@@ -239,6 +239,15 @@ class Dimension {
   /// the append patch paths rely on.
   std::uint32_t append_watermark() const { return append_watermark_; }
 
+  /// Ends the append run without a version bump: every present value
+  /// stops being fresh, so a later edge from one of them is structural.
+  /// Publication calls it (MdObject::WarmAndFreezeForPublish) — a value a
+  /// published epoch already holds, in its rollup snapshots and warm
+  /// aggregates, must not take a parent edge as an append.
+  void ResetAppendWatermark() {
+    append_watermark_ = static_cast<std::uint32_t>(value_ids_.size());
+  }
+
   /// Opaque slot holding this dimension's compiled rollup snapshot. The
   /// core layer stores the pointer without knowing its concrete type (the
   /// engine layer owns the format); copies of the dimension share the

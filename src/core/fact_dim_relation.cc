@@ -39,10 +39,12 @@ void FactDimRelation::CopyFrom(const FactDimRelation& other) {
       other.column_valid_.load(std::memory_order_acquire)) {
     column_ = other.column_;
     column_generation_ = other.column_generation_;
+    column_misses_ = other.column_misses_;
     column_valid_.store(true, std::memory_order_release);
   } else {
     column_.clear();
     column_generation_ = 0;
+    column_misses_ = 0;
     column_valid_.store(false, std::memory_order_release);
   }
 }
@@ -61,6 +63,7 @@ void FactDimRelation::MoveFrom(FactDimRelation&& other) {
   other.csr_valid_.store(false, std::memory_order_release);
   column_ = std::move(other.column_);
   column_generation_ = other.column_generation_;
+  column_misses_ = other.column_misses_;
   column_valid_.store(other.column_valid_.load(std::memory_order_acquire),
                       std::memory_order_release);
   other.column_valid_.store(false, std::memory_order_release);
@@ -345,20 +348,31 @@ void FactDimRelation::SealDenseColumnLocked(
   // extension recomputes that row and fills the appended ones — O(batch),
   // not O(|F|). The last row is written only when it changed, so a copy
   // keeps sharing its chunk.
+  // The miss count follows the same rows: the recomputed last row
+  // trades its old slot's miss for its new one's.
   std::size_t from = 0;
   if (column_generation_ == numbering.generation && !column_.empty() &&
       column_.size() <= spans_.size()) {
     const std::size_t last = column_.size() - 1;
     const std::uint32_t slot = DenseSlotOf(last, numbering);
-    if (column_[last] != slot) column_.Mut(last) = slot;
+    if (column_[last] != slot) {
+      column_misses_ -= column_[last] == kNoDense ? 1 : 0;
+      column_misses_ += slot == kNoDense ? 1 : 0;
+      column_.Mut(last) = slot;
+    }
     from = column_.size();
+  } else {
+    column_misses_ = 0;
   }
   column_.resize(spans_.size());
   // Chunk by chunk: each writable run clones its chunk once if a copy
   // shares it (the tail a draft extends), then is a plain pointer sweep.
   for (std::size_t row = from; row < spans_.size();) {
     const std::span<std::uint32_t> run = column_.MutableRun(row);
-    for (std::uint32_t& slot : run) slot = DenseSlotOf(row++, numbering);
+    for (std::uint32_t& slot : run) {
+      slot = DenseSlotOf(row++, numbering);
+      column_misses_ += slot == kNoDense ? 1 : 0;
+    }
   }
   column_generation_ = numbering.generation;
   column_valid_.store(true, std::memory_order_release);

@@ -158,6 +158,12 @@ class FactDimRelation {
   const ChunkedVector<std::uint32_t>* DenseColumn(
       const DenseNumbering& numbering) const;
 
+  /// The kNoDense slots of the column DenseColumn returned: kept by every
+  /// write of the column (the first build, a seal, a tail extension, a
+  /// copy) in O(rows written), so a scan knows in O(1) whether every row
+  /// gathers. Read it only after DenseColumn returned the column.
+  std::size_t dense_misses() const { return column_misses_; }
+
   /// Seals the column under `numbering` now, recompiling a valid column
   /// of another generation. For the owner of the relation only (the
   /// publication seal): unlike DenseColumn it may rewrite a column that
@@ -317,6 +323,7 @@ class FactDimRelation {
   mutable std::atomic<bool> column_valid_{false};
   mutable ChunkedVector<std::uint32_t> column_;
   mutable std::uint64_t column_generation_ = 0;
+  mutable std::size_t column_misses_ = 0;
 };
 
 }  // namespace mddc

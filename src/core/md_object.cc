@@ -178,6 +178,7 @@ void MdObject::WarmAndFreezeForPublish() const {
     if (dimension->publish_frozen()) continue;
     dimension->set_memoization_enabled(true);
     dimension->WarmClosureMemo();
+    dimension->ResetAppendWatermark();
     dimension->set_publish_frozen(true);
   }
   // Seal the CSR span views too: published epochs must never build

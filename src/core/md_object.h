@@ -138,7 +138,8 @@ class MdObject {
 
   /// Prepares this MO for lock-free concurrent reads and marks every
   /// dimension publish-frozen: re-enables and fully warms each closure
-  /// memo, then sets the freeze flag (see Dimension::publish_frozen).
+  /// memo, ends its append run (Dimension::ResetAppendWatermark), then
+  /// sets the freeze flag (see Dimension::publish_frozen).
   /// Dimensions already frozen — shared with the epoch this MO was
   /// drafted from — are skipped untouched.
   /// Seals the relations' CSR views and the fact registry too, so an

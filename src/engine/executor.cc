@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+#include <iterator>
 #include <memory>
+#include <string>
 
 namespace mddc {
 
@@ -128,66 +129,67 @@ void ShutdownSharedThreadPool() {
   // moves out a null pointer — idempotent by construction.
 }
 
+namespace {
+
+/// Every ExecStats counter with its JSON key, in ToJson order: the one
+/// list MergeFrom and ToJson walk.
+struct Counter {
+  const char* name;
+  std::size_t ExecStats::*field;
+};
+constexpr Counter kCounters[] = {
+    {"parallel_runs", &ExecStats::parallel_runs},
+    {"sequential_fallbacks", &ExecStats::sequential_fallbacks},
+    {"partitions", &ExecStats::partitions},
+    {"tasks", &ExecStats::tasks},
+    {"merge_nanos", &ExecStats::merge_nanos},
+    {"pool_reuses", &ExecStats::pool_reuses},
+    {"join_parallel_runs", &ExecStats::join_parallel_runs},
+    {"timeslice_parallel_runs", &ExecStats::timeslice_parallel_runs},
+    {"index_builds", &ExecStats::index_builds},
+    {"index_hits", &ExecStats::index_hits},
+    {"index_fallbacks", &ExecStats::index_fallbacks},
+    {"dense_groupby_runs", &ExecStats::dense_groupby_runs},
+    {"flat_hash_runs", &ExecStats::flat_hash_runs},
+    {"dense_slot_fallbacks", &ExecStats::dense_slot_fallbacks},
+    {"arena_bytes", &ExecStats::arena_bytes},
+    {"arena_resets", &ExecStats::arena_resets},
+    {"interner_hits", &ExecStats::interner_hits},
+    {"interner_misses", &ExecStats::interner_misses},
+    {"rewrites_applied", &ExecStats::rewrites_applied},
+    {"fused_pipelines", &ExecStats::fused_pipelines},
+    {"plan_fallbacks", &ExecStats::plan_fallbacks},
+    {"rollup_patches", &ExecStats::rollup_patches},
+    {"csr_tail_extends", &ExecStats::csr_tail_extends},
+    {"preagg_folds", &ExecStats::preagg_folds},
+    {"preagg_fold_invalidations", &ExecStats::preagg_fold_invalidations},
+    {"facts_gathered", &ExecStats::facts_gathered},
+    {"facts_walked", &ExecStats::facts_walked},
+    {"warm_reads", &ExecStats::warm_reads},
+    {"numeric_lookups", &ExecStats::numeric_lookups},
+};
+// A counter added to ExecStats but not to the table fails here.
+static_assert(sizeof(ExecStats) == std::size(kCounters) * sizeof(std::size_t));
+
+}  // namespace
+
 void ExecStats::MergeFrom(const ExecStats& other) {
-  parallel_runs += other.parallel_runs;
-  sequential_fallbacks += other.sequential_fallbacks;
-  partitions += other.partitions;
-  tasks += other.tasks;
-  merge_nanos += other.merge_nanos;
-  pool_reuses += other.pool_reuses;
-  join_parallel_runs += other.join_parallel_runs;
-  timeslice_parallel_runs += other.timeslice_parallel_runs;
-  index_builds += other.index_builds;
-  index_hits += other.index_hits;
-  index_fallbacks += other.index_fallbacks;
-  dense_groupby_runs += other.dense_groupby_runs;
-  flat_hash_runs += other.flat_hash_runs;
-  dense_slot_fallbacks += other.dense_slot_fallbacks;
-  arena_bytes += other.arena_bytes;
-  arena_resets += other.arena_resets;
-  interner_hits += other.interner_hits;
-  interner_misses += other.interner_misses;
-  rewrites_applied += other.rewrites_applied;
-  fused_pipelines += other.fused_pipelines;
-  plan_fallbacks += other.plan_fallbacks;
-  rollup_patches += other.rollup_patches;
-  csr_tail_extends += other.csr_tail_extends;
-  preagg_folds += other.preagg_folds;
-  preagg_fold_invalidations += other.preagg_fold_invalidations;
-  facts_gathered += other.facts_gathered;
-  facts_walked += other.facts_walked;
-  warm_reads += other.warm_reads;
-  numeric_lookups += other.numeric_lookups;
+  for (const Counter& counter : kCounters) {
+    this->*counter.field += other.*counter.field;
+  }
 }
 
 std::string ExecStats::ToJson() const {
-  char buffer[2048];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"parallel_runs\": %zu, \"sequential_fallbacks\": %zu, "
-      "\"partitions\": %zu, \"tasks\": %zu, \"merge_nanos\": %llu, "
-      "\"pool_reuses\": %zu, \"join_parallel_runs\": %zu, "
-      "\"timeslice_parallel_runs\": %zu, \"index_builds\": %zu, "
-      "\"index_hits\": %zu, \"index_fallbacks\": %zu, "
-      "\"dense_groupby_runs\": %zu, \"flat_hash_runs\": %zu, "
-      "\"dense_slot_fallbacks\": %zu, \"arena_bytes\": %zu, "
-      "\"arena_resets\": %zu, \"interner_hits\": %zu, "
-      "\"interner_misses\": %zu, \"rewrites_applied\": %zu, "
-      "\"fused_pipelines\": %zu, \"plan_fallbacks\": %zu, "
-      "\"rollup_patches\": %zu, \"csr_tail_extends\": %zu, "
-      "\"preagg_folds\": %zu, \"preagg_fold_invalidations\": %zu, "
-      "\"facts_gathered\": %zu, \"facts_walked\": %zu, "
-      "\"warm_reads\": %zu, \"numeric_lookups\": %zu}",
-      parallel_runs, sequential_fallbacks, partitions, tasks,
-      static_cast<unsigned long long>(merge_nanos), pool_reuses,
-      join_parallel_runs, timeslice_parallel_runs, index_builds, index_hits,
-      index_fallbacks, dense_groupby_runs, flat_hash_runs,
-      dense_slot_fallbacks, arena_bytes, arena_resets, interner_hits,
-      interner_misses, rewrites_applied, fused_pipelines, plan_fallbacks,
-      rollup_patches, csr_tail_extends, preagg_folds,
-      preagg_fold_invalidations, facts_gathered, facts_walked, warm_reads,
-      numeric_lookups);
-  return buffer;
+  std::string json = "{";
+  for (const Counter& counter : kCounters) {
+    if (json.size() > 1) json += ", ";
+    json += '"';
+    json += counter.name;
+    json += "\": ";
+    json += std::to_string(this->*counter.field);
+  }
+  json += '}';
+  return json;
 }
 
 ThreadPool& ExecContext::pool() {

@@ -90,7 +90,9 @@ ThreadPool& SharedThreadPool(std::size_t min_threads, bool* created = nullptr);
 void ShutdownSharedThreadPool();
 
 /// Per-query execution counters, exposed on the context so callers can
-/// observe what the parallel engine actually did.
+/// observe what the parallel engine actually did. Every counter is a
+/// std::size_t and is listed once more, with its JSON key, in the table
+/// MergeFrom and ToJson walk (executor.cc).
 struct ExecStats {
   /// Operations that ran the parallel partition/merge path.
   std::size_t parallel_runs = 0;
@@ -105,7 +107,7 @@ struct ExecStats {
   std::size_t tasks = 0;
   /// Time spent folding per-partition results into the final, ordered
   /// result, summed over parallel operations.
-  std::uint64_t merge_nanos = 0;
+  std::size_t merge_nanos = 0;
   /// Times this context attached to an already-running shared pool
   /// instead of spawning workers (0 or 1 per context; > 0 summed across
   /// the contexts of repeated queries means thread startup was paid only

@@ -263,6 +263,14 @@ std::shared_ptr<const RollupIndex> RollupIndex::Patch(
   if (dimension.type().category_count() != old.category_count_) {
     return nullptr;
   }
+  // An appended edge must hang a value `old` did not number: a numbered
+  // child's row would be copied below without the new ancestor. The
+  // dimension classifies such an edge as an append when its child was
+  // added in the current append run (a compile between AddValueAuto and
+  // AddOrder numbers it).
+  for (std::size_t e = old.edge_count_; e < edges.size(); ++e) {
+    if (old.DenseOf(edges[e].child) != kNone) return nullptr;
+  }
 
   auto index = std::shared_ptr<RollupIndex>(new RollupIndex());
   index->version_ = dimension.version();

@@ -212,8 +212,8 @@ class RollupIndex {
   /// the fresh values' flat-table rows are computed via closure walks —
   /// old rows are copied with the top id remapped, since appended edges
   /// never change an old value's upward closure. Returns null when the
-  /// patch gate fails (structural drift, reordered values) and the caller
-  /// must Build. Byte-equivalent to Build in every consumable way: a
+  /// patch gate fails (structural drift, reordered values, an appended
+  /// edge whose child `old` already numbered) and the caller must Build. Byte-equivalent to Build in every consumable way: a
   /// fresh value with two ancestors in one category, or a non-Always
   /// appended edge, drops the flat table exactly as Build's gate would.
   static std::shared_ptr<const RollupIndex> Patch(const Dimension& dimension,

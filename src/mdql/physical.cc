@@ -202,29 +202,11 @@ Result<QueryResult> ExecuteFused(const MdObject& source,
   spec.grouping = grouping;
   spec.prob_at = kNowChronon;
   spec.keep = keep_ptr;
-  spec.collect_members = true;
+  // The stream already collapses groups with one member set into the
+  // first, as the formation's set facts do.
   MDDC_ASSIGN_OR_RETURN(std::vector<StreamGroup> groups,
                         AggregateStream(mo, spec, exec));
   if (!bind_error.ok()) return bind_error;
-
-  // The formation interns every group as a set-fact, so two groups with
-  // identical member sets become ONE result fact — related to both key
-  // values, rendered once, labeled by the first-added key (the first
-  // group in canonical order). Replay that collapse here: keep only the
-  // first group per member set. The dropped groups' values are identical
-  // by construction (same members, same fold order), so only the row
-  // count changes.
-  {
-    std::set<std::vector<FactId>> seen;
-    std::vector<StreamGroup> unique;
-    unique.reserve(groups.size());
-    for (StreamGroup& group : groups) {
-      if (seen.insert(std::move(group.member_facts)).second) {
-        unique.push_back(std::move(group));
-      }
-    }
-    groups = std::move(unique);
-  }
 
   std::vector<std::size_t> live_pos(n, 0);
   {

@@ -465,5 +465,121 @@ TEST(AggregateFoldTest, RepresentationChangeTakesTheFullSeal) {
   EXPECT_EQ(served->rows[0].back(), "13") << served->ToString();
 }
 
+// ---- Edges under values an earlier epoch published ----------------------
+
+struct ProductMo {
+  MdObject mo;
+  ValueId category_c;
+  ValueId p1;
+  CategoryTypeIndex product = 0;
+  CategoryTypeIndex category = 0;
+};
+
+/// Product < Category with category C, product P1 -> C and fact 1 -> P1.
+ProductMo BuildProducts() {
+  DimensionTypeBuilder builder("Product");
+  builder.AddCategory("Product", AggregationType::kConstant)
+      .AddCategory("Category", AggregationType::kConstant)
+      .AddOrder("Product", "Category");
+  auto type = builder.Build();
+  EXPECT_TRUE(type.ok()) << type.status();
+  ProductMo out{MdObject("Purchase", {Dimension(*type)},
+                         std::make_shared<FactRegistry>()),
+                ValueId(), ValueId(), *(*type)->Find("Product"),
+                *(*type)->Find("Category")};
+  Dimension& products = out.mo.dimension_mutable(0);
+  out.category_c = products.AddValueAuto(out.category).ValueOrDie();
+  EXPECT_TRUE(products.RepresentationFor(out.category, "Name")
+                  .Set(out.category_c, "C")
+                  .ok());
+  out.p1 = products.AddValueAuto(out.product).ValueOrDie();
+  EXPECT_TRUE(products.AddOrder(out.p1, out.category_c).ok());
+  const FactId fact = out.mo.registry()->Atom(1);
+  EXPECT_TRUE(out.mo.AddFact(fact).ok());
+  EXPECT_TRUE(out.mo.Relate(0, fact, out.p1).ok());
+  return out;
+}
+
+// Epoch 1 appends product P2 with no edge and fact 2 -> P2; epoch 2 hangs
+// P2 under C and appends fact 3 -> P1. P2 was published by epoch 1, so
+// its edge changes a published value's closure: the second batch must
+// take the full seal. Folding it as an append would patch the rollup
+// snapshot with P2's stale row (no category), and both the warm entries
+// and the fused and tree-walk reads would count C as {1, 3}, not
+// {1, 2, 3}.
+TEST(AggregateFoldTest, EdgeUnderAPublishedValueTakesTheFullSeal) {
+  const ProductMo products = BuildProducts();
+  const std::vector<CategoryTypeIndex> by_category =
+      GroupingAt(products.mo, 0, products.category);
+  const AggregateSpec count = SpecFor(AggFunction::Count(0), by_category);
+  const AggregateSpec set_count = SpecFor(AggFunction::SetCount(), by_category);
+  serve::MoStore store;
+  ASSERT_TRUE(store.Publish("mo", products.mo).ok());
+  for (const AggregateSpec& spec : {count, set_count}) {
+    ASSERT_TRUE(store.WarmAggregate("mo", spec.function, spec.grouping).ok());
+  }
+  ValueId p2;
+  ASSERT_TRUE(store
+                  .AppendBatch("mo",
+                               [&](MdObject& draft) {
+                                 MDDC_ASSIGN_OR_RETURN(
+                                     p2, draft.dimension_mutable(0)
+                                             .AddValueAuto(products.product));
+                                 const FactId fact = draft.registry()->Atom(2);
+                                 MDDC_RETURN_NOT_OK(draft.AddFact(fact));
+                                 return draft.Relate(0, fact, p2);
+                               })
+                  .ok());
+  EXPECT_EQ(store.CollectStats().append_batches, 1u);
+  ASSERT_TRUE(store
+                  .AppendBatch("mo",
+                               [&](MdObject& draft) {
+                                 MDDC_RETURN_NOT_OK(
+                                     draft.dimension_mutable(0).AddOrder(
+                                         p2, products.category_c));
+                                 const FactId fact = draft.registry()->Atom(3);
+                                 MDDC_RETURN_NOT_OK(draft.AddFact(fact));
+                                 return draft.Relate(0, fact, products.p1);
+                               })
+                  .ok());
+  const serve::MoStore::Stats stats = store.CollectStats();
+  EXPECT_EQ(stats.append_batches, 1u);
+  EXPECT_EQ(stats.append_fallbacks, 1u);
+
+  const auto snapshot = store.Pin();
+  const serve::PublishedMo* entry = snapshot->Find("mo");
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(entry->preagg, nullptr);
+  const MdObject scratch =
+      entry->mo().WithRegistry(FactRegistry::ForkOf(entry->mo().registry()));
+  for (const AggregateSpec& spec : {count, set_count}) {
+    const MdObject* warm = entry->preagg->Peek(spec.function, spec.grouping);
+    ASSERT_NE(warm, nullptr) << spec.function.name();
+    ExpectMatchesFormation(*warm, scratch, spec, "after the edge");
+    ASSERT_EQ(warm->facts().size(), 1u) << spec.function.name();
+    EXPECT_EQ(
+        warm->registry()->Get(warm->facts().front()).ValueOrDie().members.size(),
+        3u)
+        << spec.function.name();
+  }
+
+  const std::string select = "SELECT COUNT FROM mo BY Product.Category";
+  serve::MdqlServer server(&store);
+  serve::ServerSession session = server.Connect();
+  auto served = session.Execute(select);
+  ASSERT_TRUE(served.ok()) << served.status();
+  mdql::Session plain;
+  mdql::CompileOptions off;
+  off.enable_compiler = false;
+  plain.set_compile_options(off);
+  ASSERT_TRUE(plain.Register("mo", entry->mo()).ok());
+  auto walked = plain.Execute(select);
+  ASSERT_TRUE(walked.ok()) << walked.status();
+  EXPECT_EQ(served->ToString(), walked->ToString());
+  ASSERT_EQ(served->rows.size(), 1u) << served->ToString();
+  EXPECT_EQ(served->rows[0].front(), "C") << served->ToString();
+  EXPECT_EQ(served->rows[0].back(), "3") << served->ToString();
+}
+
 }  // namespace
 }  // namespace mddc

@@ -297,6 +297,54 @@ TEST(RollupIndexTest, EveryMutationKindInvalidatesTheSnapshot) {
   EXPECT_NE(after_edge.get(), after_coalesce.get());
 }
 
+// A value compiled into a snapshot before its parent edge arrives (a
+// compile between AddValueAuto and AddOrder in one append run): the edge
+// is an append, but a patch would copy the value's numbered row, which
+// has no ancestor. The compile must rebuild and see the parent.
+TEST(RollupIndexTest, EdgeUnderANumberedValueRebuildsTheSnapshot) {
+  DimensionTypeBuilder builder("Product");
+  builder.AddCategory("Product", AggregationType::kConstant)
+      .AddCategory("Category", AggregationType::kConstant)
+      .AddOrder("Product", "Category");
+  auto type = builder.Build();
+  ASSERT_TRUE(type.ok()) << type.status();
+  const CategoryTypeIndex product = *(*type)->Find("Product");
+  const CategoryTypeIndex category = *(*type)->Find("Category");
+  Dimension dimension(*type);
+  const ValueId c = dimension.AddValueAuto(category).ValueOrDie();
+  const ValueId p1 = dimension.AddValueAuto(product).ValueOrDie();
+  ASSERT_TRUE(dimension.AddOrder(p1, c).ok());
+  const ValueId p2 = dimension.AddValueAuto(product).ValueOrDie();
+  const std::uint64_t structural = dimension.structural_version();
+  auto numbered = RollupIndex::For(dimension);
+  ASSERT_NE(numbered->DenseOf(p2), RollupIndex::kNone);
+  EXPECT_EQ(numbered->AncestorAt(numbered->DenseOf(p2), category),
+            RollupIndex::kNone);
+
+  ASSERT_TRUE(dimension.AddOrder(p2, c).ok());
+  EXPECT_EQ(dimension.structural_version(), structural)
+      << "an edge under a value of the current append run is an append";
+  ExecStats stats;
+  auto recompiled = RollupIndex::For(dimension, &stats);
+  EXPECT_EQ(stats.index_builds, 1u);
+  EXPECT_EQ(stats.rollup_patches, 0u);
+  ASSERT_TRUE(recompiled->has_flat_table());
+  EXPECT_EQ(recompiled->AncestorAt(recompiled->DenseOf(p2), category),
+            recompiled->DenseOf(c));
+
+  // Byte for byte what a fresh build of the same dimension answers.
+  Dimension copy = dimension;
+  copy.set_compiled_snapshot_slot(nullptr);
+  auto built = RollupIndex::For(copy);
+  ASSERT_EQ(built->value_count(), recompiled->value_count());
+  for (std::uint32_t d = 0; d < built->value_count(); ++d) {
+    for (CategoryTypeIndex at : {product, category}) {
+      EXPECT_EQ(recompiled->AncestorAt(d, at), built->AncestorAt(d, at))
+          << "dense " << d << " at category " << at;
+    }
+  }
+}
+
 TEST(RollupIndexTest, CopiesShareTheSnapshotUntilMutated) {
   Dimension original = BuildStrictDimension();
   auto compiled = RollupIndex::For(original);
