@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "algebra/operators.h"
+#include "common/strings.h"
 #include "engine/executor.h"
 #include "engine/rollup_index.h"
 #include "io/serialize.h"
@@ -45,11 +46,9 @@ struct SyntheticDim {
 SyntheticDim MakeHierarchy(std::size_t fanout, std::size_t depth) {
   DimensionTypeBuilder builder("Synth");
   for (std::size_t level = 0; level < depth; ++level) {
-    builder.AddCategory("L" + std::to_string(level),
-                        AggregationType::kConstant);
+    builder.AddCategory(StrCat("L", level), AggregationType::kConstant);
     if (level > 0) {
-      builder.AddOrder("L" + std::to_string(level - 1),
-                       "L" + std::to_string(level));
+      builder.AddOrder(StrCat("L", level - 1), StrCat("L", level));
     }
   }
   auto type = std::move(builder.Build()).ValueOrDie();
@@ -59,7 +58,7 @@ SyntheticDim MakeHierarchy(std::size_t fanout, std::size_t depth) {
   std::vector<std::vector<ValueId>> levels(depth);
   std::size_t width = 1;
   for (std::size_t level = depth; level-- > 0;) {
-    CategoryTypeIndex category = *type->Find("L" + std::to_string(level));
+    CategoryTypeIndex category = *type->Find(StrCat("L", level));
     for (std::size_t i = 0; i < width; ++i) {
       ValueId id(next_id++);
       (void)dimension.AddValue(category, id);
@@ -72,7 +71,7 @@ SyntheticDim MakeHierarchy(std::size_t fanout, std::size_t depth) {
   }
 
   SyntheticDim result{std::move(dimension), *type->Find("L0"),
-                      *type->Find("L" + std::to_string(depth - 1)),
+                      *type->Find(StrCat("L", depth - 1)),
                       std::move(levels[0])};
   return result;
 }

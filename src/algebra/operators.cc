@@ -1933,8 +1933,8 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
   // run stopped, so folding the delta replays the floating-point and
   // temporal operation sequence a full old-then-new run performs. A seed
   // carries its group's set fact and member count, never the member list:
-  // the registry answers count and largest member in O(1) (set terms stay
-  // resolvable through fork chains), so seeding costs O(groups).
+  // the registry answers count and largest member in O(1) (every copy of
+  // the registry resolves the same ids), so seeding costs O(groups).
   const bool has_class = !spec.function.args().empty();
   const FactRegistry& registry = *mo.registry();
   std::vector<ScanGroup> seeds;

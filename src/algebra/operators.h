@@ -131,7 +131,7 @@ struct AggregateFoldState {
     /// The interned set-fact of the group's canonically sorted members.
     /// A fold never reads the list back: it checks member_count against
     /// the registry's O(1) count and extends the fact by the group's delta
-    /// members (fork chains keep old ids resolvable).
+    /// members (every registry copy keeps old ids resolvable).
     FactId group_fact;
     std::size_t member_count = 0;
     /// Raw left-fold of member coordinate lifespans per dimension, in

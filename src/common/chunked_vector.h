@@ -19,10 +19,10 @@ namespace mddc {
 ///  * A copy shares every chunk: O(chunks) refcount bumps, no element
 ///    copies. Destroying a copy releases its references and frees only
 ///    the chunks no other copy holds.
-///  * Writes are explicit (Mut, MutableRun, push_back, resize) and clone
-///    the one chunk they land in when another copy shares it — push_back
-///    into a shared tail chunk included. Const access never writes: a
-///    reader of a shared chunk can never see a writer's store.
+///  * Writes are explicit (Mut, MutableRun, push_back, Append, resize)
+///    and clone the one chunk they land in when another copy shares it —
+///    an append into a shared tail chunk included. Const access never
+///    writes: a reader of a shared chunk can never see a writer's store.
 ///  * Readers get each chunk as one contiguous span (Chunk, RunFrom), so
 ///    hot loops sweep a pointer per chunk instead of resolving the chunk
 ///    per element.
@@ -36,7 +36,14 @@ namespace mddc {
 /// the draft is sealed and swapped in under the writer mutex. Concurrent
 /// readers that copy the published MO only raise the count. A chunk the
 /// draft cloned is reachable from the draft alone until publication.
-/// Any other use must give a writer the same guarantee.
+/// The same holds for a reader's private copy of a published fact
+/// registry (FactRegistry::ForkOf, which the MDQL tree walk interns
+/// into): the reader pinned the epoch, so the published registry keeps
+/// every chunk the copy shares alive, and the copy's own reference,
+/// taken on the reader's thread before any load of the count there,
+/// keeps what that thread reads at 2 or more. A chunk the copy cloned is
+/// the reader's alone. Any other use must give a writer the same
+/// guarantee.
 template <typename T>
 class ChunkedVector {
  public:
@@ -104,6 +111,22 @@ class ChunkedVector {
     tail.push_back(std::move(value));
     data_.back() = tail.data();
     ++size_;
+  }
+
+  /// Appends `values` in order, one chunk run at a time: what fits in
+  /// the tail chunk (cloned first when shared, as for push_back), then
+  /// fresh chunks.
+  void Append(std::span<const T> values) {
+    for (std::size_t done = 0; done < values.size();) {
+      Storage& tail = Tail();
+      const std::span<const T> run = values.subspan(
+          done,
+          std::min(values.size() - done, kChunkSize - (size_ & kChunkMask)));
+      tail.insert(tail.end(), run.begin(), run.end());
+      data_.back() = tail.data();
+      size_ += run.size();
+      done += run.size();
+    }
   }
 
   /// Pads with value-initialized elements so that a run of `n` elements

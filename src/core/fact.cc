@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <type_traits>
 
 #include "common/strings.h"
 
@@ -29,29 +31,15 @@ void Canonicalize(std::vector<FactId>& members) {
 
 std::shared_ptr<FactRegistry> FactRegistry::ForkOf(
     std::shared_ptr<const FactRegistry> base) {
-  auto fork = std::make_shared<FactRegistry>();
+  auto copy = std::make_shared<FactRegistry>();
   if (base != nullptr) {
-    fork->base_size_ = base->size();
-    fork->base_stored_members_ = base->stored_member_ids();
-    fork->fork_depth_ = base->fork_depth_ + 1;
-    fork->base_ = std::move(base);
+    copy->terms_ = base->terms_;
+    copy->members_ = base->members_;
+    copy->atom_index_ = base->atom_index_;
+    copy->pair_index_ = base->pair_index_;
+    copy->set_index_ = base->set_index_;
   }
-  return fork;
-}
-
-std::shared_ptr<FactRegistry> FactRegistry::Flatten() const {
-  auto flat = std::make_shared<FactRegistry>();
-  flat->terms_.reserve(size());
-  // Ids are contiguous down the chain (a fork's first id is its base's
-  // size), so copying each link's terms root first preserves every id.
-  std::vector<const FactRegistry*> chain;
-  for (const FactRegistry* r = this; r != nullptr; r = r->base_.get()) {
-    chain.push_back(r);
-  }
-  for (auto link = chain.rbegin(); link != chain.rend(); ++link) {
-    for (const Stored& term : (*link)->terms_) flat->Intern(term);
-  }
-  return flat;
+  return copy;
 }
 
 void FactRegistry::CheckUnsealed() const {
@@ -78,14 +66,21 @@ const FlatHashIndex& FactRegistry::TableFor(FactTerm::Kind kind) const {
 template <typename Eq>
 FactId FactRegistry::Find(FactTerm::Kind kind, std::uint64_t hash,
                           const Eq& eq) const {
-  for (const FactRegistry* r = this; r != nullptr; r = r->base_.get()) {
-    const std::uint32_t ordinal = r->TableFor(kind).Find(
-        hash, [&](std::uint32_t o) { return eq(r->terms_[o]); });
-    if (ordinal != FlatHashIndex::kNone) {
-      return FactId(r->base_size_ + ordinal);
-    }
+  const std::uint32_t ordinal = TableFor(kind).Find(
+      hash, [&](std::uint32_t o) { return eq(terms_[o]); });
+  return ordinal == FlatHashIndex::kNone ? FactId() : FactId(ordinal);
+}
+
+template <typename Fn>
+bool FactRegistry::ForEachMemberRun(std::size_t begin, std::size_t n,
+                                    const Fn& fn) const {
+  for (std::size_t done = 0; done < n;) {
+    const std::span<const FactId> run = members_.RunFrom(begin + done);
+    const std::size_t take = std::min(run.size(), n - done);
+    if (!fn(done, run.first(take))) return false;
+    done += take;
   }
-  return FactId();
+  return true;
 }
 
 FactId FactRegistry::Atom(std::uint64_t external_key) {
@@ -98,8 +93,7 @@ FactId FactRegistry::Atom(std::uint64_t external_key) {
   Stored term;
   term.kind = FactTerm::Kind::kAtom;
   term.atom = external_key;
-  term.hash = hash;
-  return Intern(std::move(term));
+  return Intern(hash, term);
 }
 
 FactId FactRegistry::Pair(FactId a, FactId b) {
@@ -113,8 +107,7 @@ FactId FactRegistry::Pair(FactId a, FactId b) {
   term.kind = FactTerm::Kind::kPair;
   term.first = a;
   term.second = b;
-  term.hash = hash;
-  return Intern(std::move(term));
+  return Intern(hash, term);
 }
 
 FactId FactRegistry::Set(std::vector<FactId> members) {
@@ -128,9 +121,8 @@ FactId FactRegistry::Set(std::vector<FactId> members) {
   Stored term;
   term.kind = FactTerm::Kind::kSet;
   term.count = members.size();
-  term.members = std::move(members);
   term.hash = hash;
-  return Intern(std::move(term));
+  return Intern(hash, term, members);
 }
 
 FactId FactRegistry::SetExtending(FactId base, std::vector<FactId> tail) {
@@ -143,8 +135,8 @@ FactId FactRegistry::SetExtending(FactId base, std::vector<FactId> tail) {
   }
   Canonicalize(tail);
   if (tail.empty()) return base;
-  if (!stored_base->members.empty() &&
-      !(stored_base->members.back() < tail.front())) {
+  const FactId largest = LargestOf(*stored_base);
+  if (largest.valid() && !(largest < tail.front())) {
     // The tail interleaves the base: the union is an ordinary set.
     std::vector<FactId> all = MembersOf(*stored_base);
     all.insert(all.end(), tail.begin(), tail.end());
@@ -159,7 +151,13 @@ FactId FactRegistry::SetExtending(FactId base, std::vector<FactId> tail) {
   const FactId found = Find(FactTerm::Kind::kSet, hash, [&](const Stored& s) {
     if (s.count != count) return false;
     if (s.base == base) {
-      return std::equal(s.members.begin(), s.members.end(), tail.begin());
+      return ForEachMemberRun(
+          s.begin, s.own,
+          [&](std::size_t offset, std::span<const FactId> run) {
+            return std::equal(run.begin(), run.end(),
+                              tail.begin() +
+                                  static_cast<std::ptrdiff_t>(offset));
+          });
     }
     if (whole.empty()) {
       whole = MembersOf(*stored_base);
@@ -172,9 +170,8 @@ FactId FactRegistry::SetExtending(FactId base, std::vector<FactId> tail) {
   term.kind = FactTerm::Kind::kSet;
   term.base = base;
   term.count = count;
-  term.members = std::move(tail);
   term.hash = hash;
-  return Intern(std::move(term));
+  return Intern(hash, term, tail);
 }
 
 bool FactRegistry::MembersEqual(const Stored& set,
@@ -183,10 +180,15 @@ bool FactRegistry::MembersEqual(const Stored& set,
   // base's, so the links match the list's segments from the back.
   std::size_t end = full.size();
   for (const Stored* s = &set;; s = FindStored(s->base)) {
-    const std::size_t n = s->members.size();
-    if (n > end ||
-        !std::equal(s->members.begin(), s->members.end(),
-                    full.begin() + static_cast<std::ptrdiff_t>(end - n))) {
+    const std::size_t n = s->own;
+    if (n > end) return false;
+    const std::span<const FactId> segment = full.subspan(end - n, n);
+    if (!ForEachMemberRun(
+            s->begin, n, [&](std::size_t offset, std::span<const FactId> run) {
+              return std::equal(run.begin(), run.end(),
+                                segment.begin() +
+                                    static_cast<std::ptrdiff_t>(offset));
+            })) {
       return false;
     }
     end -= n;
@@ -198,23 +200,21 @@ std::vector<FactId> FactRegistry::MembersOf(const Stored& set) const {
   std::vector<FactId> members(set.count);
   std::size_t end = set.count;
   for (const Stored* s = &set;; s = FindStored(s->base)) {
-    end -= s->members.size();
-    std::copy(s->members.begin(), s->members.end(),
-              members.begin() + static_cast<std::ptrdiff_t>(end));
+    end -= s->own;
+    ForEachMemberRun(s->begin, s->own,
+                     [&](std::size_t offset, std::span<const FactId> run) {
+                       std::copy(run.begin(), run.end(),
+                                 members.begin() +
+                                     static_cast<std::ptrdiff_t>(end + offset));
+                       return true;
+                     });
     if (!s->base.valid()) break;
   }
   return members;
 }
 
-const FactRegistry::Stored* FactRegistry::FindStored(FactId id) const {
-  if (!id.valid()) return nullptr;
-  for (const FactRegistry* r = this; r != nullptr; r = r->base_.get()) {
-    if (id.raw() >= r->base_size_) {
-      const std::size_t local = id.raw() - r->base_size_;
-      return local < r->terms_.size() ? &r->terms_[local] : nullptr;
-    }
-  }
-  return nullptr;
+FactId FactRegistry::LargestOf(const Stored& set) const {
+  return set.own == 0 ? FactId() : members_[set.begin + set.own - 1];
 }
 
 Result<FactTerm> FactRegistry::Get(FactId id) const {
@@ -237,10 +237,7 @@ std::optional<FactRegistry::SetShape> FactRegistry::ShapeOfSet(
   if (stored == nullptr || stored->kind != FactTerm::Kind::kSet) {
     return std::nullopt;
   }
-  // An extension's tail is never empty and sits above its base.
-  return SetShape{stored->count, stored->members.empty()
-                                     ? FactId()
-                                     : stored->members.back()};
+  return SetShape{stored->count, LargestOf(*stored)};
 }
 
 std::string FactRegistry::ToString(FactId id) const {
@@ -264,12 +261,21 @@ std::string FactRegistry::ToString(FactId id) const {
   return "<unknown>";
 }
 
-FactId FactRegistry::Intern(Stored term) {
+FactId FactRegistry::Intern(std::uint64_t hash, Stored term,
+                            std::span<const FactId> own) {
+  static_assert(std::is_trivially_copyable_v<Stored>);
+  if (own.size() > std::numeric_limits<std::uint32_t>::max()) {
+    std::cerr << "FactRegistry: a set term of " << own.size()
+              << " own members exceeds the 32-bit member count\n";
+    std::abort();
+  }
   const auto ordinal = static_cast<std::uint32_t>(terms_.size());
-  TableFor(term.kind).Insert(term.hash, ordinal);
-  stored_members_ += term.members.size();
-  terms_.push_back(std::move(term));
-  return FactId(base_size_ + ordinal);
+  TableFor(term.kind).Insert(hash, ordinal);
+  term.own = static_cast<std::uint32_t>(own.size());
+  term.begin = members_.size();
+  members_.Append(own);
+  terms_.push_back(term);
+  return FactId(ordinal);
 }
 
 }  // namespace mddc

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/chunked_vector.h"
 #include "common/flat_hash.h"
 #include "common/id.h"
 #include "common/result.h"
@@ -50,45 +51,40 @@ struct FactTerm {
 /// stores only the batch. The two storages are one identity: a set has
 /// one id however it was first interned, and Get/ToString always return
 /// the whole sorted member list.
+///
+/// Storage is laid out like a FactDimRelation's (docs/memory_layout.md):
+/// the terms are trivially copyable records in a ChunkedVector, indexed
+/// by id; every set term's own member ids (a plain set's whole list, an
+/// extension's tail) sit in one append-only ChunkedVector<FactId> pool;
+/// and the three dedup tables are flat. A copy (ForkOf) shares every term
+/// and member chunk and duplicates only the tables' slot arrays.
 class FactRegistry {
  public:
   FactRegistry() = default;
   FactRegistry(const FactRegistry&) = delete;
   FactRegistry& operator=(const FactRegistry&) = delete;
 
-  /// An O(1) copy-on-write fork: the new registry resolves every id the
-  /// base knows through the (immutable) base and interns new terms
-  /// locally, with ids continuing where the base stops. Ids are therefore
-  /// stable across the fork — a fact interned before the fork has the same
-  /// id in every fork, and two forks that intern the same sequence of new
-  /// terms assign the same new ids.
+  /// An unsealed copy of `base` (an empty registry for null) that shares
+  /// every term and member chunk with it and copies the three tables'
+  /// slot arrays (12 bytes a slot). Ids are stable across the copy — a
+  /// fact interned before it has the same id in both, and two copies that
+  /// intern the same sequence of new terms assign the same new ids — and
+  /// interning into the copy clones only the tail chunks it appends to,
+  /// so `base` never sees it.
   ///
-  /// The base MUST be frozen: no call may mutate it once a fork exists
-  /// (the MVCC serving tier guarantees this by construction — published
-  /// epochs are immutable and their registries sealed, and writers fork
-  /// before mutating). Forks of the same frozen base are independent;
-  /// concurrent use of different forks is safe because each fork only
-  /// reads the base. A fork starts unsealed.
+  /// The copy only reads `base`: any number of threads may copy one
+  /// registry at once while nothing interns into it (the MVCC serving
+  /// tier copies published, sealed registries; ChunkedVector says why
+  /// sharing chunks with such copies is sound).
   static std::shared_ptr<FactRegistry> ForkOf(
       std::shared_ptr<const FactRegistry> base);
-
-  /// A deep, flat copy preserving every id: collapses a fork chain into a
-  /// fresh, unsealed root registry (fork_depth() == 0). Each stored term
-  /// is copied as stored, with its stored hash — extensions stay
-  /// extensions and no member list is rehashed — so a flatten costs
-  /// O(terms + stored_member_ids()). The writer path flattens when chains
-  /// grow so published lookups stay O(log n), not O(epochs).
-  std::shared_ptr<FactRegistry> Flatten() const;
-
-  /// Number of overlay links back to a root registry (0 for a root).
-  std::size_t fork_depth() const { return fork_depth_; }
 
   /// Marks the registry read-only: from here on every intern call (Atom,
   /// Pair, Set, SetExtending) aborts with a diagnostic, even for a term
   /// that is already present. The serving tier seals a draft's registry
   /// at publication (MdObject::WarmAndFreezeForPublish), so a read path
   /// that interns into shared published state fails loudly instead of
-  /// racing; readers that derive facts work on a fork.
+  /// racing; readers that derive facts work on a ForkOf it.
   void Seal() { sealed_ = true; }
   bool sealed() const { return sealed_; }
 
@@ -103,14 +99,14 @@ class FactRegistry {
   FactId Set(std::vector<FactId> members);
 
   /// Interns the set base ∪ tail, where `base` is a set term of this
-  /// registry (or its fork chain; anything else aborts as misuse). The
-  /// tail is sorted and deduplicated; an empty tail returns `base`. When
-  /// every tail member lies above the base's largest member the term is
-  /// stored as an extension — the base id and the tail — and hashed by
-  /// continuing the base's stored FNV-1a chain over the tail, which
-  /// equals hashing the whole list; otherwise the union is interned as a
-  /// plain Set. Either way the id is the one Set(base members + tail)
-  /// returns, whichever of the two is interned first.
+  /// registry (anything else aborts as misuse). The tail is sorted and
+  /// deduplicated; an empty tail returns `base`. When every tail member
+  /// lies above the base's largest member the term is stored as an
+  /// extension — the base id and the tail — and hashed by continuing the
+  /// base's stored FNV-1a chain over the tail, which equals hashing the
+  /// whole list; otherwise the union is interned as a plain Set. Either
+  /// way the id is the one Set(base members + tail) returns, whichever of
+  /// the two is interned first.
   FactId SetExtending(FactId base, std::vector<FactId> tail);
 
   /// Looks up the structure of a fact; a set term's members come back
@@ -126,15 +122,23 @@ class FactRegistry {
   };
   std::optional<SetShape> ShapeOfSet(FactId id) const;
 
-  /// Number of interned terms, including everything visible through the
-  /// base chain.
-  std::size_t size() const { return base_size_ + terms_.size(); }
+  /// Number of interned terms.
+  std::size_t size() const { return terms_.size(); }
 
-  /// Member ids held by the stored set terms, including everything
-  /// visible through the base chain: a plain set counts all its members,
-  /// an extension only its tail. Maintained at intern time, so O(1).
-  std::size_t stored_member_ids() const {
-    return base_stored_members_ + stored_members_;
+  /// Member ids held by the stored set terms: a plain set counts all its
+  /// members, an extension only its tail. The member pool's size, O(1).
+  std::size_t stored_member_ids() const { return members_.size(); }
+
+  /// Storage chunks of the term and member arrays, and how many of them
+  /// are the very same chunks `other` holds at the same positions: what a
+  /// copy shares and its interning since un-shared (tests and
+  /// docs/memory_layout.md measure it).
+  std::size_t chunk_count() const {
+    return terms_.chunk_count() + members_.chunk_count();
+  }
+  std::size_t SharedChunksWith(const FactRegistry& other) const {
+    return terms_.SharedChunksWith(other.terms_) +
+           members_.SharedChunksWith(other.members_);
   }
 
   /// Renders a fact: atoms print their key ("2"), pairs "(1,2)", sets
@@ -142,30 +146,37 @@ class FactRegistry {
   std::string ToString(FactId id) const;
 
  private:
-  /// A term as stored. Sets keep their full member count, the set term
-  /// they extend (invalid for a plain set) and their own members — all of
-  /// them for a plain set, only the tail above the base for an extension.
-  /// `hash` is the FNV-1a hash of the whole term (a set's: word by word
-  /// over its sorted members), kept so extensions continue it and Flatten
-  /// never recomputes it.
+  /// A term as stored; trivially copyable, so a cloned chunk is one flat
+  /// copy. A set keeps its whole member count, the set term it extends
+  /// (invalid for a plain set) and where its own members sit in members_:
+  /// all of a plain set's, only an extension's tail above its base. `hash`
+  /// is the FNV-1a hash of a set's whole list (word by word over its
+  /// sorted members), kept so an extension continues it.
   struct Stored {
     FactTerm::Kind kind = FactTerm::Kind::kAtom;
-    std::uint64_t atom = 0;
-    FactId first;
-    FactId second;
-    FactId base;
-    std::size_t count = 0;
-    std::vector<FactId> members;
-    std::uint64_t hash = 0;
+    std::uint32_t own = 0;    // kSet: member ids it holds in members_
+    std::uint64_t atom = 0;   // kAtom
+    FactId first;             // kPair
+    FactId second;            // kPair
+    FactId base;              // kSet
+    std::uint64_t begin = 0;  // kSet: where its own members start
+    std::uint64_t count = 0;  // kSet
+    std::uint64_t hash = 0;   // kSet
   };
 
   /// Aborts with a diagnostic when the registry is sealed.
   void CheckUnsealed() const;
 
-  /// Probes the fork chain for a term of `kind` with `hash` for which
+  /// Probes the table of `kind` for a term with `hash` for which
   /// `eq(stored)` holds; invalid when there is none.
   template <typename Eq>
   FactId Find(FactTerm::Kind kind, std::uint64_t hash, const Eq& eq) const;
+
+  /// Calls `fn(offset, run)` on the pool runs covering members_[begin,
+  /// begin + n), one chunk run at a time, `offset` counting from `begin`;
+  /// stops at the first call that returns false. True when none did.
+  template <typename Fn>
+  bool ForEachMemberRun(std::size_t begin, std::size_t n, const Fn& fn) const;
 
   /// True when set term `set` has exactly the members `full` (ascending,
   /// full.size() == set.count), walking its extension chain without
@@ -175,8 +186,14 @@ class FactRegistry {
   /// The whole sorted member list of set term `set`.
   std::vector<FactId> MembersOf(const Stored& set) const;
 
-  /// Appends `term` (absent from the whole chain) as the next local id.
-  FactId Intern(Stored term);
+  /// The largest member of set term `set`: the last of its own members
+  /// (an extension's tail is never empty); invalid for the empty set.
+  FactId LargestOf(const Stored& set) const;
+
+  /// Appends `term` (absent from the tables) as the next id under `hash`,
+  /// with `own` (a set's own members) bulk-appended to the pool.
+  FactId Intern(std::uint64_t hash, Stored term,
+                std::span<const FactId> own = {});
 
   const FlatHashIndex& TableFor(FactTerm::Kind kind) const;
   FlatHashIndex& TableFor(FactTerm::Kind kind) {
@@ -184,24 +201,21 @@ class FactRegistry {
         static_cast<const FactRegistry*>(this)->TableFor(kind));
   }
 
-  /// The stored term for `id`, resolving through the base chain; nullptr
-  /// when unknown.
-  const Stored* FindStored(FactId id) const;
+  /// The stored term for `id`; nullptr when unknown.
+  const Stored* FindStored(FactId id) const {
+    return id.valid() && id.raw() < terms_.size() ? &terms_[id.raw()]
+                                                  : nullptr;
+  }
 
-  /// Frozen parent registry of a fork (null for a root); ids below
-  /// base_size_ resolve through it.
-  std::shared_ptr<const FactRegistry> base_;
-  std::size_t base_size_ = 0;
-  std::size_t base_stored_members_ = 0;
-  std::size_t fork_depth_ = 0;
   bool sealed_ = false;
+  ChunkedVector<Stored> terms_;    // id = index
+  ChunkedVector<FactId> members_;  // set terms' own members, intern order
 
-  std::vector<Stored> terms_;  // local terms; id = base_size_ + index
-  std::size_t stored_members_ = 0;  // members held by local set terms
-
-  // Open-addressing dedup tables, one per term kind; ordinals are local
-  // term indexes, equality probes compare against terms_ directly (no
-  // second key store, no tree nodes — docs/memory_layout.md).
+  // Open-addressing dedup tables, one per term kind; ordinals are ids,
+  // equality probes compare against terms_ and members_ directly (no
+  // second key store, no tree nodes — docs/memory_layout.md). A copy
+  // duplicates their slot arrays: a table filled in hash order does not
+  // chunk.
   FlatHashIndex atom_index_;
   FlatHashIndex pair_index_;
   FlatHashIndex set_index_;

@@ -132,8 +132,8 @@ class MdObject {
   /// fork, and the MDQL tree walk works on one (ExecuteSelectTreeWalk),
   /// so neither the facts a draft adds nor the set facts a read derives
   /// ever touch a published MO's sealed registry. `registry` must
-  /// resolve every id this MO references (a fork or flat copy of the
-  /// current registry does, id-stably).
+  /// resolve every id this MO references (a ForkOf the current registry
+  /// does, id-stably).
   MdObject WithRegistry(std::shared_ptr<FactRegistry> registry) const;
 
   /// Prepares this MO for lock-free concurrent reads and marks every

@@ -10,15 +10,6 @@ namespace mddc {
 namespace serve {
 namespace {
 
-/// Fork chains longer than this are collapsed before the next draft:
-/// each mutation batch adds one overlay, and resolving a fact id walks
-/// the chain, so unbounded depth would slowly tax every reader of later
-/// epochs. Eight keeps the walk trivial while amortizing the flatten over
-/// eight batches. A flatten copies each stored term with its stored hash:
-/// the formations' member lists, but of a group a fold grew only the
-/// members its epochs appended (FactRegistry::SetExtending).
-constexpr std::size_t kMaxForkDepth = 8;
-
 /// The pure-append gate of AppendBatch: true iff `draft` is `published`
 /// plus appended facts only. The published fact list must be a prefix of
 /// the draft's (facts are sorted, so the tail is then both ascending and
@@ -256,10 +247,11 @@ Status MoStore::Publish(std::string name, MdObject mo) {
     return Status::InvariantViolation(
         StrCat("MO '", name, "' is already published; use Mutate"));
   }
-  // Seal the registry into a private flat copy: the caller may keep
-  // interning into its own registry, which must not be visible to (or
-  // racy with) readers of the published epoch.
-  MdObject draft = mo.WithRegistry(mo.registry()->Flatten());
+  // Seal a private copy of the registry: it shares the caller's chunks,
+  // and the caller's later interning clones the tail chunks it appends
+  // to, so none of it is visible to (or racy with) readers of the
+  // published epoch.
+  MdObject draft = mo.WithRegistry(FactRegistry::ForkOf(mo.registry()));
   MDDC_ASSIGN_OR_RETURN(std::shared_ptr<const PublishedMo> sealed,
                         Seal(std::move(draft), warm_specs_[name]));
   return SwapLocked(name, std::move(sealed));
@@ -318,17 +310,9 @@ Status MoStore::AppendBatch(const std::string& name,
 }
 
 MdObject MoStore::DraftOf(const MdObject& published) {
-  // A fork of the sealed registry keeps the writer's interning invisible
+  // A copy of the sealed registry keeps the writer's interning invisible
   // to readers pinned on any epoch.
-  const std::shared_ptr<FactRegistry>& sealed = published.registry();
-  std::shared_ptr<FactRegistry> registry;
-  if (sealed->fork_depth() >= kMaxForkDepth) {
-    registry = sealed->Flatten();
-    ++registry_flattens_;
-  } else {
-    registry = FactRegistry::ForkOf(sealed);
-  }
-  return published.WithRegistry(std::move(registry));
+  return published.WithRegistry(FactRegistry::ForkOf(published.registry()));
 }
 
 Status MoStore::MutateLocked(const std::string& name,
@@ -385,7 +369,6 @@ MoStore::Stats MoStore::CollectStats() const {
   PruneRetiredLocked();
 
   stats.epochs_published = epochs_published_;
-  stats.registry_flattens = registry_flattens_;
   stats.reclaimed_snapshots = reclaimed_;
   // Every observer left may still be released by its last reader before
   // this returns; those count as live here and as reclaimed next time.

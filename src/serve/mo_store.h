@@ -96,8 +96,9 @@ class MoStore {
   std::uint64_t epoch() const { return Pin()->epoch(); }
 
   /// Publishes `mo` under `name` in a new epoch. The MO's registry is
-  /// flattened into a private sealed copy, so the caller's registry is
-  /// never shared with readers. Fails if the name is already published.
+  /// copied into a private sealed one (FactRegistry::ForkOf, sharing its
+  /// chunks), so the caller's registry is never shared with readers.
+  /// Fails if the name is already published.
   Status Publish(std::string name, MdObject mo);
 
   /// Removes `name` in a new epoch, with its warm specs. Pinned
@@ -106,8 +107,9 @@ class MoStore {
 
   /// Applies `mutator` to a draft copy of the published MO and swaps the
   /// re-sealed result in as a new epoch. Mutations are serialized; the
-  /// draft's registry is a fork of the published one (flattened every
-  /// few generations), so concurrent readers never observe interning.
+  /// draft's registry is a copy of the published one that shares its
+  /// chunks (FactRegistry::ForkOf), so concurrent readers never observe
+  /// interning.
   /// If the mutator fails the draft is discarded and no epoch is
   /// published.
   ///
@@ -152,7 +154,10 @@ class MoStore {
 
   struct Stats {
     std::uint64_t epochs_published = 0;  ///< swaps since construction
-    std::uint64_t registry_flattens = 0;  ///< fork chains collapsed
+    /// Always 0: nothing flattens a registry, since a draft's copy
+    /// shares the published one's chunks. Kept because perfbench reads
+    /// it (serve.registry_flattens_per_write).
+    std::uint64_t registry_flattens = 0;
     std::uint64_t reclaimed_snapshots = 0;  ///< retired epochs fully released
     std::size_t live_snapshots = 0;  ///< current + retired-but-still-pinned
     /// Weak observers of retired epochs the store held when asked,
@@ -175,10 +180,9 @@ class MoStore {
   Status SwapLocked(const std::string& name,
                     std::shared_ptr<const PublishedMo> entry);
 
-  /// The writer's draft of a published MO: a copy whose registry is a
-  /// fork of the sealed one, or a flat copy once the fork chain reaches
-  /// kMaxForkDepth (counted in registry_flattens_). Caller holds
-  /// writer_mu_.
+  /// The writer's draft of a published MO: a copy whose registry is an
+  /// unsealed copy of the sealed one, sharing its term and member chunks
+  /// (FactRegistry::ForkOf). Caller holds writer_mu_.
   MdObject DraftOf(const MdObject& published);
 
   /// Mutate() body; caller holds writer_mu_.
@@ -211,7 +215,6 @@ class MoStore {
   std::size_t retired_after_prune_ = 8;        // writer_mu_
   mutable std::uint64_t reclaimed_ = 0;        // writer_mu_
   std::uint64_t epochs_published_ = 0;         // writer_mu_
-  std::uint64_t registry_flattens_ = 0;        // writer_mu_
   std::uint64_t append_batches_ = 0;           // writer_mu_
   std::uint64_t append_fallbacks_ = 0;         // writer_mu_
 };

@@ -113,14 +113,20 @@ TYPED_TEST(ChunkedVectorTest, RandomizedDifferentialAgainstAVector) {
     const std::size_t v = rng() % chunked.size();
     switch (rng() % 8) {
       case 0:
-      case 1:
-      case 2: {  // push_back, in bursts that cross chunk boundaries
+      case 1: {  // push_back, in bursts that cross chunk boundaries
         const std::size_t burst = 1 + rng() % (C / 3);
         for (std::size_t i = 0; i < burst; ++i) {
           chunked[v].push_back(ValueFor<T>(next));
           expected[v].push_back(ValueFor<T>(next));
           ++next;
         }
+        break;
+      }
+      case 2: {  // one bulk Append, up to two and a half chunks long
+        std::vector<T> values(rng() % (2 * C + C / 2));
+        for (T& value : values) value = ValueFor<T>(next++);
+        chunked[v].Append(values);
+        expected[v].insert(expected[v].end(), values.begin(), values.end());
         break;
       }
       case 3: {  // one mutable write
@@ -215,6 +221,19 @@ TYPED_TEST(ChunkedVectorTest, ACopySharesEveryChunkAndAWriteUnsharesOne) {
   EXPECT_EQ(appended.SharedChunksWith(source), 3u);
   EXPECT_EQ(source.size(), 3 * C + C / 2);
   EXPECT_EQ(source.Chunk(3).size(), C / 2);
+
+  // A bulk Append clones the shared tail, fills it and adds fresh
+  // chunks; the source keeps its elements.
+  ChunkedVector<T> bulk = source;
+  const std::vector<T> values(C + 3, ValueFor<T>(4242));
+  bulk.Append(values);
+  EXPECT_EQ(bulk.size(), 4 * C + C / 2 + 3);
+  EXPECT_EQ(bulk.chunk_count(), 5u);
+  EXPECT_EQ(bulk.SharedChunksWith(source), 3u);
+  EXPECT_EQ(bulk[3 * C + C / 2], ValueFor<T>(4242));
+  EXPECT_EQ(bulk.back(), ValueFor<T>(4242));
+  EXPECT_EQ(source.size(), 3 * C + C / 2);
+  EXPECT_EQ(source.back(), ValueFor<T>(3 * C + C / 2 - 1));
 
   // Filling a full tail adds a chunk and shares all the old ones.
   ChunkedVector<T> full;

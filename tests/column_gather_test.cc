@@ -696,9 +696,11 @@ TEST(ColumnGatherConcurrencyTest, ReadersNeverBuildColumnsOfPublishedEpochs) {
   // Each recorded read equals the reference over the epoch it pinned.
   for (const std::vector<Seen>* seen : {&seen_a, &seen_b}) {
     for (const Seen& read : *seen) {
-      // A private registry: the epoch's own may have been forked since.
+      // A private registry copy: the epoch's own is sealed, and the
+      // formation interns its set facts.
       const MdObject& pinned = read.snapshot->Find("retail")->mo();
-      const MdObject copy = pinned.WithRegistry(pinned.registry()->Flatten());
+      const MdObject copy =
+          pinned.WithRegistry(FactRegistry::ForkOf(pinned.registry()));
       auto expected = reference::AggregateFormation(
           copy, SpecFor(AggFunction::Sum(retail.amount_dim), by_city));
       ASSERT_TRUE(expected.ok()) << expected.status();

@@ -203,21 +203,27 @@ TEST(FactRegistryExtensionTest, IdentityHoldsAcrossForksAndFlatten) {
   EXPECT_EQ(fork2->Get(deep)->members,
             (std::vector<FactId>{f[0], f[1], f[3], f[4], f[6], f[7]}));
 
-  // Flatten copies the terms as stored: same ids, same stored members,
-  // same answers, and identity keeps holding both ways.
-  std::shared_ptr<FactRegistry> flat = fork2->Flatten();
-  EXPECT_EQ(flat->size(), fork2->size());
-  EXPECT_EQ(flat->stored_member_ids(), fork2->stored_member_ids());
-  for (std::uint64_t raw = 0; raw < flat->size(); ++raw) {
-    EXPECT_TRUE(*flat->Get(FactId(raw)) == *fork2->Get(FactId(raw)))
+  // A copy of the second fork holds the terms as stored: same ids, same
+  // stored members, same answers, and identity keeps holding both ways.
+  std::shared_ptr<FactRegistry> copy =
+      FactRegistry::ForkOf(std::shared_ptr<const FactRegistry>(fork2));
+  EXPECT_EQ(copy->size(), fork2->size());
+  EXPECT_EQ(copy->stored_member_ids(), fork2->stored_member_ids());
+  for (std::uint64_t raw = 0; raw < copy->size(); ++raw) {
+    EXPECT_TRUE(*copy->Get(FactId(raw)) == *fork2->Get(FactId(raw)))
         << "id " << raw;
-    EXPECT_EQ(flat->ToString(FactId(raw)), fork2->ToString(FactId(raw)));
+    EXPECT_EQ(copy->ToString(FactId(raw)), fork2->ToString(FactId(raw)));
   }
-  const std::size_t size = flat->size();
-  EXPECT_EQ(flat->Set({f[0], f[1], f[3], f[4], f[6], f[7]}), deep);
-  EXPECT_EQ(flat->SetExtending(ext_first, {f[7], f[6]}), deep);
-  EXPECT_EQ(flat->SetExtending(base, {f[2], f[5]}), plain_first);
-  EXPECT_EQ(flat->size(), size);
+  const std::size_t size = copy->size();
+  EXPECT_EQ(copy->Set({f[0], f[1], f[3], f[4], f[6], f[7]}), deep);
+  EXPECT_EQ(copy->SetExtending(ext_first, {f[7], f[6]}), deep);
+  EXPECT_EQ(copy->SetExtending(base, {f[2], f[5]}), plain_first);
+  EXPECT_EQ(copy->size(), size);
+  // The forks below the copy saw none of its interning.
+  const FactId only_in_copy = copy->SetExtending(deep, {copy->Atom(100)});
+  EXPECT_EQ(copy->Get(only_in_copy)->members.size(), 7u);
+  EXPECT_EQ(fork2->size(), size);
+  EXPECT_FALSE(fork2->Get(only_in_copy).ok());
 }
 
 // ---- Sealing ----------------------------------------------------------------
@@ -237,9 +243,13 @@ TEST(FactRegistrySealTest, ForksAndFlattensOfASealedRegistryIntern) {
   EXPECT_EQ(fork->Atom(1), a);
   EXPECT_EQ(fork->SetExtending(set, {fork->Atom(2)}),
             fork->Set({a, fork->Atom(2)}));
-  std::shared_ptr<FactRegistry> flat = root->Flatten();
-  EXPECT_FALSE(flat->sealed());
-  EXPECT_EQ(flat->Set({a}), set);
+  // A second copy of the sealed root starts from the root, not from the
+  // first copy's interning.
+  std::shared_ptr<FactRegistry> second = FactRegistry::ForkOf(root);
+  EXPECT_FALSE(second->sealed());
+  EXPECT_EQ(second->size(), root->size());
+  EXPECT_EQ(second->Set({a}), set);
+  EXPECT_EQ(root->size(), 2u);
 }
 
 TEST(FactRegistrySealDeathTest, InterningIntoASealedRegistryAborts) {

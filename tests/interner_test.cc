@@ -7,6 +7,7 @@
 
 #include "common/flat_hash.h"
 #include "common/interner.h"
+#include "common/strings.h"
 
 namespace mddc {
 namespace {
@@ -129,11 +130,11 @@ TEST(StringInternerTest, SurvivesRehashGrowth) {
   constexpr int kCount = 10000;
   std::vector<StringId> ids;
   for (int i = 0; i < kCount; ++i) {
-    ids.push_back(interner.Intern("k" + std::to_string(i * 7919)));
+    ids.push_back(interner.Intern(StrCat("k", i * 7919)));
   }
   EXPECT_EQ(interner.size(), static_cast<std::size_t>(kCount));
   for (int i = 0; i < kCount; ++i) {
-    const std::string key = "k" + std::to_string(i * 7919);
+    const std::string key = StrCat("k", i * 7919);
     EXPECT_EQ(interner.Find(key), ids[i]);
     EXPECT_EQ(interner.View(ids[i]), key);
   }

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/chunked_vector.h"
 #include "core/fact.h"
 #include "core/fact_dim_relation.h"
 
@@ -285,37 +290,45 @@ TEST(FactRegistryDifferentialTest, FlatHashMatchesOrderedMapReference) {
                    /*operations=*/2000);
 }
 
-TEST(FactRegistryDifferentialTest, ForkInternFlattenKeepsIdsStable) {
+TEST(FactRegistryDifferentialTest, ForkInternForkInternKeepsIdsStable) {
   auto root = std::make_shared<FactRegistry>();
   ReferenceRegistry reference;
   ReplayHistory history;
   ReplayAndCompare(*root, reference, history, /*seed=*/1u, /*operations=*/500);
-  // Fork: the overlay must resolve base terms to their original ids and
+  // A copy must resolve the source's terms to their original ids and
   // continue the id sequence for new terms — exactly what the single
-  // reference registry does when simply replayed further.
+  // reference registry does when simply replayed further — while the
+  // source sees none of the copy's interning.
+  const std::size_t root_size = root->size();
   std::shared_ptr<FactRegistry> fork = FactRegistry::ForkOf(root);
-  EXPECT_EQ(fork->fork_depth(), 1u);
   EXPECT_EQ(fork->size(), reference.size());
+  EXPECT_EQ(fork->stored_member_ids(), root->stored_member_ids());
+  EXPECT_EQ(fork->SharedChunksWith(*root), root->chunk_count());
   ReplayAndCompare(*fork, reference, history, /*seed=*/2u, /*operations=*/500);
+  EXPECT_EQ(root->size(), root_size);
 
-  // A second-generation fork, then flatten: ids must survive both.
+  // A copy of the copy, interned into twice more: ids survive both.
   std::shared_ptr<FactRegistry> fork2 =
       FactRegistry::ForkOf(std::shared_ptr<const FactRegistry>(fork));
-  ReplayAndCompare(*fork2, reference, history, /*seed=*/3u,
-                   /*operations=*/500);
-  std::shared_ptr<FactRegistry> flat = fork2->Flatten();
-  EXPECT_EQ(flat->fork_depth(), 0u);
-  EXPECT_EQ(flat->size(), reference.size());
-  EXPECT_EQ(flat->stored_member_ids(), fork2->stored_member_ids());
-  // Every structure resolves identically pre- and post-flatten...
-  for (std::uint64_t raw = 0; raw < flat->size(); ++raw) {
-    auto before = fork2->Get(FactId(raw));
-    auto after = flat->Get(FactId(raw));
+  EXPECT_EQ(fork2->size(), reference.size());
+  EXPECT_EQ(fork2->stored_member_ids(), fork->stored_member_ids());
+  // Every structure resolves identically in the copy and its source...
+  for (std::uint64_t raw = 0; raw < fork->size(); ++raw) {
+    auto before = fork->Get(FactId(raw));
+    auto after = fork2->Get(FactId(raw));
     ASSERT_TRUE(before.ok() && after.ok()) << "id " << raw;
     EXPECT_TRUE(*before == *after) << "id " << raw;
   }
   // ...and further identical interning stays in agreement.
-  ReplayAndCompare(*flat, reference, history, /*seed=*/4u, /*operations=*/500);
+  const std::size_t fork_size = fork->size();
+  ReplayAndCompare(*fork2, reference, history, /*seed=*/3u,
+                   /*operations=*/500);
+  std::shared_ptr<FactRegistry> fork3 =
+      FactRegistry::ForkOf(std::shared_ptr<const FactRegistry>(fork2));
+  ReplayAndCompare(*fork3, reference, history, /*seed=*/4u,
+                   /*operations=*/500);
+  EXPECT_EQ(fork->size(), fork_size);
+  EXPECT_EQ(root->size(), root_size);
 }
 
 TEST(FactRegistryDifferentialTest, SiblingForksAssignTheSameNewIds) {
@@ -331,6 +344,257 @@ TEST(FactRegistryDifferentialTest, SiblingForksAssignTheSameNewIds) {
   EXPECT_EQ(left->Pair(FactId(1), FactId(2)), right->Pair(FactId(1), FactId(2)));
   EXPECT_EQ(left->Set({FactId(3), FactId(4)}),
             right->Set({FactId(4), FactId(3), FactId(4)}));
+}
+
+// ---- FactRegistry member pool chunks and concurrent copies ----------------
+
+constexpr std::size_t kPoolChunk = ChunkedVector<FactId>::kChunkSize;
+
+/// How FactRegistry::ToString renders a set of atoms whose keys are their
+/// ids: "{3,4,9}".
+std::string RenderAtomSet(const std::vector<FactId>& members) {
+  std::string text = "{";
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (i > 0) text += ",";
+    text += std::to_string(members[i].raw());
+  }
+  return text + "}";
+}
+
+/// Set term `id` of `registry` holds exactly `whole` (ascending), through
+/// every read: Get, ShapeOfSet and ToString (for atoms keyed by their id).
+void ExpectSetReads(const FactRegistry& registry, FactId id,
+                    const std::vector<FactId>& whole) {
+  auto term = registry.Get(id);
+  ASSERT_TRUE(term.ok()) << "id " << id;
+  EXPECT_EQ(term->kind, FactTerm::Kind::kSet) << "id " << id;
+  EXPECT_EQ(term->members, whole) << "id " << id;
+  const auto shape = registry.ShapeOfSet(id);
+  ASSERT_TRUE(shape.has_value()) << "id " << id;
+  EXPECT_EQ(shape->count, whole.size()) << "id " << id;
+  EXPECT_EQ(shape->largest, whole.empty() ? FactId() : whole.back())
+      << "id " << id;
+  EXPECT_EQ(registry.ToString(id), RenderAtomSet(whole)) << "id " << id;
+}
+
+TEST(FactRegistryChunkTest, SetsStraddlingPoolChunksMatchTheReference) {
+  auto registry = std::make_shared<FactRegistry>();
+  ReferenceRegistry reference;
+  // Atoms keyed by their ids, so a set renders as its member ids.
+  std::vector<FactId> atoms;
+  for (std::uint64_t key = 0; key < 4 * kPoolChunk; ++key) {
+    atoms.push_back(registry->Atom(key));
+    ASSERT_EQ(atoms.back(), reference.Atom(key));
+  }
+  auto range = [&](std::size_t from, std::size_t to) {
+    return std::vector<FactId>(
+        atoms.begin() + static_cast<std::ptrdiff_t>(from),
+        atoms.begin() + static_cast<std::ptrdiff_t>(to));
+  };
+  auto concat = [](std::vector<FactId> a, const std::vector<FactId>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  // Every set interned so far, with its whole sorted member list.
+  std::vector<std::pair<FactId, std::vector<FactId>>> sets;
+  auto plain = [&](FactRegistry& r, std::vector<FactId> whole) {
+    const FactId id = r.Set(whole);
+    EXPECT_EQ(id, reference.Set(whole));
+    sets.emplace_back(id, std::move(whole));
+    return id;
+  };
+  auto extend = [&](FactRegistry& r, FactId base,
+                    const std::vector<FactId>& base_whole,
+                    const std::vector<FactId>& tail) {
+    const FactId id = r.SetExtending(base, tail);
+    std::vector<FactId> whole = concat(base_whole, tail);
+    EXPECT_EQ(id, reference.Set(whole));
+    sets.emplace_back(id, std::move(whole));
+    return id;
+  };
+
+  // A plain set of more than a chunk: pool [0, 1500) straddles 1,024.
+  const std::size_t big_size = kPoolChunk + kPoolChunk / 2 - 36;
+  plain(*registry, range(0, big_size));
+  EXPECT_EQ(registry->stored_member_ids(), big_size);
+  // A plain set filling the pool to 5 below the next boundary, then an
+  // extension whose 10-member tail crosses it.
+  const std::size_t pad = 2 * kPoolChunk - 5 - big_size;
+  const FactId padding = plain(*registry, range(big_size, big_size + pad));
+  extend(*registry, padding, range(big_size, big_size + pad),
+         range(big_size + pad, big_size + pad + 10));
+  ASSERT_EQ(registry->stored_member_ids(), 2 * kPoolChunk + 5);
+
+  // A chain of extensions, 97 members a link, with a small plain set
+  // between links so the links scatter across the pool's chunks; one
+  // link's tail is longer than a chunk.
+  FactId link = plain(*registry, range(0, 1));
+  std::vector<FactId> link_whole = range(0, 1);
+  std::size_t next = 1;
+  for (int i = 0; i < 30; ++i) {
+    const std::size_t n = i == 12 ? kPoolChunk + 40 : 97;
+    const std::vector<FactId> tail = range(next, next + n);
+    link = extend(*registry, link, link_whole, tail);
+    link_whole = concat(std::move(link_whole), tail);
+    next += n;
+    plain(*registry, range(next, next + 1 + i % 3));
+  }
+  ASSERT_GT(next, 3 * kPoolChunk);
+  EXPECT_EQ(registry->size(), reference.size());
+
+  // A copy shares the pool and extends the chain past another boundary:
+  // its first append clones the shared tail chunk, then adds fresh ones.
+  std::shared_ptr<FactRegistry> copy =
+      FactRegistry::ForkOf(std::shared_ptr<const FactRegistry>(registry));
+  const std::size_t original_size = registry->size();
+  const std::size_t original_sets = sets.size();
+  const std::size_t tail_from = next;
+  const FactId in_copy = extend(*copy, link, link_whole,
+                                range(tail_from, 4 * kPoolChunk));
+  EXPECT_GE(copy->SharedChunksWith(*registry), registry->chunk_count() - 2);
+  EXPECT_EQ(registry->size(), original_size);
+  EXPECT_FALSE(registry->Get(in_copy).ok());
+
+  // Every set reads whole and re-interns, plainly or as an extension, to
+  // its id, in the registry that holds it; the copy holds them all.
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const auto& [id, whole] = sets[i];
+    SCOPED_TRACE(testing::Message() << "set " << i << " id " << id);
+    ExpectSetReads(*copy, id, whole);
+    if (i < original_sets) ExpectSetReads(*registry, id, whole);
+    EXPECT_EQ(copy->Set(whole), id);
+    EXPECT_EQ(reference.Set(whole), id);
+    if (!whole.empty()) {
+      const std::vector<FactId> first(whole.begin(), whole.begin() + 1);
+      const FactId head = copy->Set(first);
+      EXPECT_EQ(head, reference.Set(first));
+      EXPECT_EQ(copy->SetExtending(
+                    head, std::vector<FactId>(whole.begin() + 1, whole.end())),
+                id);
+    }
+  }
+  EXPECT_EQ(copy->size(), reference.size());
+}
+
+// Readers copy the sealed published registry and intern into their
+// copies while a writer drafts on its own copy, interns and publishes,
+// epoch after epoch; the pools cross chunk boundaries as they grow. Every
+// copy resolves every published id the way the registry it copied does,
+// and no interning reaches a published registry.
+TEST(FactRegistryConcurrencyTest,
+     ReaderCopiesResolvePublishedIdsDuringPublishes) {
+  constexpr int kEpochs = 40;
+  constexpr int kReaders = 2;
+  std::mutex mu;  // guards `published`, like MoStore's pin mutex
+  std::shared_ptr<const FactRegistry> published;
+  ReferenceRegistry reference;
+  {
+    auto root = std::make_shared<FactRegistry>();
+    std::vector<FactId> members;
+    for (std::uint64_t key = 0; key < kPoolChunk - 10; ++key) {
+      members.push_back(root->Atom(key));
+      (void)reference.Atom(key);
+    }
+    EXPECT_EQ(root->Set(members), reference.Set(members));
+    root->Seal();
+    published = std::move(root);
+  }
+  auto pin = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return published;
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> failures{0};
+  std::atomic<std::size_t> rounds{0};
+  auto reader = [&](std::uint64_t reader_id) {
+    for (std::uint64_t round = 0; !done.load(std::memory_order_acquire) ||
+                                  round < 2;
+         ++round) {
+      const std::shared_ptr<const FactRegistry> pinned = pin();
+      const std::size_t size = pinned->size();
+      const std::size_t stored = pinned->stored_member_ids();
+      std::shared_ptr<FactRegistry> copy = FactRegistry::ForkOf(pinned);
+      if (copy->SharedChunksWith(*pinned) != pinned->chunk_count()) {
+        ++failures;
+      }
+      // The copy's own terms: atoms above every published id, a set of
+      // them, and an extension of the newest published term (a set).
+      std::vector<FactId> mine;
+      for (std::uint64_t i = 0; i < 40; ++i) {
+        mine.push_back(copy->Atom((reader_id + 1) * 1000000000ull +
+                                  round * 64 + i));
+      }
+      const FactId own_set = copy->Set(mine);
+      const FactId newest(size - 1);
+      const FactId extended = copy->SetExtending(newest, mine);
+      std::vector<FactId> whole = copy->Get(newest)->members;
+      whole.insert(whole.end(), mine.begin(), mine.end());
+      if (copy->Get(extended)->members != whole ||
+          copy->Get(own_set)->members != mine ||
+          copy->size() != size + mine.size() + 2) {
+        ++failures;
+      }
+      // Every published id resolves in the copy as in the registry it
+      // copied, and re-interns to itself.
+      for (std::uint64_t raw = 0; raw < size; ++raw) {
+        const auto want = pinned->Get(FactId(raw));
+        const auto got = copy->Get(FactId(raw));
+        if (!want.ok() || !got.ok() || !(*want == *got)) {
+          ++failures;
+          continue;
+        }
+        const FactId again = want->kind == FactTerm::Kind::kAtom
+                                 ? copy->Atom(want->atom)
+                                 : copy->Set(want->members);
+        if (again != FactId(raw)) ++failures;
+      }
+      // Nothing the copy interned reached the published registry.
+      if (pinned->size() != size || pinned->stored_member_ids() != stored ||
+          pinned->Get(extended).ok()) {
+        ++failures;
+      }
+      ++rounds;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back(reader, static_cast<std::uint64_t>(r));
+  }
+
+  // The writer: each epoch a fresh draft of the published registry gets
+  // 70 atoms, a plain set of 40 of them and an extension of the previous
+  // epoch's newest set, then is sealed and published.
+  FactId newest_set(published->size() - 1);
+  std::vector<FactId> newest_whole = published->Get(newest_set)->members;
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    std::shared_ptr<FactRegistry> draft = FactRegistry::ForkOf(pin());
+    std::vector<FactId> batch;
+    for (std::uint64_t i = 0; i < 70; ++i) {
+      const std::uint64_t key =
+          500000000ull + static_cast<std::uint64_t>(epoch) * 100 + i;
+      batch.push_back(draft->Atom(key));
+      EXPECT_EQ(batch.back(), reference.Atom(key));
+    }
+    const std::vector<FactId> plain(batch.begin(), batch.begin() + 40);
+    EXPECT_EQ(draft->Set(plain), reference.Set(plain));
+    const std::vector<FactId> tail(batch.begin() + 40, batch.end());
+    newest_set = draft->SetExtending(newest_set, tail);
+    newest_whole.insert(newest_whole.end(), tail.begin(), tail.end());
+    EXPECT_EQ(newest_set, reference.Set(newest_whole));
+    EXPECT_EQ(draft->size(), reference.size());
+    draft->Seal();
+    std::lock_guard<std::mutex> lock(mu);
+    published = std::move(draft);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& thread : readers) thread.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GE(rounds.load(), static_cast<std::size_t>(2 * kReaders));
+  // The published pool crossed chunk boundaries on the way.
+  EXPECT_GT(published->stored_member_ids(), 3 * kPoolChunk);
+  EXPECT_EQ(published->Get(newest_set)->members, newest_whole);
+  EXPECT_EQ(published->ShapeOfSet(newest_set)->count, newest_whole.size());
 }
 
 }  // namespace
