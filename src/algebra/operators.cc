@@ -44,8 +44,7 @@ std::size_t HashUint64(std::uint64_t raw) {
 }
 
 /// Query-lifetime scratch container (docs/memory_layout.md): bumps the
-/// context's arena, and is exactly std::vector under a null arena (a Join
-/// called without a context).
+/// context's arena.
 template <typename T>
 using ArenaVec = std::vector<T, ArenaAllocator<T>>;
 
@@ -252,6 +251,8 @@ Result<MdObject> Difference(const MdObject& m1, const MdObject& m2) {
 
 Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
                       JoinPredicate predicate, ExecContext* exec) {
+  ExecContext sequential;
+  if (exec == nullptr) exec = &sequential;
   MDDC_RETURN_NOT_OK(RequireSharedRegistry(m1, m2, "join"));
   // Dimension names must be disjoint; the paper prescribes rename for
   // self-joins.
@@ -279,7 +280,7 @@ Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
   const std::vector<FactId>& facts2 = m2.facts();  // sorted by id
 
   bool parallel = false;
-  if (exec != nullptr && exec->num_threads > 1) {
+  if (exec->num_threads > 1) {
     if (exec->WantsParallel(facts1.size())) {
       parallel = true;
     } else {
@@ -292,11 +293,9 @@ Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
   // 1. Match lists, one disjoint slot per m1 fact, each in ascending m2
   //    scan order. The equi-join probes m2's sorted fact set instead of
   //    scanning it — identical matches, n1 log n2 instead of n1 * n2.
-  //    Lists live in the context's bump arenas (each list in the arena of
-  //    the partition that fills it, so workers never share an arena);
-  //    without a context they fall back to the heap unchanged.
-  std::optional<ArenaResetGuard> arena_guard;
-  if (exec != nullptr) arena_guard.emplace(*exec);
+  //    Lists live in the context's bump arenas, each list in the arena
+  //    of the partition that fills it, so workers never share an arena.
+  ArenaResetGuard arena_guard{*exec};
   const std::size_t num_partitions = parallel ? exec->num_threads : 1;
   if (parallel) exec->EnsureWorkerArenas(num_partitions);
   std::vector<ArenaVec<FactId>> matches;
@@ -305,7 +304,7 @@ Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
     Arena* arena =
         parallel
             ? &exec->worker_arena(HashUint64(facts1[f].raw()) % num_partitions)
-            : (exec != nullptr ? &exec->arena : nullptr);
+            : &exec->arena;
     matches.emplace_back(ArenaAllocator<FactId>(arena));
   }
   auto match_one = [&](std::size_t f) {

@@ -82,7 +82,8 @@ enum class JoinPredicate { kEqual, kNotEqual, kTrue };
 /// Status, errors selected in dimension order). A context asking for
 /// parallelism on an m1 below min_parallel_facts counts a
 /// sequential_fallback. Unlike aggregate formation there is no
-/// summarizability gate: the join touches no aggregate values.
+/// summarizability gate: the join touches no aggregate values. A null
+/// `exec` means a fresh one-thread context.
 Result<MdObject> Join(const MdObject& m1, const MdObject& m2,
                       JoinPredicate predicate, ExecContext* exec = nullptr);
 

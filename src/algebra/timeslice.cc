@@ -28,36 +28,19 @@ Lifespan Residual(const Lifespan& life, Axis axis) {
   return result;
 }
 
-/// `index` (nullable) is a compiled snapshot of `dimension`: the value
-/// scan then walks the dense value/category/membership arrays — laid out
-/// in the same ascending-ValueId order AllValues() iterates — instead of
-/// paying two map lookups per value. Every other step (edge scan in
-/// insertion order, representation carry-over) is shared, so the sliced
-/// dimension is bit-identical with or without the snapshot.
+/// `index` is a compiled snapshot of `dimension`: the value scan walks
+/// its dense value/category/membership arrays, laid out in ascending
+/// ValueId order, instead of paying two map lookups per value.
 Result<Dimension> TimesliceDimension(const Dimension& dimension, Chronon t,
-                                     Axis axis,
-                                     const RollupIndex* index = nullptr) {
+                                     Axis axis, const RollupIndex& index) {
   Dimension result(dimension.type_ptr());
-  if (index != nullptr) {
-    for (std::uint32_t d = 0; d < index->value_count(); ++d) {
-      if (d == index->top_dense()) continue;
-      const Lifespan& membership = index->MembershipOfDense(d);
-      if (!Component(membership, axis).Contains(t)) continue;
-      MDDC_RETURN_NOT_OK(result.AddValue(index->CategoryOfDense(d),
-                                         index->ValueOf(d),
-                                         Residual(membership, axis)));
-    }
-  } else {
-    for (ValueId value : dimension.AllValues()) {
-      if (value == dimension.top_value()) continue;
-      MDDC_ASSIGN_OR_RETURN(Lifespan membership,
-                            dimension.MembershipOf(value));
-      if (!Component(membership, axis).Contains(t)) continue;
-      MDDC_ASSIGN_OR_RETURN(CategoryTypeIndex category,
-                            dimension.CategoryOf(value));
-      MDDC_RETURN_NOT_OK(
-          result.AddValue(category, value, Residual(membership, axis)));
-    }
+  for (std::uint32_t d = 0; d < index.value_count(); ++d) {
+    if (d == index.top_dense()) continue;
+    const Lifespan& membership = index.MembershipOfDense(d);
+    if (!Component(membership, axis).Contains(t)) continue;
+    MDDC_RETURN_NOT_OK(result.AddValue(index.CategoryOfDense(d),
+                                       index.ValueOf(d),
+                                       Residual(membership, axis)));
   }
   for (const Dimension::Edge& edge : dimension.edges()) {
     if (!Component(edge.life, axis).Contains(t)) continue;
@@ -82,17 +65,17 @@ Result<Dimension> TimesliceDimension(const Dimension& dimension, Chronon t,
 }
 
 Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
-                           TemporalType new_type, ExecContext* exec) {
+                           TemporalType new_type, ExecContext& exec) {
   const std::size_t n = mo.dimension_count();
   // No summarizability gate: every output cell depends only on one input
   // cell and `t`, so slicing is always safely parallel. A context asking
   // for parallelism on too small an input counts a fallback, like Join.
   bool parallel = false;
-  if (exec != nullptr && exec->num_threads > 1) {
-    if (exec->WantsParallel(mo.fact_count())) {
+  if (exec.num_threads > 1) {
+    if (exec.WantsParallel(mo.fact_count())) {
       parallel = true;
     } else {
-      ++exec->stats.sequential_fallbacks;
+      ++exec.stats.sequential_fallbacks;
     }
   }
   if (parallel) {
@@ -105,14 +88,11 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
   // Compiled snapshots for the dense value scan. Obtained on the query
   // thread — For() may write the snapshot slot — so the fan-out below
   // only reads them. The dense path needs no strictness gate (it uses
-  // only the value/category/membership arrays), so any context-carrying
-  // caller takes it, sequential included.
+  // only the value/category/membership arrays).
   std::vector<std::shared_ptr<const RollupIndex>> indexes(n);
-  if (exec != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      indexes[i] = RollupIndex::For(mo.dimension(i), &exec->stats);
-      ++exec->stats.index_hits;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    indexes[i] = RollupIndex::For(mo.dimension(i), &exec.stats);
+    ++exec.stats.index_hits;
   }
 
   // 1. Slice the dimensions, one independent result slot each; the first
@@ -122,11 +102,11 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
   dimensions.reserve(n);
   if (parallel) {
     std::vector<std::optional<Result<Dimension>>> slots(n);
-    exec->pool().ParallelFor(n, [&](std::size_t i) {
+    exec.pool().ParallelFor(n, [&](std::size_t i) {
       slots[i].emplace(
-          TimesliceDimension(mo.dimension(i), t, axis, indexes[i].get()));
+          TimesliceDimension(mo.dimension(i), t, axis, *indexes[i]));
     });
-    exec->stats.tasks += n;
+    exec.stats.tasks += n;
     for (std::size_t i = 0; i < n; ++i) {
       MDDC_RETURN_NOT_OK(slots[i]->status());
       dimensions.push_back(std::move(*slots[i]).ValueOrDie());
@@ -135,7 +115,7 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
     for (std::size_t i = 0; i < n; ++i) {
       MDDC_ASSIGN_OR_RETURN(
           Dimension sliced,
-          TimesliceDimension(mo.dimension(i), t, axis, indexes[i].get()));
+          TimesliceDimension(mo.dimension(i), t, axis, *indexes[i]));
       dimensions.push_back(std::move(sliced));
     }
   }
@@ -154,9 +134,9 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
     const Dimension& dimension = result.dimension(i);
     if (parallel && !entries.empty()) {
       const std::size_t chunks =
-          std::min(entries.size(), exec->num_threads * 4);
+          std::min(entries.size(), exec.num_threads * 4);
       std::vector<std::vector<std::pair<std::size_t, Lifespan>>> kept(chunks);
-      exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
+      exec.pool().ParallelFor(chunks, [&](std::size_t chunk) {
         const std::size_t begin = chunk * entries.size() / chunks;
         const std::size_t end = (chunk + 1) * entries.size() / chunks;
         for (std::size_t e = begin; e < end; ++e) {
@@ -166,7 +146,7 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
           kept[chunk].emplace_back(e, Residual(entry.life, axis));
         }
       });
-      exec->stats.tasks += chunks;
+      exec.stats.tasks += chunks;
       for (const auto& chunk : kept) {
         for (const auto& [e, life] : chunk) {
           MDDC_RETURN_NOT_OK(
@@ -192,8 +172,8 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
   const std::vector<FactId>& facts = mo.facts();
   if (parallel && !facts.empty()) {
     std::vector<unsigned char> covered(facts.size(), 0);
-    const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-    exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
+    const std::size_t chunks = std::min(facts.size(), exec.num_threads * 4);
+    exec.pool().ParallelFor(chunks, [&](std::size_t chunk) {
       const std::size_t begin = chunk * facts.size() / chunks;
       const std::size_t end = (chunk + 1) * facts.size() / chunks;
       for (std::size_t f = begin; f < end; ++f) {
@@ -207,12 +187,12 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
         covered[f] = all ? 1 : 0;
       }
     });
-    exec->stats.tasks += chunks;
+    exec.stats.tasks += chunks;
     for (std::size_t f = 0; f < facts.size(); ++f) {
       if (covered[f] != 0) MDDC_RETURN_NOT_OK(result.AddFact(facts[f]));
     }
-    ++exec->stats.parallel_runs;
-    ++exec->stats.timeslice_parallel_runs;
+    ++exec.stats.parallel_runs;
+    ++exec.stats.timeslice_parallel_runs;
   } else {
     for (FactId fact : facts) {
       bool all = true;
@@ -237,6 +217,8 @@ Result<MdObject> Timeslice(const MdObject& mo, Chronon t, Axis axis,
 
 Result<MdObject> ValidTimeslice(const MdObject& mo, Chronon t,
                                 ExecContext* exec) {
+  ExecContext sequential;
+  if (exec == nullptr) exec = &sequential;
   TemporalType new_type;
   switch (mo.temporal_type()) {
     case TemporalType::kValidTime:
@@ -251,11 +233,13 @@ Result<MdObject> ValidTimeslice(const MdObject& mo, Chronon t,
                  "this MO is ",
                  TemporalTypeName(mo.temporal_type())));
   }
-  return Timeslice(mo, t, Axis::kValid, new_type, exec);
+  return Timeslice(mo, t, Axis::kValid, new_type, *exec);
 }
 
 Result<MdObject> TransactionTimeslice(const MdObject& mo, Chronon t,
                                       ExecContext* exec) {
+  ExecContext sequential;
+  if (exec == nullptr) exec = &sequential;
   TemporalType new_type;
   switch (mo.temporal_type()) {
     case TemporalType::kTransactionTime:
@@ -270,12 +254,7 @@ Result<MdObject> TransactionTimeslice(const MdObject& mo, Chronon t,
                  "bitemporal MOs; this MO is ",
                  TemporalTypeName(mo.temporal_type())));
   }
-  return Timeslice(mo, t, Axis::kTransaction, new_type, exec);
-}
-
-Result<Dimension> ValidTimesliceDimension(const Dimension& dimension,
-                                          Chronon t) {
-  return TimesliceDimension(dimension, t, Axis::kValid);
+  return Timeslice(mo, t, Axis::kTransaction, new_type, *exec);
 }
 
 }  // namespace mddc

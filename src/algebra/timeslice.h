@@ -23,7 +23,8 @@ struct ExecContext;  // engine/executor.h
 /// order, and fact coverage is checked into per-fact flags. Errors land
 /// in per-slot Status vectors and the first one in deterministic slot
 /// order is returned, so io::WriteMo of the parallel slice is
-/// byte-identical to the sequential one at any thread count.
+/// byte-identical to the sequential one at any thread count. A null
+/// `exec` runs as a fresh sequential context.
 Result<MdObject> ValidTimeslice(const MdObject& mo, Chronon t,
                                 ExecContext* exec = nullptr);
 
@@ -33,11 +34,6 @@ Result<MdObject> ValidTimeslice(const MdObject& mo, Chronon t,
 /// snapshot. Parallelizes exactly as ValidTimeslice.
 Result<MdObject> TransactionTimeslice(const MdObject& mo, Chronon t,
                                       ExecContext* exec = nullptr);
-
-/// Timeslices one dimension on its valid components (used by the MO
-/// operators and exposed for dimension-level analysis).
-Result<Dimension> ValidTimesliceDimension(const Dimension& dimension,
-                                          Chronon t);
 
 }  // namespace mddc
 

@@ -9,12 +9,11 @@ namespace mddc {
 
 void FactDimRelation::CopyFrom(const FactDimRelation& other) {
   // Every chunked array is shared, chunk by chunk: the copy costs the
-  // index tables' slot arrays plus O(chunks), and the copy's first write
+  // index table's slot arrays plus O(chunks), and the copy's first write
   // into a chunk clones that chunk only (docs/ingestion.md).
   entries_ = other.entries_;
   first_edited_entry_ = kNoEdit;
   by_fact_ = other.by_fact_;
-  by_value_ = other.by_value_;
   // A *valid* (sealed) CSR view is index-based, so it stays correct for
   // the copied arrays and is carried over — this is what lets a writer's
   // draft extend the published view's span tail after a batched append
@@ -53,7 +52,6 @@ void FactDimRelation::MoveFrom(FactDimRelation&& other) {
   entries_ = std::move(other.entries_);
   first_edited_entry_ = other.first_edited_entry_;
   by_fact_ = std::move(other.by_fact_);
-  by_value_ = std::move(other.by_value_);
   spans_ = std::move(other.spans_);
   span_entries_ = std::move(other.span_entries_);
   sealed_entry_count_ = other.sealed_entry_count_;
@@ -138,7 +136,6 @@ Status FactDimRelation::Add(FactId fact, ValueId value, const Lifespan& life,
     }
   }
   by_fact_.ListFor(fact).push_back(entries_.size());
-  by_value_.ListFor(value).push_back(entries_.size());
   entries_.push_back(Entry{fact, value, life, prob});
   InvalidateCsr();
   return Status::OK();
@@ -146,10 +143,8 @@ Status FactDimRelation::Add(FactId fact, ValueId value, const Lifespan& life,
 
 void FactDimRelation::ReindexAll() {
   by_fact_.Clear();
-  by_value_.Clear();
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     by_fact_.ListFor(entries_[i].fact).push_back(i);
-    by_value_.ListFor(entries_[i].value).push_back(i);
   }
   // Entry indexes were rewritten wholesale, so the kept CSR layout (and
   // the column aligned with it) is meaningless: drop it and force the
@@ -184,17 +179,6 @@ std::vector<const FactDimRelation::Entry*> FactDimRelation::ForFact(
   return result;
 }
 
-std::vector<const FactDimRelation::Entry*> FactDimRelation::ForValue(
-    ValueId value) const {
-  std::vector<const Entry*> result;
-  const std::uint32_t ordinal = by_value_.FindOrdinal(value);
-  if (ordinal == FlatHashIndex::kNone) return result;
-  for (std::size_t index : by_value_.ListAt(ordinal)) {
-    result.push_back(&entries_[index]);
-  }
-  return result;
-}
-
 namespace {
 // Guards lazy CSR builds on unsealed relations (the RollupIndex SlotMutex
 // idiom): one process-wide mutex, never destroyed, so sealing races from
@@ -210,13 +194,6 @@ FactDimRelation::EntrySpan FactDimRelation::EntryIndexesForFact(
   const std::uint32_t ordinal = by_fact_.FindOrdinal(fact);
   return ordinal == FlatHashIndex::kNone ? EntrySpan{}
                                          : by_fact_.ListAt(ordinal);
-}
-
-FactDimRelation::EntrySpan FactDimRelation::EntryIndexesForValue(
-    ValueId value) const {
-  const std::uint32_t ordinal = by_value_.FindOrdinal(value);
-  return ordinal == FlatHashIndex::kNone ? EntrySpan{}
-                                         : by_value_.ListAt(ordinal);
 }
 
 void FactDimRelation::SealIndexes() const { (void)SealIndexesReporting(); }
@@ -399,8 +376,7 @@ void FactDimRelation::SealDenseColumn(const DenseNumbering& numbering) const {
 
 std::size_t FactDimRelation::chunk_count() const {
   return entries_.chunk_count() + by_fact_.keys.chunk_count() +
-         by_fact_.lists.chunk_count() + by_value_.keys.chunk_count() +
-         by_value_.lists.chunk_count() + spans_.chunk_count() +
+         by_fact_.lists.chunk_count() + spans_.chunk_count() +
          span_entries_.chunk_count() + column_.chunk_count();
 }
 
@@ -409,8 +385,6 @@ std::size_t FactDimRelation::SharedChunksWith(
   return entries_.SharedChunksWith(other.entries_) +
          by_fact_.keys.SharedChunksWith(other.by_fact_.keys) +
          by_fact_.lists.SharedChunksWith(other.by_fact_.lists) +
-         by_value_.keys.SharedChunksWith(other.by_value_.keys) +
-         by_value_.lists.SharedChunksWith(other.by_value_.lists) +
          spans_.SharedChunksWith(other.spans_) +
          span_entries_.SharedChunksWith(other.span_entries_) +
          column_.SharedChunksWith(other.column_);

@@ -28,14 +28,16 @@ namespace mddc {
 /// the same (f,e) twice unions the attached time, so value-equivalent
 /// pairs never exist.
 ///
-/// Storage is flat (docs/memory_layout.md): the by-fact / by-value
-/// indexes are open-addressing hash tables over dense key arrays (no
-/// tree nodes), and sorted-lockstep consumers read a CSR span view built
-/// once per freeze (`FactSpans`). The entries, the key arrays, the CSR
-/// arrays and the dense column are ChunkedVectors: a copy shares their
-/// chunks, and a write clones only the chunk it lands in, so a draft
-/// cloned from a published relation and extended by a batch owns just
-/// the chunks the batch touched.
+/// Storage is flat (docs/memory_layout.md): the by-fact index is an
+/// open-addressing hash table over dense key arrays (no tree nodes), and
+/// sorted-lockstep consumers read a CSR span view built once per freeze
+/// (`FactSpans`). There is no by-value index: the algebra reads R from
+/// fact to value (Sections 3.1 and 4.1), and the one value-first query,
+/// MdObject::FactsWith, scans the entries. The entries, the key arrays,
+/// the CSR arrays and the dense column are ChunkedVectors: a copy shares
+/// their chunks, and a write clones only the chunk it lands in, so a
+/// draft cloned from a published relation and extended by a batch owns
+/// just the chunks the batch touched.
 class FactDimRelation {
  public:
   struct Entry {
@@ -56,7 +58,7 @@ class FactDimRelation {
 
   /// A borrowed contiguous run of entry indexes — the uniform shape hot
   /// loops consume whether the run comes from the CSR view or from a
-  /// per-fact or per-value list.
+  /// per-fact list.
   struct EntrySpan {
     const std::size_t* data = nullptr;
     std::size_t count = 0;
@@ -92,14 +94,10 @@ class FactDimRelation {
   /// The pairs for one fact.
   std::vector<const Entry*> ForFact(FactId fact) const;
 
-  /// The pairs for one dimension value.
-  std::vector<const Entry*> ForValue(ValueId value) const;
-
-  /// No-copy variants of the above for read-only hot loops: indices into
-  /// entries() (empty when the fact/value has no pairs). Invalidated by
-  /// Add and RestrictToFacts.
+  /// No-copy variant of ForFact for read-only hot loops: indices into
+  /// entries() (empty when the fact has no pairs). Invalidated by Add and
+  /// RestrictToFacts.
   EntrySpan EntryIndexesForFact(FactId fact) const;
-  EntrySpan EntryIndexesForValue(ValueId value) const;
 
   /// The CSR by-fact view, facts ascending — for hot loops that walk a
   /// sorted fact list in lockstep, chunk by chunk, instead of issuing one
@@ -203,8 +201,8 @@ class FactDimRelation {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// Storage chunks over every chunked array (entries, key and list
-  /// arrays of both indexes, CSR arrays, dense column), and how many of
+  /// Storage chunks over every chunked array (entries, the by-fact key
+  /// and list arrays, CSR arrays, dense column), and how many of
   /// them are the very same chunks `other` holds at the same positions:
   /// what a copy shares and its writes since un-shared (tests and
   /// docs/memory_layout.md measure it).
@@ -220,8 +218,8 @@ class FactDimRelation {
   static constexpr std::size_t kIndexChunkShift =
       ChunkedVector<std::size_t>::kChunkShift;
 
-  /// One side (by-fact or by-value) of the flat index: open-addressing
-  /// table over dense parallel (key, entry-index-list) arrays.
+  /// The flat by-fact index: an open-addressing table over dense
+  /// parallel (fact, entry-index-list) arrays.
   ///
   /// A copy shares the key and list arrays chunk by chunk and copies the
   /// table's slot arrays flat (12 bytes a slot: a hash table filled in
@@ -233,13 +231,12 @@ class FactDimRelation {
   /// (docs/ingestion.md). Deciding by use_count() is sound because
   /// relation mutation is single-writer (the store's draft) and a shared
   /// source stays alive until the draft is sealed (see ChunkedVector).
-  template <typename Key>
   struct FlatListIndex {
     FlatHashIndex table;
-    ChunkedVector<Key> keys;
+    ChunkedVector<FactId> keys;
     ChunkedVector<std::shared_ptr<std::vector<std::size_t>>> lists;
 
-    std::uint32_t FindOrdinal(Key key) const {
+    std::uint32_t FindOrdinal(FactId key) const {
       return table.Find(Fnv1a64Word(key.raw()), [&](std::uint32_t ordinal) {
         return keys[ordinal] == key;
       });
@@ -247,7 +244,7 @@ class FactDimRelation {
     EntrySpan ListAt(std::uint32_t ordinal) const {
       return EntrySpan::Of(*lists[ordinal]);
     }
-    std::vector<std::size_t>& ListFor(Key key) {
+    std::vector<std::size_t>& ListFor(FactId key) {
       bool inserted = false;
       const std::uint32_t ordinal = table.FindOrInsert(
           Fnv1a64Word(key.raw()), static_cast<std::uint32_t>(keys.size()),
@@ -280,8 +277,7 @@ class FactDimRelation {
 
   ChunkedVector<Entry> entries_;
   std::size_t first_edited_entry_ = kNoEdit;
-  FlatListIndex<FactId> by_fact_;
-  FlatListIndex<ValueId> by_value_;
+  FlatListIndex by_fact_;
 
   /// Splices the entries appended since the last seal onto the span tail;
   /// false when the delta is not a pure in-order append and a full

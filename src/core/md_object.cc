@@ -1,6 +1,8 @@
 #include "core/md_object.h"
 
 #include <algorithm>
+#include <map>
+#include <unordered_map>
 
 #include "common/strings.h"
 
@@ -248,17 +250,6 @@ Lifespan MdObject::CharacterizationSpan(FactId fact, std::size_t dim,
   return Lifespan{TemporalElement::Never(), TemporalElement::Never()};
 }
 
-std::vector<MdObject::Characterization> MdObject::FactsCharacterizedBy(
-    std::size_t dim, ValueId value, Chronon prob_at) const {
-  std::vector<Characterization> result;
-  for (const auto& [fact, characterization] :
-       FactsWith(dim, value, prob_at)) {
-    (void)fact;
-    result.push_back(characterization);
-  }
-  return result;
-}
-
 std::vector<std::pair<FactId, MdObject::Characterization>> MdObject::FactsWith(
     std::size_t dim, ValueId value, Chronon prob_at) const {
   std::vector<std::pair<FactId, Characterization>> result;
@@ -266,30 +257,41 @@ std::vector<std::pair<FactId, MdObject::Characterization>> MdObject::FactsWith(
   const Dimension& dimension = *dimensions_[dim];
   if (!dimension.HasValue(value)) return result;
 
-  // Facts related to `value` directly or to any value contained in it.
+  // Facts related to `value` directly (rank 0) or to its k-th descendant
+  // (rank k + 1). The scan keeps each matching entry with its rank; a
+  // sort by (rank, entry) then replays the witnesses value by value, each
+  // value's entries in insertion order, so every fact's first witness and
+  // its noisy-or order do not depend on how the entries interleave.
+  const std::vector<Dimension::Containment> descendants =
+      dimension.Descendants(value, prob_at);
+  std::unordered_map<std::uint64_t, std::size_t> rank_of;
+  rank_of.reserve(descendants.size() + 1);
+  rank_of.emplace(value.raw(), 0);
+  for (std::size_t k = 0; k < descendants.size(); ++k) {
+    rank_of.emplace(descendants[k].value.raw(), k + 1);
+  }
+  const FactDimRelation& relation = relations_[dim];
+  std::vector<std::pair<std::size_t, std::size_t>> witnesses;  // rank, entry
+  for (std::size_t index = 0; index < relation.size(); ++index) {
+    auto it = rank_of.find(relation.entries()[index].value.raw());
+    if (it != rank_of.end()) witnesses.emplace_back(it->second, index);
+  }
+  std::sort(witnesses.begin(), witnesses.end());
+
+  const Lifespan always = Lifespan::AlwaysSpan();
   std::map<FactId, Characterization> accumulated;
-  auto accumulate = [&](const FactDimRelation::Entry& entry,
-                        const Lifespan& containment, double contain_prob) {
-    Lifespan life = entry.life.Intersect(containment);
-    if (life.Empty()) return;
-    double prob = entry.prob * contain_prob;
+  for (const auto& [rank, index] : witnesses) {
+    const FactDimRelation::Entry& entry = relation.entries()[index];
+    const Lifespan life = entry.life.Intersect(
+        rank == 0 ? always : descendants[rank - 1].life);
+    if (life.Empty()) continue;
+    const double prob =
+        entry.prob * (rank == 0 ? 1.0 : descendants[rank - 1].prob);
     auto [it, inserted] = accumulated.try_emplace(
         entry.fact, Characterization{entry.value, value, life, prob});
     if (!inserted) {
       it->second.life = it->second.life.Union(life);
       it->second.prob = 1.0 - (1.0 - it->second.prob) * (1.0 - prob);
-    }
-  };
-
-  const FactDimRelation& relation = relations_[dim];
-  for (std::size_t index : relation.EntryIndexesForValue(value)) {
-    accumulate(relation.entries()[index], Lifespan::AlwaysSpan(), 1.0);
-  }
-  for (const Dimension::Containment& descendant :
-       dimension.Descendants(value, prob_at)) {
-    for (std::size_t index :
-         relation.EntryIndexesForValue(descendant.value)) {
-      accumulate(relation.entries()[index], descendant.life, descendant.prob);
     }
   }
 

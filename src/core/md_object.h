@@ -163,12 +163,12 @@ class MdObject {
   Lifespan CharacterizationSpan(FactId fact, std::size_t dim,
                                 ValueId value) const;
 
-  /// All facts f with f ~> value in dimension `dim`, with the
-  /// characterization lifespan and probability of each (the building
-  /// block of the algebra's Group function).
-  std::vector<Characterization> FactsCharacterizedBy(
-      std::size_t dim, ValueId value, Chronon prob_at = kNowChronon) const;
-  /// As above but returns (fact, lifespan, prob) triples keyed by fact.
+  /// All facts f with f ~> value in dimension `dim`, ascending by fact,
+  /// each with its characterization lifespan and probability (the
+  /// building block of the algebra's Group function). One scan of the
+  /// relation's entries: a fact's witnesses combine directly related
+  /// entries first, then those of each descendant in Descendants order,
+  /// each group in entry order.
   std::vector<std::pair<FactId, Characterization>> FactsWith(
       std::size_t dim, ValueId value, Chronon prob_at = kNowChronon) const;
 

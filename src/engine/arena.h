@@ -87,12 +87,10 @@ class Arena {
   std::size_t resets_ = 0;
 };
 
-/// A nullable std-allocator adapter over Arena. With a null arena it is
-/// exactly the default heap allocator — the sequential baseline and the
-/// arena-backed execution path share one code path and one container
-/// type, which is what keeps them byte-identical by construction.
-/// Deallocation into an arena is a no-op; memory is reclaimed wholesale
-/// by Arena::Reset at end of statement.
+/// A std-allocator adapter over Arena. Deallocation into an arena is a
+/// no-op; memory is reclaimed wholesale by Arena::Reset at end of
+/// statement. A default-constructed adapter (null arena) is the plain
+/// heap allocator.
 template <typename T>
 class ArenaAllocator {
  public:

@@ -125,9 +125,10 @@ struct ExecStats {
   /// Times a hot path consumed a compiled snapshot instead of map-based
   /// traversal, counted once per operation and dimension: a grouping
   /// dimension of AggregateFormation resolved through the flat rollup
-  /// table, a dimension sliced through the dense arrays, a
-  /// PreAggregateCache rollup answered by flat lookups, or a Join
-  /// operand dimension whose snapshot was compiled/attached at warm-up.
+  /// table, a dimension sliced through the dense arrays (every timeslice
+  /// counts each dimension), a PreAggregateCache rollup answered by flat
+  /// lookups, or an operand dimension of a parallel Join whose snapshot
+  /// was compiled/attached at warm-up.
   std::size_t index_hits = 0;
   /// Times a hot path wanted the flat rollup table but the snapshot's
   /// strictness/non-temporal gate failed, falling back to the memoized
@@ -140,8 +141,7 @@ struct ExecStats {
   std::size_t dense_groupby_runs = 0;
   /// Group-bys answered by the open-addressing flat-hash engine: a
   /// group-by scan whose slot space was too large or not fully indexed,
-  /// or — when an execution context is supplied — a relational group-by
-  /// or a pre-aggregate rollup merge.
+  /// every relational group-by and every pre-aggregate rollup merge.
   std::size_t flat_hash_runs = 0;
   /// Group-by scans that were structurally dense (all grouped
   /// dimensions indexed) but whose slot cross-product exceeded
@@ -173,7 +173,7 @@ struct ExecStats {
   /// byte-identical either way).
   std::size_t plan_fallbacks = 0;
   /// Compiled rollup snapshots produced by patching the previous snapshot
-  /// (dense-remap extension + CSR rebuild over the appended values)
+  /// (dense-remap extension + closure rows for the appended values only)
   /// instead of a full recompile; each also counts an index_builds.
   std::size_t rollup_patches = 0;
   /// Sealed CSR by-fact span views revalidated by extending the span
@@ -221,11 +221,13 @@ struct ExecStats {
 /// Execution context threaded through AggregateFormation, Join, the
 /// timeslice operators, PreAggregateCache::Query/Materialize,
 /// relational::Aggregate and mdql::ExecuteRead. The default context
-/// (num_threads = 1) is the sequential engine; the aggregation entry
-/// points (AggregateFormation, FoldAggregateAppend, AggregateStream)
-/// treat a null context as a fresh default one. A context is owned by one
-/// query thread; the operators it is passed to fan work out to the
-/// shared pool internally, but the context itself is not thread-safe.
+/// (num_threads = 1) is the sequential engine. Each of those entry points
+/// resolves a null context once, to a fresh default one, so the code
+/// below it runs one engine whatever the caller passed: the dense-slot
+/// or flat-hash group-by, arena-backed scratch and rollup-snapshot
+/// lookups. A context is owned by one query thread; the operators it is
+/// passed to fan work out to the shared pool internally, but the context
+/// itself is not thread-safe.
 struct ExecContext {
   ExecContext() = default;
   ExecContext(std::size_t threads, std::size_t min_facts)

@@ -49,6 +49,8 @@ const MdObject* PreAggregateCache::Peek(
 Result<MdObject> PreAggregateCache::Query(
     const AggFunction& function,
     const std::vector<CategoryTypeIndex>& grouping, ExecContext* exec) {
+  ExecContext sequential;
+  if (exec == nullptr) exec = &sequential;
   Key key{function.name(), grouping};
   if (auto it = entries_.find(key); it != entries_.end()) {
     ++stats_.exact_hits;
@@ -58,7 +60,7 @@ Result<MdObject> PreAggregateCache::Query(
   bool refused = false;
   if (const Entry* reusable = FindReusable(function, grouping, &refused);
       reusable != nullptr) {
-    auto rolled = RollUpCached(*reusable, function, grouping, exec);
+    auto rolled = RollUpCached(*reusable, function, grouping, *exec);
     if (rolled.ok()) {
       ++stats_.rollup_hits;
       Entry entry{grouping, *rolled, AggregationType::kConstant, function,
@@ -193,7 +195,7 @@ const PreAggregateCache::Entry* PreAggregateCache::FindReusable(
 
 Result<MdObject> PreAggregateCache::RollUpCached(
     const Entry& entry, const AggFunction& function,
-    const std::vector<CategoryTypeIndex>& grouping, ExecContext* exec) const {
+    const std::vector<CategoryTypeIndex>& grouping, ExecContext& exec) const {
   const MdObject& cached = entry.result;
   const std::size_t n = grouping.size();
 
@@ -209,21 +211,19 @@ Result<MdObject> PreAggregateCache::RollUpCached(
 
   // Compiled snapshots of the cached dimensions: under the strictness
   // gate the per-group ancestor-at-category step below becomes one
-  // flat-table lookup. Dimensions whose gate fails (or callers without a
-  // context) keep the AncestorsIn traversal — same key either way, since
-  // the flat table is compiled from the very same closure.
+  // flat-table lookup. Dimensions whose gate fails keep the AncestorsIn
+  // traversal — same key either way, since the flat table is compiled
+  // from the very same closure.
   std::vector<std::shared_ptr<const RollupIndex>> indexes(n);
-  if (exec != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cached_categories[i] == cached.dimension(i).type().top()) continue;
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(cached.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cached_categories[i] == cached.dimension(i).type().top()) continue;
+    std::shared_ptr<const RollupIndex> index =
+        RollupIndex::For(cached.dimension(i), &exec.stats);
+    if (index->has_flat_table()) {
+      indexes[i] = std::move(index);
+      ++exec.stats.index_hits;
+    } else {
+      ++exec.stats.index_fallbacks;
     }
   }
 
@@ -232,17 +232,14 @@ Result<MdObject> PreAggregateCache::RollUpCached(
     double value = 0.0;
     bool first = true;
   };
-  // Merge-key interning: the flat-hash engine (docs/groupby_kernel.md)
-  // for any caller with an execution context — keys live in one
-  // fixed-stride buffer probed through the open-addressing index — and
-  // the ordered map as the context-free differential baseline. Either
-  // way the assembly below walks the groups in lexicographic key order.
-  const bool use_flat = exec != nullptr;
-  std::map<std::vector<ValueId>, Merged> merged;
+  // Merge-key interning by the flat-hash engine (docs/groupby_kernel.md):
+  // keys live in one fixed-stride buffer probed through the
+  // open-addressing index; the assembly below walks the groups in
+  // lexicographic key order.
   FlatHashGroupIndex flat_index;
   std::vector<ValueId> key_storage;  // stride n
   std::vector<Merged> flat_slots;
-  if (use_flat) ++exec->stats.flat_hash_runs;
+  ++exec.stats.flat_hash_runs;
   const std::size_t result_dim = cached.dimension_count() - 1;
 
   // CSR lockstep (docs/memory_layout.md): cached.facts() is sorted, so a
@@ -328,27 +325,21 @@ Result<MdObject> PreAggregateCache::RollUpCached(
             .NumericValueOf(
                 result_relation.entries()[result_pairs.front()].value));
     MDDC_ASSIGN_OR_RETURN(FactTerm term, cached.registry()->Get(group));
-    Merged* slot;
-    if (use_flat) {
-      const std::uint64_t hash = HashValueIds(key.data(), n);
-      bool inserted = false;
-      const std::uint32_t g = flat_index.FindOrInsert(
-          hash, static_cast<std::uint32_t>(flat_slots.size()),
-          [&](std::uint32_t ordinal) {
-            return std::equal(
-                key.begin(), key.end(),
-                key_storage.begin() +
-                    static_cast<std::ptrdiff_t>(ordinal * n));
-          },
-          &inserted);
-      if (inserted) {
-        key_storage.insert(key_storage.end(), key.begin(), key.end());
-        flat_slots.emplace_back();
-      }
-      slot = &flat_slots[g];
-    } else {
-      slot = &merged[key];
+    bool inserted = false;
+    const std::uint32_t g = flat_index.FindOrInsert(
+        HashValueIds(key.data(), n),
+        static_cast<std::uint32_t>(flat_slots.size()),
+        [&](std::uint32_t ordinal) {
+          return std::equal(key.begin(), key.end(),
+                            key_storage.begin() +
+                                static_cast<std::ptrdiff_t>(ordinal * n));
+        },
+        &inserted);
+    if (inserted) {
+      key_storage.insert(key_storage.end(), key.begin(), key.end());
+      flat_slots.emplace_back();
     }
+    Merged* slot = &flat_slots[g];
     slot->members.insert(slot->members.end(), term.members.begin(),
                          term.members.end());
     slot->value = slot->first ? partial
@@ -356,24 +347,17 @@ Result<MdObject> PreAggregateCache::RollUpCached(
     slot->first = false;
   }
 
-  // Canonical lexicographic key order over either engine's storage.
+  // Canonical lexicographic key order.
   std::vector<std::pair<const ValueId*, const Merged*>> ordered;
-  if (use_flat) {
-    ordered.reserve(flat_slots.size());
-    for (std::size_t g = 0; g < flat_slots.size(); ++g) {
-      ordered.push_back({key_storage.data() + g * n, &flat_slots[g]});
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [n](const auto& a, const auto& b) {
-                return std::lexicographical_compare(
-                    a.first, a.first + n, b.first, b.first + n);
-              });
-  } else {
-    ordered.reserve(merged.size());
-    for (const auto& [map_key, slot] : merged) {
-      ordered.push_back({map_key.data(), &slot});
-    }
+  ordered.reserve(flat_slots.size());
+  for (std::size_t g = 0; g < flat_slots.size(); ++g) {
+    ordered.push_back({key_storage.data() + g * n, &flat_slots[g]});
   }
+  std::sort(ordered.begin(), ordered.end(),
+            [n](const auto& a, const auto& b) {
+              return std::lexicographical_compare(a.first, a.first + n,
+                                                  b.first, b.first + n);
+            });
 
   // Assemble the rolled-up MO: argument dimensions restricted above the
   // requested categories plus a fresh auto result dimension.

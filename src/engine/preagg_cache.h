@@ -41,13 +41,15 @@ class PreAggregateCache {
 
   /// Returns the aggregate for `grouping` (one category per base
   /// dimension) under `function`. The result dimension is always
-  /// auto-built. `exec` (optional) is handed to AggregateFormation on
-  /// base scans so misses run on the parallel engine; hit/rollup paths
-  /// and the cache's bookkeeping — in particular every Stats counter —
-  /// are unaffected by it. Contexts borrow the process-wide shared
-  /// ThreadPool (engine/executor.h), so repeated misses — even across
-  /// cache instances and fresh contexts — pay thread startup only once;
-  /// exec->stats.pool_reuses records the amortization.
+  /// auto-built. `exec` runs the base scans (AggregateFormation, on the
+  /// parallel engine when it asks for threads) and the rollups (the
+  /// flat-hash merge over rollup-snapshot lookups); a null `exec` means
+  /// a fresh one-thread context. Results and the cache's bookkeeping —
+  /// in particular every Stats counter — do not depend on it. Contexts
+  /// borrow the process-wide shared ThreadPool (engine/executor.h), so
+  /// repeated misses — even across cache instances and fresh contexts —
+  /// pay thread startup only once; exec->stats.pool_reuses records the
+  /// amortization.
   Result<MdObject> Query(const AggFunction& function,
                          const std::vector<CategoryTypeIndex>& grouping,
                          ExecContext* exec = nullptr);
@@ -125,16 +127,16 @@ class PreAggregateCache {
                             bool* refused_due_to_type);
 
   /// Rolls a cached aggregate up to the coarser grouping by re-grouping
-  /// its set-facts and merging their partial results. With `exec`, the
-  /// per-group rollup step consults the cached dimensions' compiled
-  /// rollup snapshots (engine/rollup_index.h): under the strictness gate
-  /// the unique ancestor at the requested category is one flat-table
-  /// lookup instead of an AncestorsIn traversal, counted in
-  /// exec->stats.index_hits / index_fallbacks.
+  /// its set-facts (flat-hash merge keys) and merging their partial
+  /// results. The per-group rollup step consults the cached dimensions'
+  /// compiled rollup snapshots (engine/rollup_index.h): under the
+  /// strictness gate the unique ancestor at the requested category is
+  /// one flat-table lookup instead of an AncestorsIn traversal, counted
+  /// in exec.stats.index_hits / index_fallbacks.
   Result<MdObject> RollUpCached(
       const Entry& entry, const AggFunction& function,
       const std::vector<CategoryTypeIndex>& grouping,
-      ExecContext* exec) const;
+      ExecContext& exec) const;
 
   /// Never null. Shared with the epoch bundle on the serving path; a
   /// privately-owned copy for direct construction from an MdObject.

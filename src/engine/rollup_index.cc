@@ -56,7 +56,7 @@ std::shared_ptr<const RollupIndex> RollupIndex::For(const Dimension& dimension,
   // one-off snapshot WITHOUT caching it: writing the slot of a frozen
   // dimension would race against other lock-free readers.
   // A stale snapshot whose structural version still matches was outdated
-  // by appends only and is patched — O(V+E) plus closure walks for just
+  // by appends only and is patched — O(V) plus closure walks for just
   // the fresh values — instead of recompiled from scratch.
   auto compile = [&](const std::shared_ptr<const RollupIndex>& cached)
       -> std::shared_ptr<const RollupIndex> {
@@ -139,41 +139,6 @@ void RollupIndex::FillCategoryRanges() {
   }
 }
 
-void RollupIndex::FillCsrArrays(const Dimension& dimension) {
-  // CSR edge arrays, both directions, in the dimension's per-value edge
-  // order (insertion order, like EdgeIndexesFromChild/ToParent).
-  const std::uint32_t n = value_count();
-  const std::vector<Dimension::Edge>& edges = dimension.edges();
-  auto fill_csr = [&](bool upward, std::vector<std::uint32_t>& begin,
-                      std::vector<std::uint32_t>& target,
-                      std::vector<Lifespan>& life, std::vector<double>& prob) {
-    begin.assign(n + 1, 0);
-    target.clear();
-    life.clear();
-    prob.clear();
-    target.reserve(edges.size());
-    life.reserve(edges.size());
-    prob.reserve(edges.size());
-    for (std::uint32_t d = 0; d < n; ++d) {
-      begin[d] = static_cast<std::uint32_t>(target.size());
-      const std::vector<std::size_t>& indexes =
-          upward ? dimension.EdgeIndexesFromChild(value_of_[d])
-                 : dimension.EdgeIndexesToParent(value_of_[d]);
-      for (std::size_t e : indexes) {
-        const Dimension::Edge& edge = edges[e];
-        target.push_back(DenseOf(upward ? edge.parent : edge.child));
-        life.push_back(edge.life);
-        prob.push_back(edge.prob);
-      }
-    }
-    begin[n] = static_cast<std::uint32_t>(target.size());
-  };
-  fill_csr(/*upward=*/true, up_begin_, up_target_, up_life_, up_prob_);
-  fill_csr(/*upward=*/false, down_begin_, down_target_, down_life_,
-           down_prob_);
-  edge_count_ = edges.size();
-}
-
 std::shared_ptr<const RollupIndex> RollupIndex::Build(
     const Dimension& dimension) {
   auto index = std::shared_ptr<RollupIndex>(new RollupIndex());
@@ -199,8 +164,8 @@ std::shared_ptr<const RollupIndex> RollupIndex::Build(
   }
 
   index->FillCategoryRanges();
-  index->FillCsrArrays(dimension);
   const std::vector<Dimension::Edge>& edges = dimension.edges();
+  index->edge_count_ = edges.size();
   bool all_edges_always = true;
   for (const Dimension::Edge& edge : edges) {
     if (!(edge.life == Lifespan::AlwaysSpan())) {
@@ -279,8 +244,8 @@ std::shared_ptr<const RollupIndex> RollupIndex::Patch(
   index->category_count_ = old.category_count_;
   index->value_of_ = values;
   index->top_dense_ = n - 1;
-  // The O(V)/O(V+E) arrays are refilled outright — they are the cheap
-  // part; what the patch saves is the closure walk per value below.
+  // The O(V) arrays are refilled outright — they are the cheap part;
+  // what the patch saves is the closure walk per value below.
   index->category_of_.resize(n);
   index->membership_of_.assign(n, Lifespan());
   for (std::uint32_t d = 0; d < n; ++d) {
@@ -290,7 +255,7 @@ std::shared_ptr<const RollupIndex> RollupIndex::Patch(
     if (membership.ok()) index->membership_of_[d] = *membership;
   }
   index->FillCategoryRanges();
-  index->FillCsrArrays(dimension);
+  index->edge_count_ = edges.size();
 
   // Flat table: old rows are copied verbatim (appended edges never alter
   // an old value's upward closure — they only hang fresh children), with

@@ -23,9 +23,6 @@ namespace mddc {
 ///    range reproduces AllValues() exactly);
 ///  * per-value category and membership arrays (one array read replaces
 ///    the CategoryOf/MembershipOf map lookups on the timeslice path);
-///  * CSR (compressed-sparse-row) arrays of the immediate-containment
-///    edges, upward and downward, with parallel lifespan/probability
-///    arrays;
 ///  * per-category value ranges, sorted by ValueId; and
 ///  * when the hierarchy passes the strictness gate of Section 3.4 and
 ///    every edge lifespan is Always (the "non-temporal" case), a flat
@@ -117,32 +114,6 @@ class RollupIndex {
   const std::uint32_t* CategoryBegin(CategoryTypeIndex category) const;
   const std::uint32_t* CategoryEnd(CategoryTypeIndex category) const;
 
-  // ---- CSR immediate-containment edges -----------------------------------
-
-  /// Half-open range [UpBegin(d), UpEnd(d)) of CSR positions holding the
-  /// up-edges (child -> parent) of dense value `d`; UpParent/UpLife/UpProb
-  /// are parallel arrays over those positions. Down* is the mirror
-  /// (parent -> children).
-  std::uint32_t UpBegin(std::uint32_t dense) const { return up_begin_[dense]; }
-  std::uint32_t UpEnd(std::uint32_t dense) const {
-    return up_begin_[dense + 1];
-  }
-  std::uint32_t UpParent(std::uint32_t pos) const { return up_target_[pos]; }
-  const Lifespan& UpLife(std::uint32_t pos) const { return up_life_[pos]; }
-  double UpProb(std::uint32_t pos) const { return up_prob_[pos]; }
-
-  std::uint32_t DownBegin(std::uint32_t dense) const {
-    return down_begin_[dense];
-  }
-  std::uint32_t DownEnd(std::uint32_t dense) const {
-    return down_begin_[dense + 1];
-  }
-  std::uint32_t DownChild(std::uint32_t pos) const {
-    return down_target_[pos];
-  }
-  const Lifespan& DownLife(std::uint32_t pos) const { return down_life_[pos]; }
-  double DownProb(std::uint32_t pos) const { return down_prob_[pos]; }
-
   // ---- Flat rollup table -------------------------------------------------
 
   /// True when the strictness/non-temporal gate held at compile time and
@@ -208,21 +179,21 @@ class RollupIndex {
   /// Compiles a snapshot by patching `old` — valid only when the
   /// dimension drifted from `old` by appends (equal structural versions):
   /// the dense remap is extended (fresh values slot in before top, which
-  /// shifts to stay last), the cheap O(V+E) arrays are refilled, and only
+  /// shifts to stay last), the cheap O(V) arrays are refilled, and only
   /// the fresh values' flat-table rows are computed via closure walks —
   /// old rows are copied with the top id remapped, since appended edges
   /// never change an old value's upward closure. Returns null when the
   /// patch gate fails (structural drift, reordered values, an appended
-  /// edge whose child `old` already numbered) and the caller must Build. Byte-equivalent to Build in every consumable way: a
-  /// fresh value with two ancestors in one category, or a non-Always
-  /// appended edge, drops the flat table exactly as Build's gate would.
+  /// edge whose child `old` already numbered) and the caller must Build.
+  /// Byte-equivalent to Build in every consumable way: a fresh value
+  /// with two ancestors in one category, or a non-Always appended edge,
+  /// drops the flat table exactly as Build's gate would.
   static std::shared_ptr<const RollupIndex> Patch(const Dimension& dimension,
                                                   const RollupIndex& old);
 
-  /// Shared O(V) / O(V+E) array fills of Build and Patch; `value_of_` and
+  /// Shared O(V) category-range fill of Build and Patch; `value_of_` and
   /// `category_of_` must already be final.
   void FillCategoryRanges();
-  void FillCsrArrays(const Dimension& dimension);
 
   std::uint64_t version_ = 0;
   std::uint64_t structural_version_ = 0;
@@ -240,15 +211,6 @@ class RollupIndex {
 
   std::vector<std::uint32_t> category_begin_;   // category_count_ + 1
   std::vector<std::uint32_t> category_values_;  // dense ids, sorted
-
-  std::vector<std::uint32_t> up_begin_;  // value_count() + 1
-  std::vector<std::uint32_t> up_target_;
-  std::vector<Lifespan> up_life_;
-  std::vector<double> up_prob_;
-  std::vector<std::uint32_t> down_begin_;
-  std::vector<std::uint32_t> down_target_;
-  std::vector<Lifespan> down_life_;
-  std::vector<double> down_prob_;
 
   std::vector<std::uint32_t> flat_ancestor_;  // value_count() * categories
   std::vector<double> flat_prob_;

@@ -424,72 +424,5 @@ Result<QueryResult> ExplainStatement(const MdObject& source,
   return result;
 }
 
-Result<MdObject> ExecutePlanMaterialized(const PlanRef& plan,
-                                         ExecContext* exec) {
-  if (plan == nullptr) return Status::InvalidArgument("null plan");
-  const PlanNode& node = *plan;
-  switch (node.kind) {
-    case PlanKind::kScan:
-      if (node.mo == nullptr) {
-        return Status::InvalidArgument(
-            StrCat("scan of '", node.mo_name, "' has no bound MO"));
-      }
-      return *node.mo;
-    case PlanKind::kTimeslice: {
-      MDDC_ASSIGN_OR_RETURN(MdObject child,
-                            ExecutePlanMaterialized(node.children[0], exec));
-      Chronon day = kNowChronon;
-      if (node.as_of != "NOW") {
-        MDDC_ASSIGN_OR_RETURN(day, ParseDate(node.as_of));
-      }
-      return ValidTimeslice(child, day, exec);
-    }
-    case PlanKind::kSelect: {
-      MDDC_ASSIGN_OR_RETURN(MdObject child,
-                            ExecutePlanMaterialized(node.children[0], exec));
-      if (node.where == nullptr) return child;
-      MDDC_ASSIGN_OR_RETURN(Predicate predicate,
-                            BuildWhere(child, *node.where, exec));
-      return Select(child, predicate);
-    }
-    case PlanKind::kAggregate: {
-      MDDC_ASSIGN_OR_RETURN(MdObject child,
-                            ExecutePlanMaterialized(node.children[0], exec));
-      if (node.aggregates.size() != 1) {
-        return Status::InvalidArgument(
-            "materializing executor runs single-function aggregates only");
-      }
-      std::vector<CategoryTypeIndex> grouping;
-      grouping.reserve(child.dimension_count());
-      for (std::size_t i = 0; i < child.dimension_count(); ++i) {
-        grouping.push_back(child.dimension(i).type().top());
-      }
-      for (const GroupRef& group : node.group_by) {
-        MDDC_ASSIGN_OR_RETURN(ResolvedLevel level, Resolve(child, group.level));
-        grouping[level.dim] = level.category;
-      }
-      MDDC_ASSIGN_OR_RETURN(AggFunction function,
-                            BuildAggFunction(child, node.aggregates[0]));
-      AggregateSpec spec{std::move(function), std::move(grouping)};
-      return AggregateFormation(child, spec, exec);
-    }
-    case PlanKind::kMerge:
-      if (node.children.size() == 1) {
-        return ExecutePlanMaterialized(node.children[0], exec);
-      }
-      return Status::InvalidArgument(
-          "materializing executor cannot merge row sets; use the session "
-          "path");
-    case PlanKind::kJoin: {
-      MDDC_ASSIGN_OR_RETURN(MdObject left,
-                            ExecutePlanMaterialized(node.children[0], exec));
-      MDDC_ASSIGN_OR_RETURN(MdObject right,
-                            ExecutePlanMaterialized(node.children[1], exec));
-      return Join(left, right, node.join_predicate, exec);
-    }
-  }
-  return Status::InvalidArgument("unknown plan node");
-}
-
 }  // namespace mdql
 }  // namespace mddc

@@ -58,15 +58,6 @@ Result<QueryResult> ExplainStatement(const MdObject& source,
                                      ExecContext* exec = nullptr,
                                      const PreAggregateCache* preagg = nullptr);
 
-/// Reference executor for logical plans: runs every node by
-/// materializing its full MO result (formation per aggregate, real
-/// sigma, real join). Exists for the rewrite-rule differential tests,
-/// which compare a plan against its rewritten form at the MO level;
-/// multi-function aggregates and multi-branch merges (rendering
-/// concerns, not MO algebra) are rejected.
-Result<MdObject> ExecutePlanMaterialized(const PlanRef& plan,
-                                         ExecContext* exec = nullptr);
-
 }  // namespace mdql
 }  // namespace mddc
 

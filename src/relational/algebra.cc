@@ -324,6 +324,8 @@ Result<Relation> Aggregate(const Relation& r,
                            const std::vector<std::string>& group_by,
                            const std::vector<AggregateTerm>& terms,
                            ExecContext* exec) {
+  ExecContext sequential;
+  if (exec == nullptr) exec = &sequential;
   std::vector<std::size_t> group_indexes;
   for (const std::string& name : group_by) {
     MDDC_ASSIGN_OR_RETURN(std::size_t index, r.AttributeIndex(name));
@@ -340,87 +342,67 @@ Result<Relation> Aggregate(const Relation& r,
     term_indexes.push_back(index);
   }
 
-  const bool parallel =
-      exec != nullptr && exec->WantsParallel(r.tuples().size());
+  const bool parallel = exec->WantsParallel(r.tuples().size());
 
-  // Group the tuples, then present the groups as one key-ordered view.
-  // Relational group-by has no summarizability precondition (every Klug
-  // aggregate here is computed from the whole member list, never merged
-  // from partials), so the parallel path only needs groups built whole:
-  // workers share a scan of the tuples, each interning only the keys of
-  // its hash partition, so the partitions are disjoint and one final key
-  // sort restores the order the std::map baseline emits.
-  //
-  // Any caller with an execution context gets the flat-hash engine
-  // (docs/groupby_kernel.md) — open-addressing interning instead of
-  // per-key map nodes; context-free callers keep the ordered map as the
-  // differential baseline.
+  // Group the tuples with the flat-hash engine (docs/groupby_kernel.md),
+  // then present the groups as one key-ordered view. Relational group-by
+  // has no summarizability precondition (every Klug aggregate here is
+  // computed from the whole member list, never merged from partials), so
+  // the parallel path only needs groups built whole: workers share a scan
+  // of the tuples, each interning only the keys of its hash partition, so
+  // the partitions are disjoint and one final key sort restores key
+  // order.
   using OrderedGroup = std::pair<const std::vector<Value>*,
                                  const GroupMembers*>;
-  std::vector<OrderedGroup> ordered;
-  std::map<std::vector<Value>, GroupMembers> groups;  // legacy engine
-  std::vector<FlatPartition> partitions;  // flat-hash engine storage
-  if (exec != nullptr) {
-    ++exec->stats.flat_hash_runs;
-    const std::size_t num_partitions = parallel ? exec->num_threads : 1;
-    partitions.resize(num_partitions);
-    auto scan_partition = [&](std::size_t p) {
-      FlatPartition& part = partitions[p];
-      std::vector<Value> key;
-      for (const Tuple& tuple : r.tuples()) {
-        key.clear();
-        for (std::size_t index : group_indexes) key.push_back(tuple[index]);
-        const std::uint64_t hash = GroupKeyHash(key);
-        if (num_partitions > 1 && hash % num_partitions != p) continue;
-        bool inserted = false;
-        const std::uint32_t g = part.index.FindOrInsert(
-            hash, static_cast<std::uint32_t>(part.keys.size()),
-            [&](std::uint32_t ordinal) { return part.keys[ordinal] == key; },
-            &inserted);
-        if (inserted) {
-          part.keys.push_back(key);
-          part.members.emplace_back();
-        }
-        part.members[g].push_back(&tuple);
-      }
-    };
-    if (parallel) {
-      exec->pool().ParallelFor(num_partitions, scan_partition);
-      exec->stats.tasks += num_partitions;
-      exec->stats.partitions += num_partitions;
-    } else {
-      scan_partition(0);
-    }
-    std::size_t total = 0;
-    for (const FlatPartition& part : partitions) total += part.keys.size();
-    ordered.reserve(total);
-    const auto merge_start = std::chrono::steady_clock::now();
-    for (const FlatPartition& part : partitions) {
-      for (std::size_t g = 0; g < part.keys.size(); ++g) {
-        ordered.push_back({&part.keys[g], &part.members[g]});
-      }
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const OrderedGroup& a, const OrderedGroup& b) {
-                return *a.first < *b.first;
-              });
-    if (parallel) {
-      exec->stats.merge_nanos += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - merge_start)
-              .count());
-    }
-  } else {
+  ++exec->stats.flat_hash_runs;
+  const std::size_t num_partitions = parallel ? exec->num_threads : 1;
+  std::vector<FlatPartition> partitions(num_partitions);
+  auto scan_partition = [&](std::size_t p) {
+    FlatPartition& part = partitions[p];
+    std::vector<Value> key;
     for (const Tuple& tuple : r.tuples()) {
-      std::vector<Value> key;
-      key.reserve(group_indexes.size());
+      key.clear();
       for (std::size_t index : group_indexes) key.push_back(tuple[index]);
-      groups[std::move(key)].push_back(&tuple);
+      const std::uint64_t hash = GroupKeyHash(key);
+      if (num_partitions > 1 && hash % num_partitions != p) continue;
+      bool inserted = false;
+      const std::uint32_t g = part.index.FindOrInsert(
+          hash, static_cast<std::uint32_t>(part.keys.size()),
+          [&](std::uint32_t ordinal) { return part.keys[ordinal] == key; },
+          &inserted);
+      if (inserted) {
+        part.keys.push_back(key);
+        part.members.emplace_back();
+      }
+      part.members[g].push_back(&tuple);
     }
-    ordered.reserve(groups.size());
-    for (const auto& [key, members] : groups) {
-      ordered.push_back({&key, &members});
+  };
+  if (parallel) {
+    exec->pool().ParallelFor(num_partitions, scan_partition);
+    exec->stats.tasks += num_partitions;
+    exec->stats.partitions += num_partitions;
+  } else {
+    scan_partition(0);
+  }
+  std::size_t total = 0;
+  for (const FlatPartition& part : partitions) total += part.keys.size();
+  std::vector<OrderedGroup> ordered;
+  ordered.reserve(total);
+  const auto merge_start = std::chrono::steady_clock::now();
+  for (const FlatPartition& part : partitions) {
+    for (std::size_t g = 0; g < part.keys.size(); ++g) {
+      ordered.push_back({&part.keys[g], &part.members[g]});
     }
+  }
+  std::sort(ordered.begin(), ordered.end(),
+            [](const OrderedGroup& a, const OrderedGroup& b) {
+              return *a.first < *b.first;
+            });
+  if (parallel) {
+    exec->stats.merge_nanos += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - merge_start)
+            .count());
   }
 
   std::vector<std::string> attributes = group_by;

@@ -86,7 +86,10 @@ struct AggregateTerm {
 /// each accumulates only the groups of its hash partition, so every
 /// group's member list is built whole and in scan order by one worker.
 /// Partitions merge deterministically in partition order — the output
-/// relation is identical, byte for byte, to the sequential one.
+/// relation is identical, byte for byte, to the sequential one. Either
+/// way groups are interned by the flat-hash engine
+/// (docs/groupby_kernel.md) and emitted in key order. A null `exec`
+/// means a fresh one-thread context.
 Result<Relation> Aggregate(const Relation& r,
                            const std::vector<std::string>& group_by,
                            const std::vector<AggregateTerm>& terms,

@@ -96,7 +96,9 @@ std::vector<std::string> MoSnapshot::names() const {
 MoStore::MoStore() : current_(std::make_shared<MoSnapshot>()) {}
 
 Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
-    MdObject draft, const std::vector<WarmSpec>& specs) {
+    MdObject draft, const PublishedMo* prev, const std::vector<FactId>& delta,
+    const std::vector<WarmSpec>& specs, ExecStats* stats) {
+  ExecContext exec;
   // The sealed MO is shared between the epoch bundle and the warm cache
   // below (its base), so the seal step itself never copies the draft.
   // Every remaining step — memo warming, rollup compilation, CSR seals,
@@ -106,61 +108,15 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
 
   // Warm the closure memos first: compilation and every later read then
   // find the reachability of each value precomputed, making concurrent
-  // queries pure reads.
+  // queries pure reads. A dimension the draft shares with its epoch is
+  // still the published (frozen) object and is skipped; an appended-to
+  // one carried the published memos into its clone, so warming only
+  // fills the freshly appended values' entries.
   WarmUnfrozenDimensions(mo);
 
-  // Compile the rollup snapshots while the dimensions are still
-  // unfrozen, so For() caches each one into the dimension's slot; after
-  // the freeze below, readers serve that slot without the slot mutex.
-  // The dense columns sealed with them serve the warm materialization
-  // below as well as every reader.
-  std::vector<std::shared_ptr<const RollupIndex>> rollups =
-      CompileForReaders(mo, nullptr);
-
-  std::shared_ptr<const PreAggregateCache> preagg;
-  if (!specs.empty()) {
-    auto cache = std::make_shared<PreAggregateCache>(shared);
-    for (const WarmSpec& spec : specs) {
-      // Resumable (base-scan) materialization: the captured accumulator
-      // state is what lets a later AppendBatch delta-fold the entry
-      // instead of rescanning (docs/ingestion.md).
-      MDDC_RETURN_NOT_OK(
-          cache->MaterializeResumable(spec.function, spec.grouping));
-    }
-    // The cached result MOs are published too (readers Peek them), so
-    // they get the same treatment as the base MO.
-    for (const WarmSpec& spec : specs) {
-      if (const MdObject* cached = cache->Peek(spec.function, spec.grouping)) {
-        (void)CompileForReaders(*cached, nullptr);
-        cached->WarmAndFreezeForPublish();
-      }
-    }
-    preagg = std::move(cache);
-  }
-
-  mo.WarmAndFreezeForPublish();
-  return std::shared_ptr<const PublishedMo>(std::make_shared<PublishedMo>(
-      PublishedMo{std::move(shared), std::move(rollups), std::move(preagg)}));
-}
-
-Result<std::shared_ptr<const PublishedMo>> MoStore::SealAppend(
-    MdObject draft, const PublishedMo& prev, const std::vector<FactId>& delta,
-    const std::vector<WarmSpec>& specs, ExecStats* stats) {
-  ExecContext exec;
-  // As in Seal: the bundle and the folded cache share one MO, so the
-  // append seal's cost is the delta work below, not an MO copy.
-  auto shared = std::make_shared<const MdObject>(std::move(draft));
-  const MdObject& mo = *shared;
-
-  // Closure memos: a dimension the batch left alone is still the
-  // published (frozen, shared) object and is skipped; an appended-to one
-  // carried the published memos into its clone, so warming only fills
-  // the freshly appended values' entries.
-  WarmUnfrozenDimensions(mo);
-
-  // Reseal the by-fact CSR span views: a batched fact append lands at the
-  // entry tail with fresh (maximal) fact ids, so the sealed layout is
-  // extended in place rather than re-sorted.
+  // Seal the by-fact CSR span views. A batched fact append lands at the
+  // entry tail with fresh (maximal) fact ids, so a layout carried over
+  // from the epoch is extended in place rather than re-sorted.
   for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
     if (mo.relation(i).SealIndexesReporting() ==
         FactDimRelation::SealOutcome::kExtended) {
@@ -168,32 +124,40 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::SealAppend(
     }
   }
 
-  // Rollup snapshots: each dimension's slot still holds the published
-  // snapshot. Untouched dimensions (version unchanged) reuse it outright;
-  // appended-to dimensions patch it — dense remap extended, fresh-value
-  // closure rows computed, old rows copied (exec.stats.rollup_patches).
-  // A patch keeps the numbering, so each relation's carried-over dense
-  // column is extended over the appended rows only.
+  // Compile the rollup snapshots while the dimensions are still
+  // unfrozen, so For() caches each one into the dimension's slot; after
+  // the freeze below, readers serve that slot without the slot mutex. A
+  // slot still holding the epoch's snapshot is reused when the dimension
+  // is unchanged and patched when it grew by appends (dense remap
+  // extended, fresh-value closure rows computed, old rows copied); a
+  // patch keeps the numbering, so a carried-over dense column is
+  // extended over the appended rows only. The dense columns serve the
+  // warm materialization below as well as every reader.
   std::vector<std::shared_ptr<const RollupIndex>> rollups =
       CompileForReaders(mo, &exec.stats);
 
   std::shared_ptr<const PreAggregateCache> preagg;
   if (!specs.empty()) {
     std::shared_ptr<PreAggregateCache> cache;
-    if (prev.preagg != nullptr) {
+    if (prev != nullptr && prev->preagg != nullptr) {
       // Delta-fold the published entries: only the appended facts'
       // contributions are accumulated onto the captured state; entries
       // whose fold gate fails rematerialize with a full scan.
       MDDC_ASSIGN_OR_RETURN(PreAggregateCache folded,
-                            prev.preagg->FoldAppend(shared, delta, &exec));
+                            prev->preagg->FoldAppend(shared, delta, &exec));
       cache = std::make_shared<PreAggregateCache>(std::move(folded));
     } else {
       cache = std::make_shared<PreAggregateCache>(shared);
     }
     for (const WarmSpec& spec : specs) {
+      // Resumable (base-scan) materialization of the specs not folded:
+      // the captured accumulator state is what lets a later AppendBatch
+      // delta-fold the entry instead of rescanning (docs/ingestion.md).
       MDDC_RETURN_NOT_OK(
           cache->MaterializeResumable(spec.function, spec.grouping));
     }
+    // The cached result MOs are published too (readers Peek them), so
+    // they get the same treatment as the base MO.
     for (const WarmSpec& spec : specs) {
       if (const MdObject* cached = cache->Peek(spec.function, spec.grouping)) {
         (void)CompileForReaders(*cached, nullptr);
@@ -252,8 +216,9 @@ Status MoStore::Publish(std::string name, MdObject mo) {
   // to, so none of it is visible to (or racy with) readers of the
   // published epoch.
   MdObject draft = mo.WithRegistry(FactRegistry::ForkOf(mo.registry()));
-  MDDC_ASSIGN_OR_RETURN(std::shared_ptr<const PublishedMo> sealed,
-                        Seal(std::move(draft), warm_specs_[name]));
+  MDDC_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PublishedMo> sealed,
+      Seal(std::move(draft), nullptr, {}, warm_specs_[name], nullptr));
   return SwapLocked(name, std::move(sealed));
 }
 
@@ -292,16 +257,17 @@ Status MoStore::AppendBatch(const std::string& name,
   MdObject draft = DraftOf(entry->mo());
   MDDC_RETURN_NOT_OK(appender(draft));
 
+  // A draft that fails the gate seals like a Mutate: no predecessor to
+  // fold, and no counters for the caller.
   std::vector<FactId> delta;
-  std::shared_ptr<const PublishedMo> sealed;
-  if (IsPureAppend(entry->mo(), draft, &delta)) {
-    MDDC_ASSIGN_OR_RETURN(
-        sealed,
-        SealAppend(std::move(draft), *entry, delta, warm_specs_[name], stats));
+  const bool pure = IsPureAppend(entry->mo(), draft, &delta);
+  MDDC_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PublishedMo> sealed,
+      Seal(std::move(draft), pure ? entry : nullptr, delta,
+           warm_specs_[name], pure ? stats : nullptr));
+  if (pure) {
     ++append_batches_;
   } else {
-    MDDC_ASSIGN_OR_RETURN(sealed,
-                          Seal(std::move(draft), warm_specs_[name]));
     ++append_fallbacks_;
   }
   MDDC_RETURN_NOT_OK(SwapLocked(name, std::move(sealed)));
@@ -324,8 +290,9 @@ Status MoStore::MutateLocked(const std::string& name,
   }
   MdObject draft = DraftOf(entry->mo());
   MDDC_RETURN_NOT_OK(mutator(draft));
-  MDDC_ASSIGN_OR_RETURN(std::shared_ptr<const PublishedMo> sealed,
-                        Seal(std::move(draft), warm_specs_[name]));
+  MDDC_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PublishedMo> sealed,
+      Seal(std::move(draft), nullptr, {}, warm_specs_[name], nullptr));
   return SwapLocked(name, std::move(sealed));
 }
 

@@ -138,9 +138,10 @@ class MoStore {
   /// past the old tail) or widens a published pair's lifespan in place
   /// (a coalescing re-add); an idempotent re-add keeps the fast path.
   ///
-  /// `stats` (optional) accumulates the engine counters of the seal —
-  /// rollup_patches, csr_tail_extends, preagg_folds,
-  /// preagg_fold_invalidations — for telemetry and tests.
+  /// `stats` (optional) accumulates the engine counters of a patched
+  /// seal — rollup_patches, csr_tail_extends, preagg_folds,
+  /// preagg_fold_invalidations — for telemetry and tests; a fallback
+  /// adds none.
   Status AppendBatch(const std::string& name,
                      const std::function<Status(MdObject&)>& appender,
                      std::uint64_t* published_epoch = nullptr,
@@ -189,19 +190,21 @@ class MoStore {
   Status MutateLocked(const std::string& name,
                       const std::function<Status(MdObject&)>& mutator);
 
-  /// Builds the immutable PublishedMo bundle from a draft: warms closure
-  /// memos, compiles rollup snapshots, materializes the warm specs, then
-  /// freezes every dimension for publication. Caller holds writer_mu_.
+  /// Builds the immutable PublishedMo bundle from a draft, in one order:
+  /// warms closure memos, seals the relations' CSR views, compiles rollup
+  /// snapshots and dense columns, brings the warm specs' cache up to
+  /// date, then freezes everything for publication. What a draft carried
+  /// over from its epoch is extended, not rebuilt: CSR tails, patched
+  /// rollup snapshots, dense columns. With `prev` — the epoch a draft
+  /// that passed the pure-append gate was cloned from, `delta` its
+  /// appended fact tail, ascending — the cache is `prev`'s delta-folded
+  /// over `delta`; with a null `prev` (Publish, Mutate, a failed gate) it
+  /// starts empty. `stats` (optional) receives the seal's engine
+  /// counters. Caller holds writer_mu_.
   Result<std::shared_ptr<const PublishedMo>> Seal(
-      MdObject mo, const std::vector<WarmSpec>& specs);
-
-  /// Seal variant for a draft that passed the pure-append gate: patches
-  /// the published bundle (`prev`) forward instead of recompiling it.
-  /// `delta` is the appended fact tail, ascending. Caller holds
-  /// writer_mu_.
-  Result<std::shared_ptr<const PublishedMo>> SealAppend(
-      MdObject mo, const PublishedMo& prev, const std::vector<FactId>& delta,
-      const std::vector<WarmSpec>& specs, ExecStats* stats);
+      MdObject draft, const PublishedMo* prev,
+      const std::vector<FactId>& delta, const std::vector<WarmSpec>& specs,
+      ExecStats* stats);
 
   mutable std::mutex writer_mu_;
   mutable std::mutex pin_mu_;  // guards current_ only; never held for work

@@ -10,6 +10,7 @@
 #include "engine/executor.h"
 #include "io/serialize.h"
 #include "reference/aggregate_reference.h"
+#include "reference/relational_reference.h"
 #include "relational/algebra.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
@@ -481,7 +482,7 @@ TEST(RelationalParallelTest, GroupByMatchesSequentialAcrossThreads) {
   };
   for (std::uint32_t seed : {3u, 21u}) {
     relational::Relation r = RandomRelation(seed, 500);
-    auto sequential = relational::Aggregate(r, {"k1", "k2"}, terms);
+    auto sequential = reference::RelationalAggregate(r, {"k1", "k2"}, terms);
     ASSERT_TRUE(sequential.ok()) << sequential.status();
     for (std::size_t threads : {1u, 2u, 8u}) {
       ExecContext ctx(threads, /*min_facts=*/1);

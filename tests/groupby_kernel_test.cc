@@ -14,6 +14,7 @@
 #include "fixtures.h"
 #include "io/serialize.h"
 #include "reference/aggregate_reference.h"
+#include "reference/relational_reference.h"
 #include "relational/algebra.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
@@ -306,11 +307,10 @@ TEST(GroupByKernelTest, RelationalFlatHashMatchesBaselineAndCounts) {
       {AggregateTerm::Func::kCountStar, "", "n"},
       {AggregateTerm::Func::kSum, "v", "v_sum"},
   };
-  auto baseline = relational::Aggregate(r, {"k"}, terms);
+  auto baseline = reference::RelationalAggregate(r, {"k"}, terms);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 
-  // Sequential flat-hash run: below the parallel threshold but with a
-  // context, so the open-addressing engine replaces the map.
+  // Sequential flat-hash run: below the parallel threshold.
   ExecContext ctx;
   ASSERT_FALSE(ctx.WantsParallel(r.tuples().size()));
   auto flat = relational::Aggregate(r, {"k"}, terms, &ctx);

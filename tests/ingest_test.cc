@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -184,9 +185,9 @@ std::vector<std::string> RenderReads(const MdObject& mo,
 }
 
 /// The logical image of every relation of a published epoch: entries,
-/// per-fact and per-value entry lists, CSR rows with their entry runs and
-/// the dense column under the epoch's numbering. Layout (padding,
-/// abandoned runs, chunk boundaries) does not show.
+/// per-fact entry lists, CSR rows with their entry runs and the dense
+/// column under the epoch's numbering. Layout (padding, abandoned runs,
+/// chunk boundaries) does not show.
 std::string StorageImage(const serve::PublishedMo& entry) {
   const MdObject& mo = entry.mo();
   std::string image;
@@ -203,10 +204,6 @@ std::string StorageImage(const serve::PublishedMo& entry) {
     }
     image += "\nby fact:";
     for (FactId fact : mo.facts()) list(relation.EntryIndexesForFact(fact));
-    image += "\nby value:";
-    for (ValueId value : mo.dimension(i).AllValues()) {
-      list(relation.EntryIndexesForValue(value));
-    }
     image += "\nrows:";
     for (const FactDimRelation::FactSpan& span : relation.FactSpans()) {
       image += StrCat(span.fact, ":");
@@ -503,10 +500,10 @@ TEST(IngestSharingTest, AppendedEpochsShareAllButTheirTailChunks) {
       EXPECT_EQ(new_column->SharedChunksWith(*old_column),
                 old_column->size() / C)
           << "relation " << i;
-      // Every chunked array (entries, two key and two list arrays, the
-      // CSR rows and runs, the column) un-shares at most its tail.
+      // Every chunked array (entries, the by-fact key and list arrays,
+      // the CSR rows and runs, the column) un-shares at most its tail.
       EXPECT_LE(old_rel.chunk_count() - new_rel.SharedChunksWith(old_rel),
-                8u)
+                6u)
           << "relation " << i;
     }
   }
@@ -701,6 +698,12 @@ TEST(IngestDifferentialTest, WidenedPublishedLifespanFallsBack) {
   const MdObject& mo = clinical.mo;
   const FactDimRelation& relation = mo.relation(clinical.diagnosis_dim);
   const Dimension& diagnosis = mo.dimension(clinical.diagnosis_dim);
+  auto pairs_with = [&relation](ValueId value) {
+    return std::count_if(relation.entries().begin(), relation.entries().end(),
+                         [value](const FactDimRelation::Entry& entry) {
+                           return entry.value == value;
+                         });
+  };
   std::size_t chosen = relation.size();
   for (std::size_t e = 0; e < relation.size() && chosen == relation.size();
        ++e) {
@@ -709,8 +712,7 @@ TEST(IngestDifferentialTest, WidenedPublishedLifespanFallsBack) {
     auto membership = diagnosis.MembershipOf(entry.value);
     if (category.ok() && *category == clinical.low_level &&
         membership.ok() && membership->IsAlways() &&
-        !entry.life.IsAlways() &&
-        relation.EntryIndexesForValue(entry.value).size() == 1) {
+        !entry.life.IsAlways() && pairs_with(entry.value) == 1) {
       chosen = e;
     }
   }

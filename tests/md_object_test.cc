@@ -1,6 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/strings.h"
 #include "fixtures.h"
+#include "workload/clinical_generator.h"
 
 namespace mddc {
 namespace {
@@ -101,6 +110,101 @@ TEST(MdObjectTest, FactsCharacterizedByGroup) {
   auto facts12 = mo.FactsWith(0, ValueId(12));
   ASSERT_EQ(facts12.size(), 1u);
   EXPECT_EQ(facts12[0].first, mo.registry()->Atom(2));
+}
+
+TEST(MdObjectTest, FactsWithMatchesPerFactCharacterizationOnClinical) {
+  // A generated clinical MO: non-strict and reclassified (temporal)
+  // Diagnosis edges, uncertain pairs, diagnoses at two granularities and
+  // relocations, so facts reach a value through several witnesses.
+  ClinicalWorkloadParams params;
+  params.seed = 11;
+  params.num_patients = 150;
+  params.uncertain_rate = 0.3;
+  auto clinical =
+      GenerateClinicalWorkload(params, std::make_shared<FactRegistry>());
+  ASSERT_TRUE(clinical.ok()) << clinical.status();
+  const MdObject& mo = clinical->mo;
+
+  std::size_t uncertain = 0;
+  std::size_t temporal = 0;
+  std::size_t several_witnesses = 0;
+  for (std::size_t dim = 0; dim < mo.dimension_count(); ++dim) {
+    SCOPED_TRACE(StrCat("dimension ", mo.dimension(dim).name()));
+    const Dimension& dimension = mo.dimension(dim);
+    const FactDimRelation& relation = mo.relation(dim);
+    for (const FactDimRelation::Entry& entry : relation.entries()) {
+      uncertain += entry.prob < 1.0 ? 1 : 0;
+      temporal += entry.life.IsAlways() ? 0 : 1;
+    }
+    // The oracle: f ~> v read off each fact's own characterization.
+    using Witnessed = std::pair<FactId, MdObject::Characterization>;
+    std::map<ValueId, std::vector<Witnessed>> by_value;
+    for (FactId fact : mo.facts()) {
+      for (const MdObject::Characterization& c :
+           mo.CharacterizedBy(fact, dim)) {
+        by_value[c.value].emplace_back(fact, c);
+      }
+    }
+    for (ValueId value : dimension.AllValues()) {
+      // Top characterizes every fact unconditionally in CharacterizedBy;
+      // FactsWith derives it from the pairs like any other value.
+      if (value == dimension.top_value()) continue;
+      const auto actual = mo.FactsWith(dim, value);
+      const auto& expected = by_value[value];
+      ASSERT_EQ(actual.size(), expected.size()) << "value " << value;
+      for (std::size_t k = 0; k < actual.size(); ++k) {
+        EXPECT_EQ(actual[k].first, expected[k].first) << "value " << value;
+        EXPECT_EQ(actual[k].second.value, value);
+        EXPECT_EQ(actual[k].second.life, expected[k].second.life)
+            << "value " << value << ", fact " << actual[k].first;
+        EXPECT_NEAR(actual[k].second.prob, expected[k].second.prob, 1e-12)
+            << "value " << value << ", fact " << actual[k].first;
+      }
+
+      // Bit for bit: the witnesses combine as the per-value walk did —
+      // the value's own pairs, then each descendant's, each in entry
+      // order — so the first witness and the noisy-or order hold.
+      std::map<FactId, MdObject::Characterization> walked;
+      std::map<FactId, std::size_t> witnesses;
+      auto visit = [&](ValueId from, const Lifespan& containment,
+                       double contain_prob) {
+        for (const FactDimRelation::Entry& entry : relation.entries()) {
+          if (entry.value != from) continue;
+          const Lifespan life = entry.life.Intersect(containment);
+          if (life.Empty()) continue;
+          const double prob = entry.prob * contain_prob;
+          ++witnesses[entry.fact];
+          auto [it, inserted] = walked.try_emplace(
+              entry.fact,
+              MdObject::Characterization{entry.value, value, life, prob});
+          if (!inserted) {
+            it->second.life = it->second.life.Union(life);
+            it->second.prob = 1.0 - (1.0 - it->second.prob) * (1.0 - prob);
+          }
+        }
+      };
+      visit(value, Lifespan::AlwaysSpan(), 1.0);
+      for (const Dimension::Containment& d : dimension.Descendants(value)) {
+        visit(d.value, d.life, d.prob);
+      }
+      ASSERT_EQ(actual.size(), walked.size()) << "value " << value;
+      std::size_t k = 0;
+      for (const auto& [fact, c] : walked) {
+        EXPECT_EQ(actual[k].first, fact);
+        EXPECT_EQ(actual[k].second.base, c.base) << "value " << value;
+        EXPECT_EQ(actual[k].second.life, c.life) << "value " << value;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[k].second.prob),
+                  std::bit_cast<std::uint64_t>(c.prob))
+            << "value " << value << ", fact " << fact;
+        several_witnesses += witnesses[fact] > 1 ? 1 : 0;
+        ++k;
+      }
+    }
+  }
+  // The shapes the differential is for did occur.
+  EXPECT_GT(uncertain, 0u);
+  EXPECT_GT(temporal, 0u);
+  EXPECT_GT(several_witnesses, 0u);
 }
 
 TEST(MdObjectTest, MultipleWitnessesUnionLifespans) {

@@ -15,6 +15,7 @@
 #include "mdql/physical.h"
 #include "mdql/plan.h"
 #include "mdql/rewrite.h"
+#include "reference/plan_reference.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -197,9 +198,9 @@ TEST(RewriteRuleTest, SelectBelowAggregateDifferential) {
   EXPECT_EQ(outcome.plan->kind, PlanKind::kAggregate);
   EXPECT_EQ(outcome.plan->children[0]->kind, PlanKind::kSelect);
 
-  auto original = ExecutePlanMaterialized(build());
+  auto original = reference::ExecutePlanMaterialized(build());
   ASSERT_TRUE(original.ok()) << original.status();
-  auto rewritten = ExecutePlanMaterialized(outcome.plan);
+  auto rewritten = reference::ExecutePlanMaterialized(outcome.plan);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   // sigma restricts facts, not dimension values, so the original keeps
   // orphaned auto-result values for the filtered-out groups; compare the
@@ -250,9 +251,9 @@ TEST(RewriteRuleTest, SelectBelowJoinDifferential) {
   EXPECT_EQ(outcome.plan->children[0]->kind, PlanKind::kSelect);
   EXPECT_EQ(outcome.plan->children[1]->kind, PlanKind::kScan);
 
-  auto original = ExecutePlanMaterialized(build());
+  auto original = reference::ExecutePlanMaterialized(build());
   ASSERT_TRUE(original.ok()) << original.status();
-  auto rewritten = ExecutePlanMaterialized(outcome.plan);
+  auto rewritten = reference::ExecutePlanMaterialized(outcome.plan);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   auto original_text = io::WriteMo(*original);
   auto rewritten_text = io::WriteMo(*rewritten);
@@ -290,9 +291,9 @@ TEST(RewriteRuleTest, CollapseRollupDifferential) {
   // The collapsed aggregate renders under the outer statement's label.
   EXPECT_EQ(outcome.plan->aggregates[0].label, outer.aggregates[0].label);
 
-  auto original = ExecutePlanMaterialized(build());
+  auto original = reference::ExecutePlanMaterialized(build());
   ASSERT_TRUE(original.ok()) << original.status();
-  auto rewritten = ExecutePlanMaterialized(outcome.plan);
+  auto rewritten = reference::ExecutePlanMaterialized(outcome.plan);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   // MO shapes differ (the two-level plan nests a second result
   // dimension), so compare at the rendered-value level.

@@ -7,6 +7,7 @@
 #include "engine/executor.h"
 #include "fixtures.h"
 #include "io/serialize.h"
+#include "reference/timeslice_reference.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -14,7 +15,8 @@
 // parallel timeslice. Timeslice is embarrassingly parallel — per-fact and
 // per-dimension work lands in disjoint slots and there is no merge — so
 // the bit-identity contract must hold trivially; these tests prove it
-// does, at 1/2/8 threads and across repeated runs.
+// does against the sequential reference (tests/reference), at 1/2/8
+// threads and across repeated runs.
 
 namespace mddc {
 namespace {
@@ -37,7 +39,8 @@ void ExpectParallelSliceMatchesSequential(const MdObject& mo, Chronon at,
     return valid_axis ? ValidTimeslice(mo, at, exec)
                       : TransactionTimeslice(mo, at, exec);
   };
-  auto sequential = run(nullptr);
+  auto sequential = valid_axis ? reference::ValidTimeslice(mo, at)
+                               : reference::TransactionTimeslice(mo, at);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok()) << sequential_bytes.status();

@@ -3,6 +3,7 @@
 #include "engine/executor.h"
 #include "engine/preagg_cache.h"
 #include "io/serialize.h"
+#include "reference/aggregate_reference.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -190,8 +191,9 @@ TEST(PreAggCacheTest, NonStrictHierarchyBlocksReuseEndToEnd) {
 TEST(PreAggCacheTest, StatsIdenticalUnderParallelExecution) {
   // The executor only changes how base scans are computed, never what
   // the cache decides: an identical sequence of Materialize/Query calls
-  // must produce identical hit/scan/refusal counters — and identical
-  // results — with and without a parallel context.
+  // must produce identical hit/scan/refusal counters with and without a
+  // parallel context — and results byte-identical to the reference
+  // formation and rollup either way.
   RetailMo retail = BuildRetail();
   auto by_category =
       GroupingAt(retail.mo, retail.product_dim, retail.category);
@@ -234,6 +236,23 @@ TEST(PreAggCacheTest, StatsIdenticalUnderParallelExecution) {
       drive(sequential_cache, nullptr);
   std::vector<std::string> parallel_results = drive(parallel_cache, &ctx);
 
+  // Ground truth for the three recorded queries: the exact hit, the
+  // rollup of the by-category entry, and the AVG base scan.
+  auto spec = [](const AggFunction& function,
+                 std::vector<CategoryTypeIndex> grouping) {
+    return AggregateSpec{function, std::move(grouping)};
+  };
+  auto sum_by_category = reference::AggregateFormation(
+      retail.mo, spec(AggFunction::Sum(retail.amount_dim), by_category));
+  ASSERT_TRUE(sum_by_category.ok()) << sum_by_category.status();
+  std::vector<Result<MdObject>> expected;
+  expected.push_back(*sum_by_category);
+  expected.push_back(reference::RollUpAggregate(
+      retail.mo, *sum_by_category, AggFunction::Sum(retail.amount_dim),
+      by_department));
+  expected.push_back(reference::AggregateFormation(
+      retail.mo, spec(AggFunction::Avg(retail.price_dim), by_region)));
+
   EXPECT_EQ(parallel_cache.stats().exact_hits,
             sequential_cache.stats().exact_hits);
   EXPECT_EQ(parallel_cache.stats().rollup_hits,
@@ -243,10 +262,16 @@ TEST(PreAggCacheTest, StatsIdenticalUnderParallelExecution) {
   EXPECT_EQ(parallel_cache.stats().reuse_refusals,
             sequential_cache.stats().reuse_refusals);
   EXPECT_EQ(parallel_cache.size(), sequential_cache.size());
-  ASSERT_EQ(parallel_results.size(), sequential_results.size());
-  for (std::size_t i = 0; i < parallel_results.size(); ++i) {
-    EXPECT_EQ(parallel_results[i], sequential_results[i])
-        << "query " << i << " serialized differently";
+  ASSERT_EQ(sequential_results.size(), expected.size());
+  ASSERT_EQ(parallel_results.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_TRUE(expected[i].ok()) << expected[i].status();
+    auto bytes = io::WriteMo(*expected[i]);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    EXPECT_EQ(sequential_results[i], *bytes)
+        << "query " << i << " serialized differently without a context";
+    EXPECT_EQ(parallel_results[i], *bytes)
+        << "query " << i << " serialized differently in parallel";
   }
   // And the parallel engine really did run for the strict SUM scans.
   EXPECT_GE(ctx.stats.parallel_runs, 1u);

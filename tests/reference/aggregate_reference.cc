@@ -283,5 +283,130 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
   return result;
 }
 
+namespace {
+
+/// Merges two partial results of a distributive function.
+double MergePartials(AggregateFunctionKind kind, double a, double b) {
+  switch (kind) {
+    case AggregateFunctionKind::kSum:
+    case AggregateFunctionKind::kCount:
+    case AggregateFunctionKind::kSetCount:
+      return a + b;
+    case AggregateFunctionKind::kMin:
+      return std::min(a, b);
+    case AggregateFunctionKind::kMax:
+      return std::max(a, b);
+    case AggregateFunctionKind::kAvg:
+      break;  // not distributive; never merged
+  }
+  return a;
+}
+
+}  // namespace
+
+Result<MdObject> RollUpAggregate(
+    const MdObject& base, const MdObject& cached, const AggFunction& function,
+    const std::vector<CategoryTypeIndex>& grouping) {
+  const std::size_t n = grouping.size();
+  const std::size_t result_dim = cached.dimension_count() - 1;
+  // The requested base categories, found in the cached (restricted)
+  // dimension types by name.
+  std::vector<CategoryTypeIndex> categories(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string& name =
+        base.dimension(i).type().category(grouping[i]).name;
+    MDDC_ASSIGN_OR_RETURN(categories[i],
+                          cached.dimension(i).type().Find(name));
+  }
+
+  struct Merged {
+    std::vector<FactId> members;
+    double value = 0.0;
+    bool first = true;
+  };
+  std::map<GroupKey, Merged> merged;
+  for (FactId group : cached.facts()) {
+    GroupKey key(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Dimension& dimension = cached.dimension(i);
+      const std::vector<const FactDimRelation::Entry*> pairs =
+          cached.relation(i).ForFact(group);
+      if (pairs.empty()) {
+        return Status::InvariantViolation("cached group missing a value");
+      }
+      const ValueId fine = pairs.front()->value;
+      if (categories[i] == dimension.type().top()) {
+        key[i] = dimension.top_value();
+        continue;
+      }
+      auto fine_category = dimension.CategoryOf(fine);
+      if (fine_category.ok() && *fine_category == categories[i]) {
+        key[i] = fine;
+        continue;
+      }
+      auto coarser = dimension.AncestorsIn(fine, categories[i]);
+      if (coarser.size() != 1) {
+        return Status::InvariantViolation(
+            StrCat("non-strict step above cached grouping in dimension '",
+                   dimension.name(), "'; partial results cannot be merged"));
+      }
+      key[i] = coarser.front().value;
+    }
+    const std::vector<const FactDimRelation::Entry*> result_pairs =
+        cached.relation(result_dim).ForFact(group);
+    if (result_pairs.empty()) {
+      return Status::InvariantViolation("cached group missing its result");
+    }
+    MDDC_ASSIGN_OR_RETURN(double partial,
+                          cached.dimension(result_dim)
+                              .NumericValueOf(result_pairs.front()->value));
+    MDDC_ASSIGN_OR_RETURN(FactTerm term, cached.registry()->Get(group));
+    Merged& slot = merged[key];
+    slot.members.insert(slot.members.end(), term.members.begin(),
+                        term.members.end());
+    slot.value = slot.first
+                     ? partial
+                     : MergePartials(function.kind(), slot.value, partial);
+    slot.first = false;
+  }
+
+  // Argument dimensions restricted above the requested categories, plus
+  // a fresh auto result dimension typed like the cached one.
+  std::vector<Dimension> dimensions;
+  for (std::size_t i = 0; i < n; ++i) {
+    MDDC_ASSIGN_OR_RETURN(Dimension restricted,
+                          cached.dimension(i).RestrictAbove(categories[i]));
+    dimensions.push_back(std::move(restricted));
+  }
+  const DimensionType& cached_type = cached.dimension(result_dim).type();
+  DimensionTypeBuilder builder("Result");
+  builder.AddCategory("Value", cached_type.AggType(cached_type.bottom()));
+  MDDC_ASSIGN_OR_RETURN(auto result_type, builder.Build());
+  dimensions.emplace_back(result_type);
+  MdObject result(cached.schema().fact_type(), std::move(dimensions),
+                  cached.registry(), cached.temporal_type());
+  Dimension& out = result.dimension_mutable(n);
+  const CategoryTypeIndex bottom = result_type->bottom();
+  Representation& rep = out.RepresentationFor(bottom, "Value");
+  std::map<std::uint64_t, ValueId> values;  // by the double's bits
+  for (const auto& [key, slot] : merged) {
+    const FactId fact = cached.registry()->Set(slot.members);
+    MDDC_RETURN_NOT_OK(result.AddFact(fact));
+    for (std::size_t i = 0; i < n; ++i) {
+      MDDC_RETURN_NOT_OK(result.relation_mutable(i).Add(fact, key[i]));
+    }
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(slot.value);
+    auto it = values.find(bits);
+    if (it == values.end()) {
+      MDDC_ASSIGN_OR_RETURN(ValueId value, out.AddValueAuto(bottom));
+      MDDC_RETURN_NOT_OK(rep.Set(value, FormatDouble(slot.value)));
+      it = values.emplace(bits, value).first;
+    }
+    MDDC_RETURN_NOT_OK(result.relation_mutable(n).Add(fact, it->second));
+  }
+  MDDC_RETURN_NOT_OK(result.Validate());
+  return result;
+}
+
 }  // namespace reference
 }  // namespace mddc

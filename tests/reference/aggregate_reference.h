@@ -1,6 +1,8 @@
 #ifndef MDDC_TESTS_REFERENCE_AGGREGATE_REFERENCE_H_
 #define MDDC_TESTS_REFERENCE_AGGREGATE_REFERENCE_H_
 
+#include <vector>
+
 #include "algebra/operators.h"
 #include "common/result.h"
 #include "core/md_object.h"
@@ -26,6 +28,20 @@ namespace reference {
 /// ignored: fold state is a production concern.
 Result<MdObject> AggregateFormation(const MdObject& mo,
                                     const AggregateSpec& spec);
+
+/// The executable specification of PreAggregateCache's rollup reuse
+/// (Section 3.4: partial results of a distributive function combine
+/// along strict paths): `cached` is an auto-result formation of
+/// `function` over `base`, and the result regroups its set-facts at
+/// `grouping` (categories of `base`'s dimension types, at or above the
+/// cached ones) and merges their partial values, groups in an ordered
+/// std::map, each fine value's ancestor found by Dimension::AncestorsIn.
+/// A non-strict step fails as the cache's does. Test-only: the cache's
+/// flat-hash merge over rollup-snapshot lookups must serialize
+/// byte-identically to this.
+Result<MdObject> RollUpAggregate(
+    const MdObject& base, const MdObject& cached, const AggFunction& function,
+    const std::vector<CategoryTypeIndex>& grouping);
 
 }  // namespace reference
 }  // namespace mddc

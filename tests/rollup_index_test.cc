@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "algebra/operators.h"
@@ -13,6 +12,7 @@
 #include "fixtures.h"
 #include "io/serialize.h"
 #include "reference/aggregate_reference.h"
+#include "reference/timeslice_reference.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -130,61 +130,6 @@ TEST(RollupIndexTest, CategoryRangesMatchValuesIn) {
     EXPECT_EQ(actual, expected) << "category " << c;
     EXPECT_TRUE(std::is_sorted(actual.begin(), actual.end()));
   }
-}
-
-TEST(RollupIndexTest, CsrEdgesMatchEdgeLists) {
-  Dimension dimension = BuildDiagnosisDimension();
-  auto index = RollupIndex::For(dimension);
-  ASSERT_NE(index, nullptr);
-
-  const std::vector<Dimension::Edge>& edges = dimension.edges();
-  std::size_t up_total = 0;
-  std::size_t down_total = 0;
-  for (ValueId v : dimension.AllValues()) {
-    const std::uint32_t d = index->DenseOf(v);
-    ASSERT_NE(d, RollupIndex::kNone);
-    // Up: one CSR slot per edge with child v, same parents/lives/probs.
-    const std::vector<std::size_t>& from_child =
-        dimension.EdgeIndexesFromChild(v);
-    ASSERT_EQ(index->UpEnd(d) - index->UpBegin(d), from_child.size());
-    std::multimap<ValueId, std::pair<Lifespan, double>> expected_up;
-    for (std::size_t e : from_child) {
-      expected_up.emplace(edges[e].parent,
-                          std::make_pair(edges[e].life, edges[e].prob));
-    }
-    for (std::uint32_t pos = index->UpBegin(d); pos < index->UpEnd(d);
-         ++pos) {
-      const ValueId parent = index->ValueOf(index->UpParent(pos));
-      auto it = expected_up.find(parent);
-      ASSERT_NE(it, expected_up.end()) << "unexpected up-edge";
-      EXPECT_EQ(index->UpLife(pos), it->second.first);
-      EXPECT_EQ(index->UpProb(pos), it->second.second);
-      expected_up.erase(it);
-      ++up_total;
-    }
-    // Down: mirror over edges with parent v.
-    const std::vector<std::size_t>& to_parent =
-        dimension.EdgeIndexesToParent(v);
-    ASSERT_EQ(index->DownEnd(d) - index->DownBegin(d), to_parent.size());
-    std::multimap<ValueId, std::pair<Lifespan, double>> expected_down;
-    for (std::size_t e : to_parent) {
-      expected_down.emplace(edges[e].child,
-                            std::make_pair(edges[e].life, edges[e].prob));
-    }
-    for (std::uint32_t pos = index->DownBegin(d); pos < index->DownEnd(d);
-         ++pos) {
-      const ValueId child = index->ValueOf(index->DownChild(pos));
-      auto it = expected_down.find(child);
-      ASSERT_NE(it, expected_down.end()) << "unexpected down-edge";
-      EXPECT_EQ(index->DownLife(pos), it->second.first);
-      EXPECT_EQ(index->DownProb(pos), it->second.second);
-      expected_down.erase(it);
-      ++down_total;
-    }
-  }
-  // Every immediate-containment edge appears exactly once per direction.
-  EXPECT_EQ(up_total, edges.size());
-  EXPECT_EQ(down_total, edges.size());
 }
 
 TEST(RollupIndexTest, FlatTableMatchesAncestorsIn) {
@@ -422,7 +367,7 @@ TEST(RollupIndexEndToEndTest, TimesliceCountsHitsAndMatchesSequential) {
   ClinicalMo clinical = BuildClinical();
   const Chronon at = Day("15/06/85");
 
-  auto sequential = ValidTimeslice(clinical.mo, at);
+  auto sequential = reference::ValidTimeslice(clinical.mo, at);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok());
@@ -473,14 +418,15 @@ TEST(RollupIndexEndToEndTest, PreAggRollupCountsHitsAndMatchesSequential) {
   auto by_department =
       GroupingAt(retail.mo, retail.product_dim, retail.department);
 
-  // Ground truth: the same materialize-then-rollup sequence without any
-  // execution context never touches the index.
-  PreAggregateCache plain(retail.mo);
-  ASSERT_TRUE(
-      plain.Materialize(AggFunction::Sum(retail.amount_dim), by_category)
-          .ok());
-  auto plain_rolled =
-      plain.Query(AggFunction::Sum(retail.amount_dim), by_department);
+  // Ground truth: the same materialize-then-rollup sequence through the
+  // reference formation and rollup, which walk the closure and never
+  // touch the index.
+  auto plain_cached = reference::AggregateFormation(
+      retail.mo, SpecFor(AggFunction::Sum(retail.amount_dim), by_category));
+  ASSERT_TRUE(plain_cached.ok()) << plain_cached.status();
+  auto plain_rolled = reference::RollUpAggregate(
+      retail.mo, *plain_cached, AggFunction::Sum(retail.amount_dim),
+      by_department);
   ASSERT_TRUE(plain_rolled.ok()) << plain_rolled.status();
   auto plain_bytes = io::WriteMo(*plain_rolled);
   ASSERT_TRUE(plain_bytes.ok());

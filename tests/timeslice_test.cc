@@ -2,6 +2,7 @@
 
 #include "algebra/timeslice.h"
 #include "fixtures.h"
+#include "reference/timeslice_reference.h"
 
 namespace mddc {
 namespace {
@@ -128,7 +129,8 @@ TEST(TimesliceTest, BitemporalSliceChain) {
 
 TEST(TimesliceTest, DimensionLevelSliceHelper) {
   Dimension diagnosis = BuildDiagnosisDimension();
-  auto sliced = ValidTimesliceDimension(diagnosis, Day("15/06/75"));
+  auto sliced =
+      reference::ValidTimesliceDimension(diagnosis, Day("15/06/75"));
   ASSERT_TRUE(sliced.ok());
   EXPECT_TRUE(sliced->HasValue(ValueId(3)));
   EXPECT_FALSE(sliced->HasValue(ValueId(5)));
