@@ -85,6 +85,14 @@ class FlatHashIndex {
     ++size_;
   }
 
+  /// Calls `fn(hash, ordinal)` on every recorded key, in slot order.
+  template <typename Fn>
+  void ForEach(const Fn& fn) const {
+    for (std::size_t pos = 0; pos < ordinals_.size(); ++pos) {
+      if (ordinals_[pos] != kNone) fn(hashes_[pos], ordinals_[pos]);
+    }
+  }
+
   /// Looks up `hash`; on a miss the key is recorded under `next_ordinal`
   /// and `*inserted` is set; the caller then appends the key (and any
   /// payload) to its own storage so the ordinal stays dense.

@@ -42,6 +42,46 @@ std::shared_ptr<FactRegistry> FactRegistry::ForkOf(
   return copy;
 }
 
+void FactRegistry::LayeredTable::Settle() {
+  const std::size_t base_keys = base == nullptr ? 0 : base->size();
+  if (4 * delta.size() <= base_keys) return;
+  if (base_keys == 0) {
+    base = std::make_shared<const FlatHashIndex>(std::move(delta));
+  } else {
+    auto merged = std::make_shared<FlatHashIndex>(*base);
+    delta.ForEach([&merged](std::uint64_t hash, std::uint32_t ordinal) {
+      merged->Insert(hash, ordinal);
+    });
+    base = std::move(merged);
+  }
+  delta = FlatHashIndex();
+}
+
+void FactRegistry::Seal() {
+  if (sealed_) return;
+  atom_index_.Settle();
+  pair_index_.Settle();
+  set_index_.Settle();
+  sealed_ = true;
+}
+
+std::size_t FactRegistry::SharedTablesWith(const FactRegistry& other) const {
+  std::size_t shared = 0;
+  for (FactTerm::Kind kind : {FactTerm::Kind::kAtom, FactTerm::Kind::kPair,
+                              FactTerm::Kind::kSet}) {
+    const LayeredTable& mine = TableFor(kind);
+    shared += mine.base != nullptr && mine.base == other.TableFor(kind).base
+                  ? 1
+                  : 0;
+  }
+  return shared;
+}
+
+std::size_t FactRegistry::delta_keys() const {
+  return atom_index_.delta.size() + pair_index_.delta.size() +
+         set_index_.delta.size();
+}
+
 void FactRegistry::CheckUnsealed() const {
   if (sealed_) [[unlikely]] {
     std::cerr << "FactRegistry: intern call on a sealed registry (a "
@@ -51,7 +91,8 @@ void FactRegistry::CheckUnsealed() const {
   }
 }
 
-const FlatHashIndex& FactRegistry::TableFor(FactTerm::Kind kind) const {
+const FactRegistry::LayeredTable& FactRegistry::TableFor(
+    FactTerm::Kind kind) const {
   switch (kind) {
     case FactTerm::Kind::kAtom:
       return atom_index_;
@@ -270,7 +311,7 @@ FactId FactRegistry::Intern(std::uint64_t hash, Stored term,
     std::abort();
   }
   const auto ordinal = static_cast<std::uint32_t>(terms_.size());
-  TableFor(term.kind).Insert(hash, ordinal);
+  TableFor(term.kind).delta.Insert(hash, ordinal);
   term.own = static_cast<std::uint32_t>(own.size());
   term.begin = members_.size();
   members_.Append(own);

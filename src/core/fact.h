@@ -56,8 +56,10 @@ struct FactTerm {
 /// the terms are trivially copyable records in a ChunkedVector, indexed
 /// by id; every set term's own member ids (a plain set's whole list, an
 /// extension's tail) sit in one append-only ChunkedVector<FactId> pool;
-/// and the three dedup tables are flat. A copy (ForkOf) shares every term
-/// and member chunk and duplicates only the tables' slot arrays.
+/// and each of the three dedup tables is an immutable flat base, shared
+/// by every copy, plus a flat delta that takes this registry's inserts.
+/// A copy (ForkOf) shares every term and member chunk and every base and
+/// duplicates only the deltas.
 class FactRegistry {
  public:
   FactRegistry() = default;
@@ -65,12 +67,12 @@ class FactRegistry {
   FactRegistry& operator=(const FactRegistry&) = delete;
 
   /// An unsealed copy of `base` (an empty registry for null) that shares
-  /// every term and member chunk with it and copies the three tables'
-  /// slot arrays (12 bytes a slot). Ids are stable across the copy — a
-  /// fact interned before it has the same id in both, and two copies that
-  /// intern the same sequence of new terms assign the same new ids — and
-  /// interning into the copy clones only the tail chunks it appends to,
-  /// so `base` never sees it.
+  /// every term and member chunk and the three tables' bases with it and
+  /// copies their deltas (12 bytes a slot). Ids are stable across the
+  /// copy — a fact interned before it has the same id in both, and two
+  /// copies that intern the same sequence of new terms assign the same
+  /// new ids — and interning into the copy lands in its deltas and the
+  /// tail chunks it clones, so `base` never sees it.
   ///
   /// The copy only reads `base`: any number of threads may copy one
   /// registry at once while nothing interns into it (the MVCC serving
@@ -85,7 +87,13 @@ class FactRegistry {
   /// at publication (MdObject::WarmAndFreezeForPublish), so a read path
   /// that interns into shared published state fails loudly instead of
   /// racing; readers that derive facts work on a ForkOf it.
-  void Seal() { sealed_ = true; }
+  ///
+  /// Sealing also settles each table's layers: a delta that holds more
+  /// than a quarter of its base's keys is merged with it into a fresh
+  /// base (an empty base just takes the delta), so copies of the sealed
+  /// registry copy at most a quarter of a table, and lookups probe at
+  /// most two levels. Sealing a sealed registry does nothing.
+  void Seal();
   bool sealed() const { return sealed_; }
 
   /// Interns an atomic fact with the given external key.
@@ -141,6 +149,13 @@ class FactRegistry {
            members_.SharedChunksWith(other.members_);
   }
 
+  /// How many of the three dedup tables' bases this registry holds by
+  /// the very same pointer as `other`, and the keys in its deltas: what
+  /// a copy shares and what it duplicates (tests and
+  /// docs/memory_layout.md measure them).
+  std::size_t SharedTablesWith(const FactRegistry& other) const;
+  std::size_t delta_keys() const;
+
   /// Renders a fact: atoms print their key ("2"), pairs "(1,2)", sets
   /// "{1,2}".
   std::string ToString(FactId id) const;
@@ -195,9 +210,27 @@ class FactRegistry {
   FactId Intern(std::uint64_t hash, Stored term,
                 std::span<const FactId> own = {});
 
-  const FlatHashIndex& TableFor(FactTerm::Kind kind) const;
-  FlatHashIndex& TableFor(FactTerm::Kind kind) {
-    return const_cast<FlatHashIndex&>(
+  /// One dedup table in two layers: `base`, immutable and shared by
+  /// every copy (null while empty), and `delta`, this registry's own,
+  /// which takes every insert. A key lives in exactly one of them.
+  struct LayeredTable {
+    std::shared_ptr<const FlatHashIndex> base;
+    FlatHashIndex delta;
+
+    template <typename Eq>
+    std::uint32_t Find(std::uint64_t hash, const Eq& eq) const {
+      const std::uint32_t ordinal = delta.Find(hash, eq);
+      if (ordinal != FlatHashIndex::kNone || base == nullptr) return ordinal;
+      return base->Find(hash, eq);
+    }
+    /// Seal's step: merges a delta of more than a quarter of the base
+    /// into a fresh base.
+    void Settle();
+  };
+
+  const LayeredTable& TableFor(FactTerm::Kind kind) const;
+  LayeredTable& TableFor(FactTerm::Kind kind) {
+    return const_cast<LayeredTable&>(
         static_cast<const FactRegistry*>(this)->TableFor(kind));
   }
 
@@ -213,12 +246,12 @@ class FactRegistry {
 
   // Open-addressing dedup tables, one per term kind; ordinals are ids,
   // equality probes compare against terms_ and members_ directly (no
-  // second key store, no tree nodes — docs/memory_layout.md). A copy
-  // duplicates their slot arrays: a table filled in hash order does not
-  // chunk.
-  FlatHashIndex atom_index_;
-  FlatHashIndex pair_index_;
-  FlatHashIndex set_index_;
+  // second key store, no tree nodes — docs/memory_layout.md). A table
+  // filled in hash order does not chunk (a batch's inserts land all over
+  // it), so a copy shares each base whole and duplicates the deltas.
+  LayeredTable atom_index_;
+  LayeredTable pair_index_;
+  LayeredTable set_index_;
 };
 
 }  // namespace mddc

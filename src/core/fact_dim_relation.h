@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/chunked_vector.h"
-#include "common/flat_hash.h"
 #include "common/id.h"
 #include "common/result.h"
 #include "temporal/lifespan.h"
@@ -28,16 +27,19 @@ namespace mddc {
 /// the same (f,e) twice unions the attached time, so value-equivalent
 /// pairs never exist.
 ///
-/// Storage is flat (docs/memory_layout.md): the by-fact index is an
-/// open-addressing hash table over dense key arrays (no tree nodes), and
-/// sorted-lockstep consumers read a CSR span view built once per freeze
-/// (`FactSpans`). There is no by-value index: the algebra reads R from
-/// fact to value (Sections 3.1 and 4.1), and the one value-first query,
-/// MdObject::FactsWith, scans the entries. The entries, the key arrays,
-/// the CSR arrays and the dense column are ChunkedVectors: a copy shares
-/// their chunks, and a write clones only the chunk it lands in, so a
-/// draft cloned from a published relation and extended by a batch owns
-/// just the chunks the batch touched.
+/// Storage is flat (docs/memory_layout.md). The by-fact index is the
+/// CSR span view (`FactSpans`): one row per fact, facts ascending, over
+/// a run of entry indexes, built once per seal and binary-searched by the
+/// per-fact lookups. Beside it a hash index covers only the entries the
+/// view does not (the tail): every entry of a relation that was never
+/// copied or published, only the batch of a writer's draft. There is no
+/// by-value index: the algebra reads R from fact to value (Sections 3.1
+/// and 4.1), and the one value-first query, MdObject::FactsWith, scans
+/// the entries. The entries, the CSR arrays and the dense column are
+/// ChunkedVectors: a copy shares their chunks, and a write clones only
+/// the chunk it lands in, so a draft cloned from a published relation
+/// and extended by a batch owns just the chunks the batch touched plus
+/// its tail index.
 class FactDimRelation {
  public:
   struct Entry {
@@ -72,14 +74,20 @@ class FactDimRelation {
     }
   };
 
-  FactDimRelation() = default;
+  FactDimRelation();
+  ~FactDimRelation();
+  /// A copy shares the source's CSR view, sealing the source first when
+  /// needed (the lazy seal any reader may run), and starts with an empty
+  /// tail index.
   FactDimRelation(const FactDimRelation& other);
   FactDimRelation(FactDimRelation&& other) noexcept;
   FactDimRelation& operator=(const FactDimRelation& other);
   FactDimRelation& operator=(FactDimRelation&& other) noexcept;
 
   /// Adds (fact, value) during `life` with probability `prob`. Coalesces
-  /// with an existing pair (probabilities must agree).
+  /// with an existing pair (probabilities must agree), which it finds in
+  /// the CSR rows (kept, stale, across appends) and the tail index
+  /// without sealing.
   Status Add(FactId fact, ValueId value,
              const Lifespan& life = Lifespan::AlwaysSpan(),
              double prob = 1.0);
@@ -95,8 +103,10 @@ class FactDimRelation {
   std::vector<const Entry*> ForFact(FactId fact) const;
 
   /// No-copy variant of ForFact for read-only hot loops: indices into
-  /// entries() (empty when the fact has no pairs). Invalidated by Add and
-  /// RestrictToFacts.
+  /// entries(), ascending (empty when the fact has no pairs).
+  /// Invalidated by Add and RestrictToFacts. One hash probe while the
+  /// tail index covers every entry; otherwise the lazy seal (a no-op on
+  /// a sealed relation) and a binary search of the CSR rows.
   EntrySpan EntryIndexesForFact(FactId fact) const;
 
   /// The CSR by-fact view, facts ascending — for hot loops that walk a
@@ -111,15 +121,15 @@ class FactDimRelation {
   /// The entry indexes of one FactSpans() row, in insertion order. A run
   /// never straddles a chunk of the CSR entry-index array (the seal pads
   /// to the next chunk instead), so this is a pointer into one chunk; a
-  /// run longer than a chunk is served from the fact's by-fact list,
-  /// which holds the same indexes.
+  /// run longer than a chunk is also kept out of line, whole, and served
+  /// from there.
   EntrySpan SpanEntries(const FactSpan& span) const {
     if (span.end == span.begin) return {};
     if ((span.begin >> kIndexChunkShift) ==
         ((span.end - 1) >> kIndexChunkShift)) {
       return EntrySpan{&span_entries_[span.begin], span.end - span.begin};
     }
-    return by_fact_.ListAt(by_fact_.FindOrdinal(span.fact));
+    return LongRunOf(span.fact);
   }
 
   /// Builds the CSR view now (the seal step of snapshot publication calls
@@ -185,8 +195,19 @@ class FactDimRelation {
   /// SealIndexes, reporting the outcome.
   SealOutcome SealIndexesReporting() const;
 
-  /// True iff some pair references `fact`.
+  /// The owner's publication seal: SealIndexesReporting, then drops the
+  /// tail index, so the CSR view is the relation's only by-fact index.
+  /// For the owner only, before the relation is shared (MoStore::Seal
+  /// runs it on the draft before it turns const).
+  SealOutcome Compact();
+
+  /// True iff some pair references `fact`. The const overload is a
+  /// reader's lookup (as EntryIndexesForFact); the non-const one is the
+  /// writer's (as Add): it reads the CSR rows and the tail index without
+  /// sealing, so a writer that interleaves lookups with Add (CoverWithTop
+  /// on a draft) never reseals.
   bool HasFact(FactId fact) const;
+  bool HasFact(FactId fact);
 
   /// Lowest index of an entry edited in place — a coalescing Add that
   /// changed an existing pair's lifespan — since this relation was built
@@ -201,8 +222,8 @@ class FactDimRelation {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// Storage chunks over every chunked array (entries, the by-fact key
-  /// and list arrays, CSR arrays, dense column), and how many of
+  /// Storage chunks over every chunked array (entries, CSR arrays,
+  /// dense column), and how many of
   /// them are the very same chunks `other` holds at the same positions:
   /// what a copy shares and its writes since un-shared (tests and
   /// docs/memory_layout.md measure it).
@@ -218,53 +239,13 @@ class FactDimRelation {
   static constexpr std::size_t kIndexChunkShift =
       ChunkedVector<std::size_t>::kChunkShift;
 
-  /// The flat by-fact index: an open-addressing table over dense
-  /// parallel (fact, entry-index-list) arrays.
-  ///
-  /// A copy shares the key and list arrays chunk by chunk and copies the
-  /// table's slot arrays flat (12 bytes a slot: a hash table filled in
-  /// random order does not chunk). The per-key lists are copy-on-write
-  /// on top: ListFor clones the chunk of list handles it writes into
-  /// (which makes every handle in it shared), then un-shares the one list
-  /// it mutates. A copy then costs the slot arrays plus O(chunks), and a
-  /// retired epoch frees only the chunks and lists it uniquely owns
-  /// (docs/ingestion.md). Deciding by use_count() is sound because
-  /// relation mutation is single-writer (the store's draft) and a shared
-  /// source stays alive until the draft is sealed (see ChunkedVector).
-  struct FlatListIndex {
-    FlatHashIndex table;
-    ChunkedVector<FactId> keys;
-    ChunkedVector<std::shared_ptr<std::vector<std::size_t>>> lists;
+  class TailIndex;
 
-    std::uint32_t FindOrdinal(FactId key) const {
-      return table.Find(Fnv1a64Word(key.raw()), [&](std::uint32_t ordinal) {
-        return keys[ordinal] == key;
-      });
-    }
-    EntrySpan ListAt(std::uint32_t ordinal) const {
-      return EntrySpan::Of(*lists[ordinal]);
-    }
-    std::vector<std::size_t>& ListFor(FactId key) {
-      bool inserted = false;
-      const std::uint32_t ordinal = table.FindOrInsert(
-          Fnv1a64Word(key.raw()), static_cast<std::uint32_t>(keys.size()),
-          [&](std::uint32_t o) { return keys[o] == key; }, &inserted);
-      if (inserted) {
-        keys.push_back(key);
-        lists.push_back(std::make_shared<std::vector<std::size_t>>());
-        return *lists.MutBack();
-      }
-      std::shared_ptr<std::vector<std::size_t>>& list = lists.Mut(ordinal);
-      if (list.use_count() > 1) {
-        list = std::make_shared<std::vector<std::size_t>>(*list);
-      }
-      return *list;
-    }
-    void Clear() {
-      table.Clear();
-      keys.clear();
-      lists.clear();
-    }
+  /// A run of more than a chunk's entries, kept whole for SpanEntries.
+  /// Immutable once laid out, so copies share it.
+  struct LongRun {
+    FactId fact;
+    std::shared_ptr<const std::vector<std::size_t>> entries;
   };
 
   void ReindexAll();
@@ -275,9 +256,26 @@ class FactDimRelation {
   void CopyFrom(const FactDimRelation& other);
   void MoveFrom(FactDimRelation&& other);
 
+  /// The row of `fact` in the laid-out CSR rows, valid or kept stale
+  /// across appends; nullptr when it has none.
+  const FactSpan* FindRow(FactId fact) const;
+  /// The writer's lookup: calls `fn(index)` on the entries of `fact`,
+  /// ascending, until it returns false — those below tail_begin_ from
+  /// the laid-out rows, then the tail index's. Never seals.
+  template <typename Fn>
+  void VisitWriterEntries(FactId fact, const Fn& fn) const;
+  /// The out-of-line run of `fact` (a row longer than a chunk).
+  EntrySpan LongRunOf(FactId fact) const;
+
   ChunkedVector<Entry> entries_;
   std::size_t first_edited_entry_ = kNoEdit;
-  FlatListIndex by_fact_;
+  /// Entries [tail_begin_, size()) are indexed by `tail_`; entries below
+  /// are covered by the laid-out CSR rows (sealed_entry_count_ >=
+  /// tail_begin_). 0 for a relation never copied or published, whose
+  /// tail index covers every entry; null `tail_` when the tail is empty.
+  /// Private to this object: copies and readers never touch it.
+  std::size_t tail_begin_ = 0;
+  std::unique_ptr<TailIndex> tail_;
 
   /// Splices the entries appended since the last seal onto the span tail;
   /// false when the delta is not a pure in-order append and a full
@@ -293,10 +291,11 @@ class FactDimRelation {
   std::uint32_t DenseSlotOf(std::size_t row,
                             const DenseNumbering& numbering) const;
 
-  /// Appends one fact's run of entry indexes to span_entries_, padding
-  /// first so that the run does not straddle a chunk; returns its begin.
-  /// Caller holds CsrMutex.
-  std::uint32_t AppendRunLocked(EntrySpan run) const;
+  /// Appends `fact`'s run of entry indexes to span_entries_, padding
+  /// first so that the run does not straddle a chunk (a run longer than
+  /// a chunk is also kept out of line); returns its begin. Caller holds
+  /// CsrMutex.
+  std::uint32_t AppendRunLocked(FactId fact, EntrySpan run) const;
 
   // Lazily-built CSR by-fact view. `csr_valid_` is the publication flag:
   // set with release after the arrays are final, read with acquire before
@@ -310,6 +309,7 @@ class FactDimRelation {
   mutable std::atomic<bool> csr_valid_{false};
   mutable ChunkedVector<FactSpan> spans_;
   mutable ChunkedVector<std::size_t> span_entries_;
+  mutable std::vector<LongRun> long_runs_;  // facts ascending
   mutable std::size_t sealed_entry_count_ = 0;
 
   // The dense-id column (see DenseColumn), published like the CSR view:

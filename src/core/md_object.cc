@@ -57,9 +57,13 @@ MdObject::MdObject(std::string fact_type, std::vector<Dimension> dimensions,
 MdObject::MdObject(const MdObject& other)
     : schema_(other.schema_),
       relations_(other.relations_),
-      facts_(other.facts_),
       registry_(other.registry_),
       temporal_type_(other.temporal_type_) {
+  // The copy is a writer's draft or a read's working copy, and a draft
+  // appends a batch: with room for one, the batch's first AddFact does
+  // not reallocate the whole list into twice its size.
+  facts_.reserve(other.facts_.size() + kDraftFactHeadroom);
+  facts_.assign(other.facts_.begin(), other.facts_.end());
   // A frozen dimension is never written again (dimension_mutable clones
   // it, Seal and WarmAndFreezeForPublish skip it), so sharing it is
   // sharing an immutable value. An unfrozen one may still warm memos
@@ -167,10 +171,14 @@ Status MdObject::CoverWithTop(const std::vector<FactId>& facts) {
   return Status::OK();
 }
 
-MdObject MdObject::WithRegistry(std::shared_ptr<FactRegistry> registry) const {
-  MdObject copy = *this;
-  copy.registry_ = std::move(registry);
-  return copy;
+MdObject MdObject::WithRegistry(
+    std::shared_ptr<FactRegistry> registry) const& {
+  return MdObject(*this).WithRegistry(std::move(registry));
+}
+
+MdObject MdObject::WithRegistry(std::shared_ptr<FactRegistry> registry) && {
+  registry_ = std::move(registry);
+  return std::move(*this);
 }
 
 void MdObject::WarmAndFreezeForPublish() const {

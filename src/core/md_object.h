@@ -56,9 +56,9 @@ class MdObject {
 
   /// A copy shares every publish-frozen dimension (memos warm, rollup
   /// slot final: every read of it is pure) and deep-copies the others;
-  /// the relations share their chunked storage (FactDimRelation). A
-  /// writer's draft of a published MO therefore costs the relations'
-  /// hash slot arrays, the fact list and O(chunks), not O(|F|).
+  /// the relations share their chunked storage and CSR views
+  /// (FactDimRelation). A writer's draft of a published MO therefore
+  /// costs the fact list (with room to append a batch) and O(chunks).
   MdObject(const MdObject& other);
   MdObject(MdObject&& other) noexcept = default;
   MdObject& operator=(const MdObject& other);
@@ -133,8 +133,10 @@ class MdObject {
   /// so neither the facts a draft adds nor the set facts a read derives
   /// ever touch a published MO's sealed registry. `registry` must
   /// resolve every id this MO references (a ForkOf the current registry
-  /// does, id-stably).
-  MdObject WithRegistry(std::shared_ptr<FactRegistry> registry) const;
+  /// does, id-stably). The rvalue form moves this MO instead of copying
+  /// it.
+  MdObject WithRegistry(std::shared_ptr<FactRegistry> registry) const&;
+  MdObject WithRegistry(std::shared_ptr<FactRegistry> registry) &&;
 
   /// Prepares this MO for lock-free concurrent reads and marks every
   /// dimension publish-frozen: re-enables and fully warms each closure
@@ -184,6 +186,9 @@ class MdObject {
   std::string ToString() const;
 
  private:
+  /// Facts a copy has room to append before its fact list reallocates.
+  static constexpr std::size_t kDraftFactHeadroom = 1024;
+
   FactSchema schema_;
   // Shared between copies only while publish-frozen (see the copy
   // constructor); dimension_mutable un-shares.

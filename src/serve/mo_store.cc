@@ -99,10 +99,23 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
     MdObject draft, const PublishedMo* prev, const std::vector<FactId>& delta,
     const std::vector<WarmSpec>& specs, ExecStats* stats) {
   ExecContext exec;
+  // Seal the by-fact CSR span views and drop the relations' tail
+  // indexes while the draft is still the writer's own: the view is then
+  // each published relation's only by-fact index. A batched fact append
+  // lands at the entry tail with fresh (maximal) fact ids, so a layout
+  // carried over from the epoch is extended in place rather than
+  // re-sorted.
+  for (std::size_t i = 0; i < draft.dimension_count(); ++i) {
+    if (draft.relation_mutable(i).Compact() ==
+        FactDimRelation::SealOutcome::kExtended) {
+      ++exec.stats.csr_tail_extends;
+    }
+  }
+
   // The sealed MO is shared between the epoch bundle and the warm cache
   // below (its base), so the seal step itself never copies the draft.
-  // Every remaining step — memo warming, rollup compilation, CSR seals,
-  // the publish freeze — is publication metadata and works on const.
+  // Every remaining step — memo warming, rollup compilation, the publish
+  // freeze — is publication metadata and works on const.
   auto shared = std::make_shared<const MdObject>(std::move(draft));
   const MdObject& mo = *shared;
 
@@ -113,16 +126,6 @@ Result<std::shared_ptr<const PublishedMo>> MoStore::Seal(
   // one carried the published memos into its clone, so warming only
   // fills the freshly appended values' entries.
   WarmUnfrozenDimensions(mo);
-
-  // Seal the by-fact CSR span views. A batched fact append lands at the
-  // entry tail with fresh (maximal) fact ids, so a layout carried over
-  // from the epoch is extended in place rather than re-sorted.
-  for (std::size_t i = 0; i < mo.dimension_count(); ++i) {
-    if (mo.relation(i).SealIndexesReporting() ==
-        FactDimRelation::SealOutcome::kExtended) {
-      ++exec.stats.csr_tail_extends;
-    }
-  }
 
   // Compile the rollup snapshots while the dimensions are still
   // unfrozen, so For() caches each one into the dimension's slot; after
@@ -214,11 +217,12 @@ Status MoStore::Publish(std::string name, MdObject mo) {
   // Seal a private copy of the registry: it shares the caller's chunks,
   // and the caller's later interning clones the tail chunks it appends
   // to, so none of it is visible to (or racy with) readers of the
-  // published epoch.
-  MdObject draft = mo.WithRegistry(FactRegistry::ForkOf(mo.registry()));
+  // published epoch. The MO itself is ours: Seal compacts it in place.
+  std::shared_ptr<FactRegistry> registry = FactRegistry::ForkOf(mo.registry());
   MDDC_ASSIGN_OR_RETURN(
       std::shared_ptr<const PublishedMo> sealed,
-      Seal(std::move(draft), nullptr, {}, warm_specs_[name], nullptr));
+      Seal(std::move(mo).WithRegistry(std::move(registry)), nullptr, {},
+           warm_specs_[name], nullptr));
   return SwapLocked(name, std::move(sealed));
 }
 

@@ -97,8 +97,9 @@ class MoStore {
 
   /// Publishes `mo` under `name` in a new epoch. The MO's registry is
   /// copied into a private sealed one (FactRegistry::ForkOf, sharing its
-  /// chunks), so the caller's registry is never shared with readers.
-  /// Fails if the name is already published.
+  /// chunks), so the caller's registry is never shared with readers; the
+  /// MO itself is sealed and compacted in place, not copied. Fails if the
+  /// name is already published.
   Status Publish(std::string name, MdObject mo);
 
   /// Removes `name` in a new epoch, with its warm specs. Pinned
@@ -183,7 +184,8 @@ class MoStore {
 
   /// The writer's draft of a published MO: a copy whose registry is an
   /// unsealed copy of the sealed one, sharing its term and member chunks
-  /// (FactRegistry::ForkOf). Caller holds writer_mu_.
+  /// and its tables' bases (FactRegistry::ForkOf). Caller holds
+  /// writer_mu_.
   MdObject DraftOf(const MdObject& published);
 
   /// Mutate() body; caller holds writer_mu_.
@@ -191,7 +193,8 @@ class MoStore {
                       const std::function<Status(MdObject&)>& mutator);
 
   /// Builds the immutable PublishedMo bundle from a draft, in one order:
-  /// warms closure memos, seals the relations' CSR views, compiles rollup
+  /// seals the relations' CSR views and drops their tail indexes
+  /// (FactDimRelation::Compact), warms closure memos, compiles rollup
   /// snapshots and dense columns, brings the warm specs' cache up to
   /// date, then freezes everything for publication. What a draft carried
   /// over from its epoch is extended, not rebuilt: CSR tails, patched

@@ -7,14 +7,21 @@
 #include <string>
 
 #include "algebra/operators.h"
+#include "common/strings.h"
 #include "engine/executor.h"
+#include "mdql/mdql.h"
+#include "mdql/parser.h"
+#include "serve/mo_store.h"
+#include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
 // Operator-new counting harness (docs/memory_layout.md): global
 // replacement operators that count every heap allocation in this test
-// binary, proving the arena claim — after warm-up, the hot aggregate
-// path performs O(1) allocations per query, independent of fact count,
-// because per-fact scratch lives in the query-lifetime arenas.
+// binary, and the bytes it asks for, proving the arena claim — after
+// warm-up, the hot aggregate path performs O(1) allocations per query,
+// independent of fact count, because per-fact scratch lives in the
+// query-lifetime arenas — and that an appended batch allocates for the
+// batch, not for the MO it is appended to.
 //
 // Disabled under sanitizers (they interpose their own allocator and the
 // counts become meaningless). Set MDDC_COUNT_ALLOCS=0 to skip the
@@ -37,16 +44,19 @@
 
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
+std::atomic<std::size_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(align);
   const std::size_t rounded = ((size ? size : 1) + a - 1) / a * a;
   if (void* p = std::aligned_alloc(a, rounded)) return p;
@@ -85,6 +95,14 @@ bool CountingEnabled() {
 std::size_t CurrentAllocCount() {
 #if MDDC_ALLOC_COUNTING_AVAILABLE
   return g_alloc_count.load(std::memory_order_relaxed);
+#else
+  return 0;
+#endif
+}
+
+std::size_t CurrentAllocBytes() {
+#if MDDC_ALLOC_COUNTING_AVAILABLE
+  return g_alloc_bytes.load(std::memory_order_relaxed);
 #else
   return 0;
 #endif
@@ -163,6 +181,81 @@ TEST(AllocCountTest, PerQueryAllocationsDoNotScaleWithFactCount) {
   EXPECT_LT(large_steady, small_steady * 2 + 64)
       << "4x facts must not mean 4x allocations: small=" << small_steady
       << " large=" << large_steady;
+}
+
+/// Bytes one 64-patient AppendBatch allocates on a published clinical MO
+/// of `patients` patients (seed 11) with a warm COUNT BY Residence.Area,
+/// and the MO's published fact count.
+struct AppendCost {
+  std::size_t bytes = 0;
+  std::size_t facts = 0;
+};
+
+AppendCost BytesOfOneAppend(std::size_t patients) {
+  ClinicalWorkloadParams params;
+  params.seed = 11;
+  params.num_patients = patients;
+  auto generated =
+      GenerateClinicalWorkload(params, std::make_shared<FactRegistry>());
+  EXPECT_TRUE(generated.ok()) << generated.status();
+  ClinicalMo clinical = std::move(generated).ValueOrDie();
+  std::vector<CategoryTypeIndex> by_area(clinical.mo.dimension_count());
+  for (std::size_t i = 0; i < clinical.mo.dimension_count(); ++i) {
+    by_area[i] = clinical.mo.dimension(i).type().top();
+  }
+  by_area[clinical.residence_dim] = clinical.area;
+  const std::size_t lows = clinical.num_low_level;
+  const std::size_t areas = params.num_regions * params.counties_per_region *
+                            params.areas_per_county;
+
+  serve::MoStore store;
+  EXPECT_TRUE(store.Publish("clinical", std::move(clinical.mo)).ok());
+  EXPECT_TRUE(
+      store.WarmAggregate("clinical", AggFunction::SetCount(), by_area).ok());
+  std::string insert = "INSERT INTO clinical";
+  for (std::uint64_t b = 0; b < 64; ++b) {
+    const std::uint64_t key = 97000000 + b;
+    insert += StrCat(b == 0 ? " " : ", ", "FACT ", key,
+                     " (Diagnosis.\"Low-level Diagnosis\" = 'L", key % lows,
+                     "'", b % 2 == 1 ? " PROB 0.8" : "",
+                     ", Residence.Area = 'A", key % areas, "')");
+  }
+  auto parsed = mdql::Parse(insert);
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+
+  AppendCost cost;
+  cost.facts = store.Pin()->Find("clinical")->mo().fact_count();
+  const std::size_t before = CurrentAllocBytes();
+  EXPECT_TRUE(store
+                  .AppendBatch("clinical",
+                               [&](MdObject& draft) {
+                                 return mdql::ApplyInsert(draft,
+                                                          *parsed->insert)
+                                     .status();
+                               })
+                  .ok());
+  cost.bytes = CurrentAllocBytes() - before;
+  EXPECT_EQ(store.CollectStats().append_fallbacks, 0u);
+  return cost;
+}
+
+TEST(AllocCountTest, AppendDraftBytesDoNotScaleWithTheMo) {
+  if (!CountingEnabled()) GTEST_SKIP() << "alloc counting disabled";
+  // The draft of a pure append shares the published relations' chunks
+  // and CSR views and the registry's table bases: what it still copies
+  // whole is the sorted fact list (8 bytes a fact). 4x the published
+  // facts must add at most 16 bytes a fact to the same 64-patient write.
+  const AppendCost small = BytesOfOneAppend(10000);
+  const AppendCost large = BytesOfOneAppend(40000);
+  ASSERT_GE(large.facts, small.facts * 3);
+  const std::size_t extra_facts = large.facts - small.facts;
+  EXPECT_LE(large.bytes, small.bytes + 16 * extra_facts)
+      << "small=" << small.bytes << " B for " << small.facts
+      << " facts, large=" << large.bytes << " B for " << large.facts
+      << " facts: "
+      << (static_cast<double>(large.bytes) - static_cast<double>(small.bytes)) /
+             static_cast<double>(extra_facts)
+      << " B per extra fact";
 }
 
 }  // namespace

@@ -500,10 +500,10 @@ TEST(IngestSharingTest, AppendedEpochsShareAllButTheirTailChunks) {
       EXPECT_EQ(new_column->SharedChunksWith(*old_column),
                 old_column->size() / C)
           << "relation " << i;
-      // Every chunked array (entries, the by-fact key and list arrays,
-      // the CSR rows and runs, the column) un-shares at most its tail.
+      // Every chunked array (entries, the CSR rows and runs, the column)
+      // un-shares at most its tail.
       EXPECT_LE(old_rel.chunk_count() - new_rel.SharedChunksWith(old_rel),
-                6u)
+                4u)
           << "relation " << i;
     }
   }

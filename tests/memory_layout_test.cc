@@ -12,8 +12,11 @@
 #include <vector>
 
 #include "common/chunked_vector.h"
+#include "common/strings.h"
 #include "core/fact.h"
 #include "core/fact_dim_relation.h"
+#include "temporal/interval.h"
+#include "temporal/lifespan.h"
 
 namespace mddc {
 namespace {
@@ -155,6 +158,326 @@ TEST(FactDimRelationCsrTest, RunsStayWholeAcrossChunkBoundaries) {
   EXPECT_EQ(relation.EntryIndexesForFact(last).size(), 1 + (fact - 1) % 7);
 }
 
+// ---- FactDimRelation by-fact index differential ---------------------------
+
+/// An ordered-map model of a relation: its entries in insertion order,
+/// each fact's entry indexes, and Add's coalescing rule restated (a pair
+/// with an equal valid or transaction element widens the other axis; one
+/// that differs on both keeps a separate entry).
+struct ReferenceRelation {
+  std::vector<FactDimRelation::Entry> entries;
+  std::map<FactId, std::vector<std::size_t>> by_fact;
+  std::size_t first_edited = FactDimRelation::kNoEdit;
+
+  void Add(FactId fact, ValueId value, const Lifespan& life, double prob) {
+    std::vector<std::size_t>& list = by_fact[fact];
+    for (std::size_t index : list) {
+      FactDimRelation::Entry& entry = entries[index];
+      if (entry.value != value) continue;
+      TemporalElement Lifespan::*widened = nullptr;
+      if (entry.life.valid == life.valid) {
+        widened = &Lifespan::transaction;
+      } else if (entry.life.transaction == life.transaction) {
+        widened = &Lifespan::valid;
+      } else {
+        continue;
+      }
+      TemporalElement merged = (entry.life.*widened).Union(life.*widened);
+      if (!(merged == entry.life.*widened)) {
+        entry.life.*widened = std::move(merged);
+        first_edited = std::min(first_edited, index);
+      }
+      return;
+    }
+    list.push_back(entries.size());
+    entries.push_back(FactDimRelation::Entry{fact, value, life, prob});
+  }
+
+  void RestrictToFacts(const std::vector<FactId>& facts) {
+    std::vector<FactDimRelation::Entry> kept;
+    for (const FactDimRelation::Entry& entry : entries) {
+      if (std::binary_search(facts.begin(), facts.end(), entry.fact)) {
+        kept.push_back(entry);
+      }
+    }
+    entries.clear();
+    by_fact.clear();
+    for (const FactDimRelation::Entry& entry : kept) {
+      by_fact[entry.fact].push_back(entries.size());
+      entries.push_back(entry);
+    }
+    first_edited = 0;
+  }
+
+  /// A copy starts with no edits, as FactDimRelation's does.
+  ReferenceRelation Copy() const {
+    ReferenceRelation copy = *this;
+    copy.first_edited = FactDimRelation::kNoEdit;
+    return copy;
+  }
+};
+
+bool SameEntry(const FactDimRelation::Entry& a,
+               const FactDimRelation::Entry& b) {
+  return a.fact == b.fact && a.value == b.value && a.life == b.life &&
+         a.prob == b.prob;
+}
+
+/// Checks every lookup of `relation` against `reference` for each fact
+/// the reference holds and a few it does not: first the writer's
+/// (non-const HasFact, which must not seal), then the readers'
+/// (ForFact, EntryIndexesForFact, const HasFact), then the CSR rows and
+/// their runs.
+void ExpectRelationMatches(FactDimRelation& relation,
+                           const ReferenceRelation& reference,
+                           const std::string& context) {
+  SCOPED_TRACE(context);
+  ASSERT_EQ(relation.size(), reference.entries.size());
+  for (std::size_t i = 0; i < reference.entries.size(); ++i) {
+    ASSERT_TRUE(SameEntry(relation.entries()[i], reference.entries[i]))
+        << "entry " << i;
+  }
+  EXPECT_EQ(relation.first_edited_entry(), reference.first_edited);
+  std::vector<FactId> probes = {FactId(0), FactId(1)};
+  for (const auto& [fact, list] : reference.by_fact) {
+    probes.push_back(fact);
+    probes.push_back(FactId(fact.raw() + 1));
+  }
+  for (FactId fact : probes) {
+    auto it = reference.by_fact.find(fact);
+    const bool has = it != reference.by_fact.end();
+    EXPECT_EQ(relation.HasFact(fact), has) << "writer, fact " << fact;
+  }
+  const FactDimRelation& reader = relation;
+  for (FactId fact : probes) {
+    auto it = reference.by_fact.find(fact);
+    const std::vector<std::size_t> want =
+        it == reference.by_fact.end() ? std::vector<std::size_t>{}
+                                      : it->second;
+    EXPECT_EQ(reader.HasFact(fact), !want.empty()) << "fact " << fact;
+    EXPECT_EQ(ToVector(reader.EntryIndexesForFact(fact)), want)
+        << "fact " << fact;
+    const std::vector<const FactDimRelation::Entry*> pairs =
+        reader.ForFact(fact);
+    ASSERT_EQ(pairs.size(), want.size()) << "fact " << fact;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_TRUE(SameEntry(*pairs[k], reference.entries[want[k]]))
+          << "fact " << fact << " pair " << k;
+    }
+  }
+  const ChunkedVector<FactDimRelation::FactSpan>& spans = reader.FactSpans();
+  ASSERT_EQ(spans.size(), reference.by_fact.size());
+  std::size_t row = 0;
+  for (const auto& [fact, list] : reference.by_fact) {
+    ASSERT_EQ(spans[row].fact, fact) << "row " << row;
+    EXPECT_EQ(ToVector(reader.SpanEntries(spans[row])), list)
+        << "fact " << fact;
+    ++row;
+  }
+}
+
+/// One relation under test with its model.
+struct RelationUnderTest {
+  FactDimRelation relation;
+  ReferenceRelation reference;
+};
+
+// Random interleavings of appends of every kind (new facts, in and out of
+// order, pairs for facts a seal already laid out, duplicate pairs,
+// lifespan widenings, bitemporal corrections), copies of sealed and
+// unsealed relations, seals, publication compaction and RestrictToFacts,
+// checked after every step against the ordered-map model. One relation
+// holds a fact with 1,500 pairs, more than a chunk of the CSR run array,
+// laid out, compacted and grown again.
+TEST(FactDimRelationIndexTest, InterleavedWritesMatchTheOrderedMapReference) {
+  std::uint64_t state = 0x5eedu;
+  auto next_random = [&state]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  // A pair's probability depends on the pair alone, so re-adds agree.
+  auto prob_of = [](FactId fact, ValueId value) {
+    return (fact.raw() + value.raw()) % 3 == 0 ? 0.5 : 1.0;
+  };
+  auto random_life = [&]() {
+    Lifespan life;
+    if (next_random() % 3 != 0) {
+      const Chronon begin = static_cast<Chronon>(next_random() % 40) * 10;
+      life.valid =
+          TemporalElement(Interval(begin, begin + 5 + next_random() % 20));
+    }
+    if (next_random() % 8 == 0) {
+      life.transaction = TemporalElement(
+          Interval(static_cast<Chronon>(next_random() % 4) * 100, 1000));
+    }
+    return life;
+  };
+
+  std::vector<RelationUnderTest> pool(1);
+  std::uint64_t next_fact = 3;  // new facts step by 3: out-of-order ones
+                                // fill the gaps
+  auto add = [&](RelationUnderTest& r, FactId fact, ValueId value,
+                 const Lifespan& life) {
+    const double prob = prob_of(fact, value);
+    ASSERT_TRUE(r.relation.Add(fact, value, life, prob).ok());
+    r.reference.Add(fact, value, life, prob);
+  };
+  // The long fact: laid out by a seal, then compacted.
+  const FactId long_fact(next_fact);
+  for (std::uint64_t v = 0; v < 1500; ++v) {
+    add(pool[0], long_fact, ValueId(1000 + v), Lifespan::AlwaysSpan());
+  }
+  next_fact += 3;
+  for (int f = 0; f < 40; ++f, next_fact += 3) {
+    for (std::uint64_t k = 0, n = 1 + next_random() % 3; k < n; ++k) {
+      add(pool[0], FactId(next_fact), ValueId(1 + next_random() % 20),
+          random_life());
+    }
+  }
+  ExpectRelationMatches(pool[0].relation, pool[0].reference, "built");
+  EXPECT_EQ(pool[0].relation.Compact(),
+            FactDimRelation::SealOutcome::kReused);
+  ExpectRelationMatches(pool[0].relation, pool[0].reference, "compacted");
+
+  std::size_t long_pairs = 1500;
+  // A batch of appends of mixed kinds.
+  auto append_batch = [&](RelationUnderTest& r) {
+    std::vector<FactId> facts;
+    for (const auto& [fact, list] : r.reference.by_fact) facts.push_back(fact);
+    for (std::uint64_t k = 0, n = 1 + next_random() % 8; k < n; ++k) {
+      const std::uint64_t kind = next_random() % 7;
+      if (kind == 0 || facts.empty()) {
+        add(r, FactId(next_fact), ValueId(1 + next_random() % 20),
+            random_life());
+        next_fact += 3;
+      } else if (kind == 1) {
+        // Out of order: a gap below the newest fact.
+        add(r, FactId(1 + 3 * (next_random() % (next_fact / 3))),
+            ValueId(1 + next_random() % 20), random_life());
+      } else if (kind == 2) {
+        add(r, facts[next_random() % facts.size()],
+            ValueId(1 + next_random() % 20), random_life());
+      } else if (kind == 3 && r.reference.by_fact.count(long_fact) != 0) {
+        // Grow the long fact, wherever it sits in the rows.
+        for (int p = 0; p < 30; ++p) {
+          add(r, long_fact, ValueId(5000 + long_pairs++),
+              Lifespan::AlwaysSpan());
+        }
+      } else {
+        // Re-add an existing pair: the same lifespan (a duplicate), a
+        // widened valid time, or a correction on both axes.
+        const FactDimRelation::Entry entry =
+            r.reference.entries[next_random() % r.reference.entries.size()];
+        Lifespan life = entry.life;
+        if (kind == 5) life.valid = life.valid.Union(random_life().valid);
+        if (kind == 6) life = random_life();
+        add(r, entry.fact, entry.value, life);
+      }
+    }
+  };
+  std::size_t outcomes[3] = {0, 0, 0};
+  for (int step = 0; step < 400; ++step) {
+    const std::string context = StrCat("step ", step);
+    RelationUnderTest& r = pool[next_random() % pool.size()];
+    // Every step but a RestrictToFacts may start with appends, so seals,
+    // compactions and copies meet relations with an unsealed tail.
+    const std::uint64_t op = next_random() % 10;
+    if (op < 3 || (op < 9 && next_random() % 2 == 0)) append_batch(r);
+    if (HasFailure()) return;
+    switch (op) {
+      case 3:
+      case 4: {
+        // Copy: the source is sealed by it (or already was), the copy
+        // starts with an empty tail.
+        RelationUnderTest copy{r.relation, r.reference.Copy()};
+        ExpectRelationMatches(r.relation, r.reference,
+                              context + " copy source");
+        if (pool.size() >= 4) pool.erase(pool.begin());
+        pool.push_back(std::move(copy));
+        ExpectRelationMatches(pool.back().relation, pool.back().reference,
+                              context + " copy");
+        continue;
+      }
+      case 5:
+        ++outcomes[static_cast<int>(r.relation.SealIndexesReporting())];
+        break;
+      case 6:
+      case 7:
+      case 8:
+        ++outcomes[static_cast<int>(r.relation.Compact())];
+        break;
+      case 9: {
+        std::vector<FactId> kept;
+        for (const auto& [fact, list] : r.reference.by_fact) {
+          if (fact == long_fact || next_random() % 10 < 8) {
+            kept.push_back(fact);
+          }
+        }
+        r.relation.RestrictToFacts(kept);
+        r.reference.RestrictToFacts(kept);
+        break;
+      }
+      default:
+        break;
+    }
+    ExpectRelationMatches(r.relation, r.reference, context);
+    if (HasFailure()) return;
+  }
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    ExpectRelationMatches(pool[i].relation, pool[i].reference,
+                          StrCat("pool ", i));
+  }
+  // Every seal outcome occurred, and the long fact grew.
+  for (std::size_t outcome : outcomes) EXPECT_GT(outcome, 0u);
+  EXPECT_GT(long_pairs, 1500u);
+}
+
+// Four readers look facts up at once in a relation a writer appended to
+// after its publication seal, so the first lookup of each round races
+// the others into the lazy reseal; each also copies the relation, which
+// seals its source the same way. Run under ThreadSanitizer (label tsan).
+TEST(FactDimRelationIndexTest, ConcurrentLookupsRaceTheLazyReseal) {
+  constexpr int kReaders = 4;
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE(StrCat("round ", round));
+    FactDimRelation relation;
+    ReferenceRelation reference;
+    auto add = [&](FactId fact, ValueId value) {
+      ASSERT_TRUE(relation.Add(fact, value).ok());
+      reference.Add(fact, value, Lifespan::AlwaysSpan(), 1.0);
+    };
+    for (std::uint64_t f = 1; f <= 3000; ++f) add(FactId(2 * f), ValueId(f % 17));
+    (void)relation.Compact();
+    // Appended after the seal: new facts at the tail, pairs for laid-out
+    // facts and, on odd rounds, a fact below the tail (a full rebuild).
+    for (std::uint64_t f = 3001; f <= 3100; ++f) add(FactId(2 * f), ValueId(3));
+    for (std::uint64_t f = 1; f <= 50; ++f) add(FactId(2 * f), ValueId(40));
+    if (round % 2 == 1) add(FactId(7), ValueId(1));
+
+    std::atomic<std::size_t> failures{0};
+    auto reader = [&](int id) {
+      const FactDimRelation& shared = relation;
+      for (const auto& [fact, list] : reference.by_fact) {
+        if ((fact.raw() / 2 + static_cast<std::uint64_t>(id)) % 3 != 0) {
+          continue;
+        }
+        if (ToVector(shared.EntryIndexesForFact(fact)) != list ||
+            !shared.HasFact(fact) || shared.ForFact(fact).size() != list.size()) {
+          ++failures;
+        }
+      }
+      if (shared.HasFact(FactId(1))) ++failures;
+      FactDimRelation copy = shared;
+      if (copy.FactSpans().size() != reference.by_fact.size()) ++failures;
+    };
+    std::vector<std::thread> threads;
+    for (int id = 0; id < kReaders; ++id) threads.emplace_back(reader, id);
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(failures.load(), 0u);
+    ExpectRelationMatches(relation, reference, "after the readers");
+  }
+}
+
 // ---- FactRegistry flat-hash differential ----------------------------------
 
 /// A deliberately naive ordered-map registry mirroring FactRegistry's id
@@ -183,6 +506,10 @@ class ReferenceRegistry {
     return it->second;
   }
   std::size_t size() const { return next_; }
+  /// Terms per kind, in FactTerm::Kind order (atoms, pairs, sets).
+  std::vector<std::size_t> kind_sizes() const {
+    return {atoms_.size(), pairs_.size(), sets_.size()};
+  }
 
  private:
   std::map<std::uint64_t, FactId> atoms_;
@@ -344,6 +671,143 @@ TEST(FactRegistryDifferentialTest, SiblingForksAssignTheSameNewIds) {
   EXPECT_EQ(left->Pair(FactId(1), FactId(2)), right->Pair(FactId(1), FactId(2)));
   EXPECT_EQ(left->Set({FactId(3), FactId(4)}),
             right->Set({FactId(4), FactId(3), FactId(4)}));
+}
+
+// ---- FactRegistry table layers ---------------------------------------------
+
+// fork -> intern -> Seal -> fork chains against the ordered-map reference,
+// with a model of each table's layers: a copy shares every non-empty base
+// and copies the deltas, interning lands in the delta, and a seal merges a
+// delta of more than a quarter of its base into a fresh base (an empty
+// base takes the delta whole) and leaves a smaller one in place. The
+// links alternate small and large intern runs, so seals fall on both
+// sides of the threshold.
+TEST(FactRegistryLayerTest, ForkInternSealChainsMatchTheReference) {
+  ReferenceRegistry reference;
+  ReplayHistory history;
+  auto root = std::make_shared<FactRegistry>();
+  ReplayAndCompare(*root, reference, history, /*seed=*/11u,
+                   /*operations=*/400);
+  // Model, per kind: keys in the base and in the delta.
+  std::vector<std::size_t> base(3, 0);
+  std::vector<std::size_t> delta = reference.kind_sizes();
+  auto nonempty_bases = [&] {
+    return static_cast<std::size_t>(
+        std::count_if(base.begin(), base.end(),
+                      [](std::size_t keys) { return keys > 0; }));
+  };
+  auto total = [](const std::vector<std::size_t>& keys) {
+    std::size_t sum = 0;
+    for (std::size_t k : keys) sum += k;
+    return sum;
+  };
+  EXPECT_EQ(root->delta_keys(), total(delta));
+  std::size_t merges = 0;
+  std::size_t kept = 0;
+  auto seal = [&](FactRegistry& registry, const FactRegistry* previous) {
+    std::vector<bool> changed(3, false);
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (4 * delta[k] > base[k]) {
+        base[k] += delta[k];
+        delta[k] = 0;
+        changed[k] = true;
+        ++merges;
+      } else if (delta[k] > 0) {
+        ++kept;
+      }
+    }
+    registry.Seal();
+    EXPECT_EQ(registry.delta_keys(), total(delta));
+    if (previous != nullptr) {
+      std::size_t still_shared = 0;
+      for (std::size_t k = 0; k < 3; ++k) {
+        still_shared += base[k] > 0 && !changed[k] ? 1 : 0;
+      }
+      EXPECT_EQ(registry.SharedTablesWith(*previous), still_shared);
+    }
+  };
+  seal(*root, nullptr);
+  std::shared_ptr<const FactRegistry> published = root;
+
+  for (int link = 0; link < 10; ++link) {
+    SCOPED_TRACE(StrCat("link ", link));
+    // A reader's copy of the sealed registry shares its bases and copies
+    // only the deltas.
+    std::shared_ptr<FactRegistry> draft = FactRegistry::ForkOf(published);
+    EXPECT_EQ(draft->SharedTablesWith(*published), nonempty_bases());
+    EXPECT_EQ(draft->delta_keys(), published->delta_keys());
+    EXPECT_EQ(draft->SharedChunksWith(*published), published->chunk_count());
+
+    const std::vector<std::size_t> before = reference.kind_sizes();
+    const std::size_t published_size = published->size();
+    ReplayAndCompare(*draft, reference, history,
+                     /*seed=*/100u + static_cast<std::uint64_t>(link),
+                     /*operations=*/link % 2 == 0 ? 12 : 600);
+    const std::vector<std::size_t> after = reference.kind_sizes();
+    for (std::size_t k = 0; k < 3; ++k) delta[k] += after[k] - before[k];
+    EXPECT_EQ(draft->delta_keys(), total(delta));
+    EXPECT_EQ(published->size(), published_size);
+    seal(*draft, published.get());
+    published = std::move(draft);
+  }
+  EXPECT_GT(merges, 0u);
+  EXPECT_GT(kept, 0u);
+
+  // Every term resolves, and re-interns to its id, across the layers.
+  std::shared_ptr<FactRegistry> reader = FactRegistry::ForkOf(published);
+  for (const auto& [id, members] : history.sets) {
+    EXPECT_EQ(reader->Set(members), id) << "set " << id;
+  }
+  EXPECT_EQ(reader->size(), reference.size());
+}
+
+// SetExtending across the layers: a base set that sits in the base table
+// extended into the delta, the same extension in a sibling copy, and an
+// extension whose whole list the base table already holds as a plain set.
+TEST(FactRegistryLayerTest, ExtensionsOfBaseTableSetsLandInTheDelta) {
+  auto root = std::make_shared<FactRegistry>();
+  std::vector<FactId> atoms;
+  for (std::uint64_t key = 0; key < 200; ++key) atoms.push_back(root->Atom(key));
+  auto range = [&](std::size_t from, std::size_t to) {
+    return std::vector<FactId>(
+        atoms.begin() + static_cast<std::ptrdiff_t>(from),
+        atoms.begin() + static_cast<std::ptrdiff_t>(to));
+  };
+  const FactId group = root->Set(range(0, 50));
+  const FactId whole_plain = root->Set(range(100, 130));
+  // Enough sets that a delta of two stays under a quarter of the base.
+  for (std::size_t i = 150; i < 190; ++i) (void)root->Set(range(i, i + 1));
+  root->Seal();
+  ASSERT_EQ(root->delta_keys(), 0u);  // a first seal moves the deltas
+  std::shared_ptr<const FactRegistry> published = root;
+
+  std::shared_ptr<FactRegistry> left = FactRegistry::ForkOf(published);
+  std::shared_ptr<FactRegistry> right = FactRegistry::ForkOf(published);
+  const FactId grown = left->SetExtending(group, range(50, 60));
+  EXPECT_EQ(left->delta_keys(), 1u);
+  EXPECT_EQ(right->SetExtending(group, range(50, 60)), grown);
+  EXPECT_EQ(left->Set(range(0, 60)), grown);
+  EXPECT_EQ(left->Get(grown)->members, range(0, 60));
+  EXPECT_FALSE(published->Get(grown).ok());
+  // {100..129} is a plain set in the base table: extending {100..109} by
+  // the rest finds it there instead of interning a second id.
+  const FactId head = left->Set(range(100, 110));
+  EXPECT_EQ(left->SetExtending(head, range(110, 130)), whole_plain);
+  EXPECT_EQ(left->delta_keys(), 2u);
+
+  // Sealed with a small delta, the copy keeps sharing the bases; its own
+  // copies then share them too and copy its two delta keys.
+  left->Seal();
+  EXPECT_EQ(left->SharedTablesWith(*published),
+            published->SharedTablesWith(*published));
+  std::shared_ptr<FactRegistry> reader =
+      FactRegistry::ForkOf(std::shared_ptr<const FactRegistry>(left));
+  EXPECT_EQ(reader->SharedTablesWith(*left), left->SharedTablesWith(*left));
+  EXPECT_EQ(reader->delta_keys(), 2u);
+  EXPECT_EQ(reader->SetExtending(group, range(50, 60)), grown);
+  EXPECT_EQ(reader->Set(range(0, 50)), group);
+  EXPECT_EQ(reader->Atom(7), atoms[7]);
+  EXPECT_EQ(reader->delta_keys(), 2u);
 }
 
 // ---- FactRegistry member pool chunks and concurrent copies ----------------
@@ -515,7 +979,10 @@ TEST(FactRegistryConcurrencyTest,
       const std::size_t size = pinned->size();
       const std::size_t stored = pinned->stored_member_ids();
       std::shared_ptr<FactRegistry> copy = FactRegistry::ForkOf(pinned);
-      if (copy->SharedChunksWith(*pinned) != pinned->chunk_count()) {
+      if (copy->SharedChunksWith(*pinned) != pinned->chunk_count() ||
+          copy->SharedTablesWith(*pinned) !=
+              pinned->SharedTablesWith(*pinned) ||
+          copy->delta_keys() != pinned->delta_keys()) {
         ++failures;
       }
       // The copy's own terms: atoms above every published id, a set of
